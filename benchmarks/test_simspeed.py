@@ -3,40 +3,23 @@
 Every other benchmark reports *simulated* seconds; this one reports the
 simulator's own speed — events processed per wall-clock second, simulated
 seconds advanced per wall second, event-queue depth and the per-handler
-hotspot breakdown — for the canonical overcommitted job mix, in four
-variants: stock vs macro-stepped model execution, tracing off vs on.
-The measurement itself lives in :mod:`repro.experiments.simspeed` (one
-runner shared with ``repro bench simspeed`` and CI).
+hotspot breakdown — for the canonical overcommitted job mix, with
+tracing off and on.  The measurement itself lives in
+:mod:`repro.experiments.simspeed` (one runner shared with ``repro bench
+simspeed`` and CI).
 
 Gates asserted here:
 
-* **Sim-time identity (stock)**: the macro-off run reproduces the pinned
+* **Sim-time identity**: the untraced run reproduces the pinned
   simulated results (``simspeed_baseline.json``) bit-for-bit — total
   time and every per-job completion time.
-* **Sim-time identity (macro)**: the macro-stepped run reproduces the
-  stock run bit-for-bit — same total time, same per-job times, same
-  aggregate stats.  Macro-stepping collapses heap events, never moves a
-  timestamp.
 * **Zero simulated cost of tracing**: traced and untraced runs advance
   simulated time identically, process identical event counts, and
-  tracing costs at most ``MAX_TRACING_OVERHEAD`` in events/sec.
-* **Throughput ratchet (machine-pinned)**: stock untraced events/sec
-  must stay above ``min_speedup`` x the baseline's recorded figure; the
-  failure message prints old -> new.
-* **Macro speedup (machine-independent)**: the macro run's
-  sim-s/wall-s must be at least ``min_macro_speedup`` x the stock run's
-  *in the same bench execution* — a same-machine ratio, so it gates the
-  fast paths, not the hardware.  Skipped when ``REPRO_MACRO_STEP=0``
-  disables macro-stepping (the CI identity job).
-
-The honest scorecard (see docs/simulator.md): the macro-step work
-targeted an order of magnitude; the measured same-run sim-rate ratio on
-the recording machine is ~1.5-1.6x, because the event count is already
-near the structural floor (one delivery event per message plus genuine
-cross-vGPU interleave points) and the remaining wall time is the
-model's own generator code, which macro-stepping deliberately does not
-rewrite.  ``min_macro_speedup`` is sized below the measurement (1.25x)
-to absorb machine variance, like every other ratchet here.
+  tracing costs at most ``MAX_TRACING_OVERHEAD`` in events/sec
+  (recorded at 1.52x).
+* **Throughput ratchet (machine-pinned)**: untraced events/sec must stay
+  above ``min_speedup`` x the baseline's recorded figure; the failure
+  message prints old -> new.
 
 Writes ``BENCH_simspeed.json`` and ``BENCH_simspeed_hotspots.txt``
 (the SimProfiler hotspot artifact CI uploads).
@@ -44,32 +27,17 @@ Writes ``BENCH_simspeed.json`` and ``BENCH_simspeed_hotspots.txt``
 
 import json
 
-import pytest
-
 from repro.experiments import simspeed
 from repro.experiments.report import format_table
 
 MAX_TRACING_OVERHEAD = 1.6
 REPEATS = 3
 
-#: One full measurement shared by both gate tests (either may run
-#: standalone; whichever runs first pays for the measurement).
-_CACHE = {}
 
-
-def _measurement(once):
-    def get():
-        if "m" not in _CACHE:
-            _CACHE["m"] = simspeed.measure(REPEATS)
-        return _CACHE["m"]
-
-    return once(get)
-
-
-def test_stock_identity_tracing_and_ratchet(once):
-    m = _measurement(once)
-    res_off, rep_off = m["stock"]["off"]
-    res_on, rep_on = m["stock"]["on"]
+def test_identity_tracing_and_ratchet(once):
+    m = once(simspeed.measure, REPEATS)
+    res_off, rep_off = m["off"]
+    res_on, rep_on = m["on"]
 
     # Sim-time identity against the pinned baseline: no rework may move
     # a single simulated timestamp.
@@ -85,8 +53,11 @@ def test_stock_identity_tracing_and_ratchet(once):
     # Tracing is observation only: identical simulated outcome.
     assert res_on.total_time == res_off.total_time
     assert res_on.job_times == res_off.job_times
+    assert res_on.stats == res_off.stats
     assert rep_on["events"] == rep_off["events"]
     assert rep_on["sim_seconds"] == rep_off["sim_seconds"]
+
+    _write_bench(m, baseline)
 
     # Machine-pinned throughput ratchet; the message prints old -> new
     # so a CI failure shows the regression magnitude at a glance.
@@ -105,61 +76,16 @@ def test_stock_identity_tracing_and_ratchet(once):
     )
 
 
-def test_macro_identity_and_speedup(once):
-    m = _measurement(once)
-    res_stock, rep_stock = m["stock"]["off"]
-    res_macro, rep_macro = m["macro"]["off"]
-    res_macro_tr, rep_macro_tr = m["macro"]["on"]
-
-    # Macro-stepping is an execution strategy, not a model change: the
-    # simulated outcome is bit-identical to stock.
-    assert res_macro.total_time == res_stock.total_time
-    assert list(res_macro.job_times) == list(res_stock.job_times)
-    assert res_macro.stats == res_stock.stats
-
-    # ... and it applies identically under tracing (tracing must never
-    # observe a different schedule).
-    assert res_macro_tr.total_time == res_macro.total_time
-    assert res_macro_tr.job_times == res_macro.job_times
-    assert rep_macro_tr["events"] == rep_macro["events"]
-
-    _write_bench(m)
-
-    baseline = simspeed.load_baseline()
-    if not m["macro_enabled"]:
-        pytest.skip("macro-step disabled via REPRO_MACRO_STEP=0: "
-                    "identity verified, speedup gate not applicable")
-
-    # Fewer heap events is the mechanism; assert it holds.
-    assert rep_macro["events"] < rep_stock["events"]
-
-    # Machine-independent gate: same-run sim-rate ratio.
-    ratio = (rep_macro["sim_seconds_per_wall_second"]
-             / rep_stock["sim_seconds_per_wall_second"])
-    assert ratio >= baseline["min_macro_speedup"], (
-        f"macro-step speedup regressed: stock "
-        f"{rep_stock['sim_seconds_per_wall_second']:.0f} -> macro "
-        f"{rep_macro['sim_seconds_per_wall_second']:.0f} sim-s/wall-s "
-        f"({ratio:.2f}x, gate {baseline['min_macro_speedup']}x)"
-    )
-
-
-def _write_bench(m):
-    res_stock, rep_stock = m["stock"]["off"]
-    _, rep_stock_tr = m["stock"]["on"]
-    _, rep_macro = m["macro"]["off"]
-    _, rep_macro_tr = m["macro"]["on"]
-    baseline = simspeed.load_baseline()
-    overhead = (rep_stock["events_per_second"]
-                / rep_stock_tr["events_per_second"])
-    ratio = (rep_macro["sim_seconds_per_wall_second"]
-             / rep_stock["sim_seconds_per_wall_second"])
+def _write_bench(m, baseline):
+    _, rep_off = m["off"]
+    _, rep_on = m["on"]
+    overhead = rep_off["events_per_second"] / rep_on["events_per_second"]
 
     print("\n== simulator speed: "
           f"{simspeed.JOB_COUNT}-job overcommit mix, {simspeed.VGPUS} "
           f"vGPUs (best of {REPEATS}) ==\n"
           + simspeed.scorecard(m, baseline)
-          + f"\ntracing overhead (stock): {overhead:.3f}x")
+          + f"\ntracing overhead: {overhead:.3f}x")
 
     with open("BENCH_simspeed.json", "w") as fh:
         json.dump(
@@ -169,23 +95,15 @@ def _write_bench(m):
                     "vgpus": simspeed.VGPUS,
                     "repeats": REPEATS,
                 },
-                "macro_enabled": m["macro_enabled"],
-                # stock figures keep their historical keys so the CI
-                # baseline-candidate step and older tooling still read
-                # them.
-                "tracing_off": rep_stock,
-                "tracing_on": rep_stock_tr,
-                "macro_off": rep_macro,
-                "macro_on": rep_macro_tr,
+                "tracing_off": rep_off,
+                "tracing_on": rep_on,
                 "tracing_overhead_ratio": overhead,
-                "macro_sim_rate_speedup": ratio,
                 "baseline_events_per_second": baseline["events_per_second"],
                 "speedup_vs_baseline": (
-                    rep_stock["events_per_second"]
+                    rep_off["events_per_second"]
                     / baseline["events_per_second"]
                 ),
                 "min_speedup": baseline["min_speedup"],
-                "min_macro_speedup": baseline["min_macro_speedup"],
                 "sim_time_matches_pinned_baseline": True,
             },
             fh,
@@ -194,12 +112,11 @@ def _write_bench(m):
         fh.write("\n")
 
     # The SimProfiler hotspot artifact CI uploads: where the remaining
-    # wall time goes, per execution mode.
+    # wall time goes.
     with open("BENCH_simspeed_hotspots.txt", "w") as fh:
-        for mode, rep in (("stock", rep_stock), ("macro", rep_macro)):
-            fh.write(f"hotspots ({mode}, untraced):\n")
-            fh.write(format_table(
-                ["handler", "events"],
-                [[h["handler"], str(h["events"])] for h in rep["hotspots"]],
-            ))
-            fh.write("\n\n")
+        fh.write("hotspots (untraced):\n")
+        fh.write(format_table(
+            ["handler", "events"],
+            [[h["handler"], str(h["events"])] for h in rep_off["hotspots"]],
+        ))
+        fh.write("\n\n")

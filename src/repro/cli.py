@@ -337,9 +337,6 @@ def cmd_bench_simspeed(args) -> int:
         print(f"\npinned baseline -> {path}")
         print(f"  events_per_second: {pinned['events_per_second']:.0f} "
               f"(ratchet {pinned['min_speedup']}x)")
-        print(f"  macro_events_per_second: "
-              f"{pinned['macro_events_per_second']:.0f} "
-              f"(same-run gate {pinned['min_macro_speedup']}x)")
     return 0
 
 
@@ -477,8 +474,8 @@ def main(argv=None) -> int:
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     sspeed = bench_sub.add_parser(
         "simspeed",
-        help="measure simulator throughput (stock vs macro-stepped, "
-             "tracing off/on) against the pinned baseline",
+        help="measure simulator throughput (tracing off/on) against "
+             "the pinned baseline",
     )
     sspeed.add_argument(
         "--pin-baseline", action="store_true",

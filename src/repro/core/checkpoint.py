@@ -76,7 +76,7 @@ def restore_context(
         pte = memory.page_table.lookup(ctx, new_vptr)
         # Swap holds the restored bytes; they must flow to the device
         # before first use.
-        pte.on_host_write()
+        pte.host_write()
     ctx.replay_journal = [
         KernelLaunch(
             kernel=launch.kernel,

@@ -10,7 +10,6 @@ all data transfers").
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Optional
 
 __all__ = ["RuntimeConfig"]
@@ -142,15 +141,6 @@ class RuntimeConfig:
     graph_min_repeats:
         How many times an identical launch-only batch signature must be
         seen before the dispatcher instantiates a graph for it.
-    macro_step:
-        Macro-stepped model execution: collapse uninterruptible
-        per-message machinery (the channel's delivery process, ghost
-        transmitter-free events, uncontended sync-primitive grants) into
-        single scheduled events or synchronous continuations.  Simulated
-        timestamps are bit-identical either way — macro-stepping elides
-        *heap events*, never simulated time — so the default is on; the
-        ``REPRO_MACRO_STEP=0`` environment variable forces it off
-        globally (the CI identity job) without touching call sites.
     tracing:
         Structured tracing (:mod:`repro.obs`): emit typed events (call
         spans, swaps, bindings, migrations, queue depths) on the node's
@@ -251,7 +241,6 @@ class RuntimeConfig:
     batch_max_delay_s: Optional[float] = None
     graph_replay_enabled: bool = False
     graph_min_repeats: int = 2
-    macro_step: bool = True
     tracing: bool = False
     qos_enabled: bool = False
     slo_window_s: float = 60.0
@@ -279,8 +268,6 @@ class RuntimeConfig:
         from repro.core.memory.eviction import EVICTION_POLICY_NAMES
         from repro.core.policies import POLICY_NAMES
 
-        if os.environ.get("REPRO_MACRO_STEP") == "0":
-            self.macro_step = False
         if self.vgpus_per_device < 1:
             raise ValueError("vgpus_per_device must be >= 1")
         if self.policy not in POLICY_NAMES:

@@ -273,8 +273,10 @@ class MemoryManager:
                 # by a *different* vGPU owns the device pointer — that case
                 # stays staged and resolves at the next launch's reconcile.)
                 if not pte.chunked:
+                    # A whole entry pushes exactly the bytes just written
+                    # (its one fault run would cover the whole allocation).
                     yield from ctx.vgpu.memcpy_h2d(pte.device_ptr, nbytes)
-                    pte.on_copied_to_device()
+                    pte.complete_fault((0, pte.size))
                     self.stats.h2d_device_transfers += 1
                 else:
                     for run in pte.fault_runs():
@@ -336,13 +338,13 @@ class MemoryManager:
                 if cache.cuda_context is not None and not cache.device.failed:
                     yield from cache.free(pte.device_ptr)
                 pte.discard_device_dirty()
-                pte.on_device_released()
+                pte.release_device()
                 self.memory_freed.notify_all()
             else:
                 assert ctx.bound, "resident allocation implies a bound context"
                 yield from ctx.vgpu.free(pte.device_ptr)
                 pte.discard_device_dirty()
-                pte.on_device_released()
+                pte.release_device()
                 self.memory_freed.notify_all()
         if pte.swap_ptr is not None:
             self.swap.release(pte.swap_ptr)
@@ -548,7 +550,7 @@ class MemoryManager:
                                 ctx, sum(unallocated), max(unallocated)
                             )
                     continue
-                pte.on_device_allocated(address, ctx.vgpu.device.device_id)
+                pte.allocate_device(address, ctx.vgpu.device.device_id)
 
     def _perform_deferred_transfers(
         self, ctx: Context, ptes: List[PageTableEntry]
@@ -628,7 +630,7 @@ class MemoryManager:
                 pte.complete_writeback(run)
                 self._account_swap_out(ctx, run[1])
         yield from ctx.vgpu.free(pte.device_ptr)
-        pte.on_device_released()
+        pte.release_device()
         pte.prefetched = False
         if notify:
             self.memory_freed.notify_all()
@@ -920,7 +922,7 @@ class MemoryManager:
             self._account_swap_out(ctx, run[1])
         for pte in resident:
             yield from ctx.vgpu.free(pte.device_ptr)
-            pte.on_device_released()
+            pte.release_device()
             pte.prefetched = False
         if notify and resident:
             self.memory_freed.notify_all()
@@ -1006,7 +1008,7 @@ class MemoryManager:
                 ptrs.append(pte.device_ptr)
                 freed += pte.size
                 pte.prefetched = False
-                pte.on_device_released()
+                pte.release_device()
         if ptrs and vgpu.cuda_context is not None and not vgpu.device.failed:
             for ptr in ptrs:
                 yield from vgpu.free(ptr)
@@ -1227,7 +1229,7 @@ class MemoryManager:
                     if exc.code != CudaError.cudaErrorMemoryAllocation:
                         raise
                     continue
-                pte.on_device_allocated(address, ctx.vgpu.device.device_id)
+                pte.allocate_device(address, ctx.vgpu.device.device_id)
             for run in pte.fault_runs():
                 staged.append(
                     (pte, run, ctx.vgpu.memcpy_h2d_async(pte.device_ptr + run[0], run[1]))
@@ -1258,11 +1260,11 @@ class MemoryManager:
                     yield from cache.free(pte.device_ptr)
                     released_device_memory = True
                 pte.discard_device_dirty()
-                pte.on_device_released()
+                pte.release_device()
             elif pte.is_allocated and ctx.bound:
                 yield from ctx.vgpu.free(pte.device_ptr)
                 pte.discard_device_dirty()
-                pte.on_device_released()
+                pte.release_device()
                 released_device_memory = True
             if pte.swap_ptr is not None:
                 self.swap.release(pte.swap_ptr)

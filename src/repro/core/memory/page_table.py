@@ -20,13 +20,16 @@ rejects anything else (exercised by the property tests).
 
 As the paper notes, "page" is a slight misnomer: allocations are not
 carved into fixed-size pages — each entry covers a whole allocation.
-That coarseness is optionally refined by *chunking*
-(``RuntimeConfig.swap_chunk_bytes``): a large entry is split into
-fixed-size slices, each obeying the Figure 4 state machine individually,
-so a partially written buffer stages/faults/writes back only the chunks
-that actually hold (or dirtied) data.  The entry keeps one device
-allocation — chunks refine *transfer* granularity, not device placement —
-and its flags become the OR over its chunks.
+Every entry tracks its state per *chunk*, and a whole entry is simply
+one chunk covering the allocation, valid from creation, so one set of
+transitions serves both.  *Chunking* (``RuntimeConfig.swap_chunk_bytes``)
+splits a large entry into fixed-size slices, each obeying the Figure 4
+state machine individually, so a partially written buffer
+stages/faults/writes back only the chunks that actually hold (or
+dirtied) data.  The entry keeps one device allocation — chunks refine
+*transfer* granularity, not device placement — and its flags are the OR
+over its chunks; with one chunk the per-chunk check admits exactly the
+five legal states.
 
 Chunk state is **interned**: instead of one Python object per chunk
 (hundreds of bytes each, tens of thousands of objects for a multi-GiB
@@ -55,14 +58,6 @@ __all__ = ["Chunk", "EntryType", "PageTableEntry", "PageTable", "VIRTUAL_BASE"]
 #: that passing one where the other is expected is caught immediately.
 VIRTUAL_BASE = 0x7000_0000_0000
 VIRTUAL_ALIGNMENT = 256
-
-_LEGAL_STATES = {
-    (False, False, False),  # created, nothing anywhere yet
-    (False, True, False),   # data in swap only
-    (True, False, False),   # resident, device and swap in sync
-    (True, True, False),    # resident, swap copy is newer (host overwrote)
-    (True, False, True),    # resident, device copy is newer (kernel wrote)
-}
 
 try:  # Python >= 3.10
     _popcount = int.bit_count
@@ -170,11 +165,13 @@ class PageTableEntry:
         #: Set by the overlap engine when a CPU-phase prefetch staged this
         #: entry; the next launch referencing it counts a prefetch hit.
         self.prefetched = False
-        #: Demand-paging granularity (0 = whole-entry) and the packed
-        #: per-chunk state: bit i of each bit-vector is chunk i.
-        self._chunk_bytes = 0
-        self._nchunks = 0
-        self._valid_bm = 0
+        #: Demand-paging granularity and the packed per-chunk state: bit
+        #: i of each bit-vector is chunk i.  A new entry is one chunk
+        #: covering the whole allocation, valid from the start: its data
+        #: lives in swap or on the device, never "nowhere".
+        self._chunk_bytes = size
+        self._nchunks = 1
+        self._valid_bm = 1
         self._dev_bm = 0
         self._swap_bm = 0
         #: Device holding the current device allocation (None while not
@@ -194,16 +191,15 @@ class PageTableEntry:
 
     @property
     def chunked(self) -> bool:
-        return self._chunk_bytes > 0
+        """True when the entry was split into more than one chunk."""
+        return self._nchunks > 1
 
     @property
-    def chunks(self) -> Optional[List[Chunk]]:
-        """Materialized snapshot of the per-chunk state (None when
-        unchunked).  For introspection/tests only: mutations to the
+    def chunks(self) -> List[Chunk]:
+        """Materialized snapshot of the per-chunk state (one chunk for a
+        whole entry).  For introspection/tests only: mutations to the
         snapshot objects do not write through to the bit-vectors."""
         cb = self._chunk_bytes
-        if cb == 0:
-            return None
         out: List[Chunk] = []
         valid, dev, swap = self._valid_bm, self._dev_bm, self._swap_bm
         for i in range(self._nchunks):
@@ -226,13 +222,10 @@ class PageTableEntry:
             raise AssertionError(f"allocated PTE without device pointer: {self!r}")
         if not self.is_allocated and self.device_ptr is not None:
             raise AssertionError(f"unallocated PTE with device pointer: {self!r}")
-        if self._chunk_bytes == 0:
-            if self.flags not in _LEGAL_STATES:
-                raise AssertionError(f"illegal PTE state {self.flags} for {self!r}")
-            return
-        # Chunked entry: every chunk individually obeys Figure 4, and the
-        # entry flags are the OR over the chunks (so a mixed aggregate —
-        # one chunk host-newer, another device-newer — is legal).
+        # Every chunk individually obeys Figure 4, and the entry flags are
+        # the OR over the chunks (so a mixed aggregate — one chunk
+        # host-newer, another device-newer — is legal).  With one chunk
+        # this admits exactly the diagram's five states.
         valid, dev, swap = self._valid_bm, self._dev_bm, self._swap_bm
         if dev & swap:
             raise AssertionError(f"illegal chunk state (2dev & 2swap) in {self!r}")
@@ -243,14 +236,7 @@ class PageTableEntry:
         if self.to_copy_2dev != (dev != 0) or self.to_copy_2swap != (swap != 0):
             raise AssertionError(f"entry flags out of sync with chunks: {self!r}")
 
-    def on_host_write(self) -> None:
-        """copy_HD intercepted: the swap copy is now authoritative."""
-        self._bump()
-        self.to_copy_2dev = True
-        self.to_copy_2swap = False
-        self.check_invariants()
-
-    def on_device_allocated(
+    def allocate_device(
         self, device_ptr: int, device_id: Optional[int] = None
     ) -> None:
         self._bump()
@@ -259,45 +245,15 @@ class PageTableEntry:
         self.device_id = device_id
         self.check_invariants()
 
-    def on_copied_to_device(self) -> None:
-        """The deferred H2D transfer happened (launch preparation)."""
-        assert self.is_allocated
-        self._bump()
-        self.to_copy_2dev = False
-        self.check_invariants()
-
-    def on_kernel_write(self, now: float) -> None:
-        """A launch referenced this entry as writable."""
-        assert self.is_allocated and not self.to_copy_2dev
-        self._bump()
-        self.to_copy_2swap = True
-        self._touch(now)
-        self.check_invariants()
-
-    def on_kernel_read(self, now: float) -> None:
-        """A launch referenced this entry read-only."""
-        assert self.is_allocated and not self.to_copy_2dev
-        self._touch(now)
-        self.check_invariants()
-
-    def on_copied_to_swap(self) -> None:
-        """The dirty device copy was written back (copy_DH / checkpoint)."""
-        self._bump()
-        self.to_copy_2swap = False
-        self.check_invariants()
-
-    def on_device_released(self) -> None:
+    def release_device(self) -> None:
         """Device memory freed (swap-out); swap copy is authoritative."""
         assert not self.to_copy_2swap, "must write back before releasing"
         self._bump()
         self.is_allocated = False
         self.device_ptr = None
         self.device_id = None
-        if self._chunk_bytes == 0:
-            self.to_copy_2dev = True
-        else:
-            self._dev_bm |= self._valid_bm
-            self._sync_flags()
+        self._dev_bm |= self._valid_bm
+        self._sync_flags()
         self.check_invariants()
 
     def relocate_device(self, device_ptr: int, device_id: int) -> None:
@@ -320,13 +276,16 @@ class PageTableEntry:
         """Split the entry into fixed-size chunks (the last may be short).
 
         Must be called before any data movement; entries at or below one
-        chunk stay whole-entry (chunking them would only add bookkeeping).
+        chunk stay whole (chunking them would only add bookkeeping).  A
+        split entry starts with no valid chunk: each chunk becomes valid
+        when the application writes it or a kernel populates it.
         """
         assert self.swap_ptr is None and self.flags == (False, False, False)
         if chunk_bytes <= 0 or self.size <= chunk_bytes:
             return
         self._chunk_bytes = chunk_bytes
         self._nchunks = -(-self.size // chunk_bytes)
+        self._valid_bm = 0
 
     def _sync_flags(self) -> None:
         self.to_copy_2dev = self._dev_bm != 0
@@ -375,18 +334,17 @@ class PageTableEntry:
 
     def host_write(self, nbytes: Optional[int] = None) -> None:
         """copy_HD intercepted for ``[0, nbytes)``: the swap copy of the
-        covered range is now authoritative.  Whole-entry granularity
-        ignores the extent (the paper's behavior)."""
-        if self._chunk_bytes == 0:
-            self.on_host_write()
-            return
+        covered chunks is now authoritative.  A whole entry (one chunk)
+        ignores the extent — any host write, even of zero bytes,
+        supersedes the device copy (the paper's behavior)."""
         self._bump()
-        covered = self.size if nbytes is None else min(nbytes, self.size)
-        cb = self._chunk_bytes
-        k = (covered + cb - 1) // cb
-        if k > self._nchunks:
-            k = self._nchunks
-        mask = (1 << k) - 1
+        n = self._nchunks
+        if n == 1:
+            mask = 1
+        else:
+            covered = self.size if nbytes is None else min(nbytes, self.size)
+            cb = self._chunk_bytes
+            mask = (1 << min((covered + cb - 1) // cb, n)) - 1
         self._valid_bm |= mask
         self._dev_bm |= mask
         self._swap_bm &= ~mask
@@ -396,15 +354,12 @@ class PageTableEntry:
     def kernel_write(self, now: float) -> None:
         """A launch referenced this entry as writable.
 
-        Chunked: the kernel computed on the data the application put
-        there, so the *valid* chunks become device-dirty; a buffer with
-        no valid chunk is an output buffer the kernel populates entirely.
+        The kernel computed on the data the application put there, so
+        the *valid* chunks become device-dirty; a buffer with no valid
+        chunk is an output buffer the kernel populates entirely.
         """
-        if self._chunk_bytes == 0:
-            self.on_kernel_write(now)
-            return
-        self._bump()
         assert self.is_allocated and not self.to_copy_2dev
+        self._bump()
         if self._valid_bm == 0:
             full = (1 << self._nchunks) - 1
             self._valid_bm = full
@@ -416,27 +371,20 @@ class PageTableEntry:
         self.check_invariants()
 
     def kernel_read(self, now: float) -> None:
-        if self._chunk_bytes == 0:
-            self.on_kernel_read(now)
-            return
+        """A launch referenced this entry read-only."""
         assert self.is_allocated and not self.to_copy_2dev
         self._touch(now)
         self.check_invariants()
 
     def fault_runs(self) -> List[Tuple[int, int]]:
         """Contiguous (offset, nbytes) H2D transfers needed before the
-        device copy is current.  Whole-entry: one run covering the
+        device copy is current.  A whole entry: one run covering the
         allocation, or none."""
-        if self._chunk_bytes == 0:
-            return [(0, self.size)] if self.to_copy_2dev else []
         return self._runs_from(self._dev_bm)
 
     def complete_fault(self, run: Tuple[int, int]) -> None:
         """One fault run's bulk transfer landed on the device."""
         assert self.is_allocated
-        if self._chunk_bytes == 0:
-            self.on_copied_to_device()
-            return
         self._bump()
         self._dev_bm &= ~self._mask_for_run(run)
         self._sync_flags()
@@ -445,15 +393,10 @@ class PageTableEntry:
     def writeback_runs(self) -> List[Tuple[int, int]]:
         """Contiguous (offset, nbytes) D2H write-backs of device-dirty
         data (eviction, checkpoint, device→host reads)."""
-        if self._chunk_bytes == 0:
-            return [(0, self.size)] if self.to_copy_2swap else []
         return self._runs_from(self._swap_bm)
 
     def complete_writeback(self, run: Tuple[int, int]) -> None:
         """One write-back run landed in the swap area."""
-        if self._chunk_bytes == 0:
-            self.on_copied_to_swap()
-            return
         self._bump()
         self._swap_bm &= ~self._mask_for_run(run)
         self._sync_flags()
@@ -461,16 +404,11 @@ class PageTableEntry:
 
     def device_current_runs(self) -> List[Tuple[int, int]]:
         """Runs whose device copy is current (peer-to-peer migration)."""
-        if self._chunk_bytes == 0:
-            return [(0, self.size)] if not self.to_copy_2dev else []
         return self._runs_from(self._valid_bm & ~self._dev_bm)
 
     def discard_device_dirty(self) -> None:
         """Drop device-dirty state without writing back (cudaFree)."""
         self._bump()
-        if self._chunk_bytes == 0:
-            self.to_copy_2swap = False
-            return
         self._swap_bm = 0
         self._sync_flags()
 
@@ -481,31 +419,21 @@ class PageTableEntry:
         self.is_allocated = False
         self.device_ptr = None
         self.device_id = None
-        if self._chunk_bytes == 0:
-            self.to_copy_2swap = False
-            self.to_copy_2dev = True
-        else:
-            self._swap_bm = 0
-            self._dev_bm |= self._valid_bm
-            self._sync_flags()
+        self._swap_bm = 0
+        self._dev_bm |= self._valid_bm
+        self._sync_flags()
         self.check_invariants()
 
     def fault_bytes(self) -> int:
         """Bytes a launch must transfer before this entry is current."""
-        if self._chunk_bytes == 0:
-            return self.size if self.to_copy_2dev else 0
         return self._mask_bytes(self._dev_bm)
 
     def dirty_bytes(self) -> int:
         """Bytes an eviction of this entry would write back."""
-        if self._chunk_bytes == 0:
-            return self.size if self.to_copy_2swap else 0
         return self._mask_bytes(self._swap_bm)
 
     def valid_bytes(self) -> int:
         """Bytes of application data behind the entry."""
-        if self._chunk_bytes == 0:
-            return self.size
         return self._mask_bytes(self._valid_bm)
 
     def __repr__(self) -> str:

@@ -176,10 +176,6 @@ class NodeRuntime:
         if self._started:
             return
         self._started = True
-        if self.config.macro_step:
-            # Macro-stepping is an environment-wide execution mode (the
-            # kernel primitives consult it), opted into by the runtime.
-            self.env.macro_step = True
         self.driver.concurrent_kernels = self.config.kernel_consolidation
         self.driver.launch_control_plane_s = self.config.launch_control_plane_s
         for device in self.driver.devices:

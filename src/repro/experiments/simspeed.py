@@ -2,22 +2,16 @@
 
 Measures how fast the simulator itself runs — events per wall second and
 simulated seconds per wall second — on the canonical overcommitted job
-mix, in four variants: macro-stepped model execution off/on x structured
-tracing off/on.  ``benchmarks/test_simspeed.py`` asserts the regression
-gates over a :func:`measure` result, ``repro bench simspeed`` prints the
-scorecard interactively, and ``--pin-baseline`` regenerates
-``benchmarks/simspeed_baseline.json`` so the CI ratchet can move upward
-after a perf win lands on the machine class that records it.
+mix, with structured tracing off and on.  ``benchmarks/test_simspeed.py``
+asserts the regression gates over a :func:`measure` result, ``repro bench
+simspeed`` prints the scorecard interactively, and ``--pin-baseline``
+regenerates ``benchmarks/simspeed_baseline.json`` so the CI ratchet can
+move upward after a perf win lands on the machine class that records it.
 
-Two kinds of gate live in the baseline JSON:
-
-- machine-pinned: ``events_per_second`` (the stock untraced figure on
-  the recording machine) with ``min_speedup`` sized to absorb CI-machine
-  variance;
-- machine-independent: ``min_macro_speedup``, a *same-run* ratio — the
-  macro-stepped run's sim-s/wall-s over the stock run's, measured on
-  whatever machine executes the bench, so it gates the macro fast paths
-  themselves, not the hardware.
+The baseline JSON holds the pinned simulated results plus one
+machine-pinned gate: ``events_per_second`` (the untraced figure on the
+recording machine) with ``min_speedup`` sized to absorb CI-machine
+variance.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ __all__ = [
     "REPEATS",
     "BASELINE_PATH",
     "run_once",
-    "best_of",
     "measure",
     "pin_baseline",
 ]
@@ -50,7 +43,7 @@ VGPUS = 4
 #: deterministic; only the wall side is noisy).
 REPEATS = 3
 
-#: Pinned simulated results + recorded events/sec + both ratchets.
+#: Pinned simulated results + recorded events/sec + the ratchet.
 BASELINE_PATH = (
     pathlib.Path(__file__).resolve().parents[3]
     / "benchmarks"
@@ -58,22 +51,14 @@ BASELINE_PATH = (
 )
 
 
-def run_once(*, macro_step: bool, tracing: bool):
-    """One run of the canonical mix; returns ``(BatchResult, report)``.
-
-    ``macro_step=True`` leaves the config default in place, which means
-    the run honours ``REPRO_MACRO_STEP=0`` — the macro-off CI identity
-    job reuses this exact runner and simply skips the speedup gate.
-    ``macro_step=False`` forces the stock event-per-hop execution.
-    """
+def run_once(*, tracing: bool):
+    """One run of the canonical mix; returns ``(BatchResult, report)``."""
     from repro.cli import _parse_jobs
     from repro.experiments.harness import run_node_batch
 
     profiler = SimProfiler()
     jobs = _parse_jobs([str(JOB_COUNT)], 0.0)
     config = RuntimeConfig(vgpus_per_device=VGPUS, tracing=tracing)
-    if not macro_step:
-        config.macro_step = False
     collector = ObsCollector() if tracing else None
     result = run_node_batch(jobs, [TESLA_C2050], config, label="simspeed",
                             collector=collector, profiler=profiler)
@@ -81,35 +66,27 @@ def run_once(*, macro_step: bool, tracing: bool):
     return result, profiler.report()
 
 
-def best_of(repeats: int, *, macro_step: bool, tracing: bool):
-    """Fastest of ``repeats`` runs (sim side is identical across them)."""
-    runs = [run_once(macro_step=macro_step, tracing=tracing)
-            for _ in range(max(1, repeats))]
-    result = runs[0][0]
+def _fastest(runs):
+    """The first run's result (sim side is identical across runs) with
+    the fastest run's report."""
     report = max((rep for _, rep in runs),
                  key=lambda r: r["events_per_second"])
-    return result, report
+    return runs[0][0], report
 
 
 def measure(repeats: int = REPEATS) -> dict:
-    """The full four-variant measurement the bench and CLI share.
+    """The tracing off/on measurement the bench and CLI share.
 
-    Returns ``{"stock": {"off": (result, report), "on": ...},
-    "macro": {...}, "macro_enabled": bool}`` where off/on is tracing and
-    ``macro_enabled`` records whether the config default actually ran
-    macro-stepped (False under ``REPRO_MACRO_STEP=0``).
+    Returns ``{"off": (result, report), "on": (result, report)}`` keyed
+    by tracing, each the fastest of ``repeats`` runs.  Untraced and
+    traced runs alternate, so host-speed drift during the measurement
+    hits both alike and the overhead ratio compares like with like.
     """
-    return {
-        "stock": {
-            "off": best_of(repeats, macro_step=False, tracing=False),
-            "on": best_of(repeats, macro_step=False, tracing=True),
-        },
-        "macro": {
-            "off": best_of(repeats, macro_step=True, tracing=False),
-            "on": best_of(repeats, macro_step=True, tracing=True),
-        },
-        "macro_enabled": RuntimeConfig().macro_step,
-    }
+    runs = {"off": [], "on": []}
+    for _ in range(max(1, repeats)):
+        runs["off"].append(run_once(tracing=False))
+        runs["on"].append(run_once(tracing=True))
+    return {key: _fastest(pair) for key, pair in runs.items()}
 
 
 def load_baseline(path: Optional[pathlib.Path] = None) -> dict:
@@ -120,38 +97,32 @@ def pin_baseline(measurement: dict,
                  path: Optional[pathlib.Path] = None) -> dict:
     """Write a fresh ``simspeed_baseline.json`` from ``measurement``.
 
-    Preserves the gate sizes (``min_speedup``/``min_macro_speedup``)
-    from the existing baseline when present — pinning refreshes the
-    recorded figures, it does not loosen or tighten the ratchets.
+    Preserves the gate size (``min_speedup``) from the existing baseline
+    when present — pinning refreshes the recorded figures, it does not
+    loosen or tighten the ratchet.
     """
     path = path or BASELINE_PATH
     try:
         old = json.loads(path.read_text())
     except (OSError, ValueError):
         old = {}
-    res_stock, rep_stock = measurement["stock"]["off"]
-    _, rep_macro = measurement["macro"]["off"]
+    result, report = measurement["off"]
     baseline = {
         "comment": (
             "simspeed baseline pinned by `repro bench simspeed "
             "--pin-baseline`. sim_* values pin the canonical 8-job/"
             "4-vGPU overcommit mix's simulated results bit-for-bit. "
-            "events_per_second is the stock (macro_step=False) untraced "
-            "figure on the recording machine with min_speedup as the "
-            "machine-variance-tolerant CI ratchet; "
-            "macro_events_per_second records the macro-stepped figure "
-            "for the scorecard, and min_macro_speedup gates the "
-            "SAME-RUN sim-rate ratio macro/stock (machine-independent). "
-            "See docs/simulator.md for the honest-throughput scorecard."
+            "events_per_second is the untraced figure on the recording "
+            "machine with min_speedup as the machine-variance-tolerant "
+            "CI ratchet. See docs/simulator.md for the honest-throughput "
+            "scorecard."
         ),
         "workload": {"jobs": JOB_COUNT, "vgpus": VGPUS,
                      "gpu": TESLA_C2050.name},
-        "sim_total_time": res_stock.total_time,
-        "sim_job_times": list(res_stock.job_times),
-        "events_per_second": rep_stock["events_per_second"],
+        "sim_total_time": result.total_time,
+        "sim_job_times": list(result.job_times),
+        "events_per_second": report["events_per_second"],
         "min_speedup": old.get("min_speedup", 0.7),
-        "macro_events_per_second": rep_macro["events_per_second"],
-        "min_macro_speedup": old.get("min_macro_speedup", 1.25),
     }
     path.write_text(json.dumps(baseline, indent=2) + "\n")
     return baseline
@@ -162,37 +133,28 @@ def scorecard(measurement: dict, baseline: Optional[dict] = None) -> str:
     from repro.experiments.report import format_table
 
     rows = []
-    for mode in ("stock", "macro"):
-        for tracing in ("off", "on"):
-            _, rep = measurement[mode][tracing]
-            rows.append([
-                mode,
-                tracing,
-                str(rep["events"]),
-                f"{rep['events_per_second']:.0f}",
-                f"{rep['sim_seconds_per_wall_second']:.1f}",
-                f"{rep['queue_depth_mean']:.1f}",
-                str(rep["queue_depth_peak"]),
-            ])
+    for tracing in ("off", "on"):
+        _, rep = measurement[tracing]
+        rows.append([
+            tracing,
+            str(rep["events"]),
+            f"{rep['events_per_second']:.0f}",
+            f"{rep['sim_seconds_per_wall_second']:.1f}",
+            f"{rep['queue_depth_mean']:.1f}",
+            str(rep["queue_depth_peak"]),
+        ])
     out = format_table(
-        ["mode", "tracing", "events", "events/s", "sim s / wall s",
+        ["tracing", "events", "events/s", "sim s / wall s",
          "queue mean", "queue peak"],
         rows,
     )
-    rep_stock = measurement["stock"]["off"][1]
-    rep_macro = measurement["macro"]["off"][1]
-    ratio = (rep_macro["sim_seconds_per_wall_second"]
-             / rep_stock["sim_seconds_per_wall_second"])
-    out += f"\nmacro-step same-run sim-rate speedup: {ratio:.3f}x"
-    if not measurement.get("macro_enabled", True):
-        out += " (macro-step DISABLED via REPRO_MACRO_STEP=0)"
     if baseline is not None:
-        speedup = (rep_stock["events_per_second"]
-                   / baseline["events_per_second"])
+        rep = measurement["off"][1]
+        speedup = rep["events_per_second"] / baseline["events_per_second"]
         out += (
-            f"\nstock events/s vs recorded baseline: "
+            f"\nevents/s vs recorded baseline: "
             f"{baseline['events_per_second']:.0f} -> "
-            f"{rep_stock['events_per_second']:.0f} ({speedup:.3f}x, "
+            f"{rep['events_per_second']:.0f} ({speedup:.3f}x, "
             f"ratchet {baseline['min_speedup']}x)"
         )
     return out

@@ -13,7 +13,7 @@ import dataclasses
 from collections import deque
 from typing import Any, Generator
 
-from repro.sim import Environment, Event, Store, Timeout, Waiter
+from repro.sim import Environment, Store, Timeout, Waiter
 
 __all__ = ["LinkSpec", "Channel", "AFUNIX_LINK", "TCP_GBE_LINK", "TCP_10GBE_LINK"]
 
@@ -65,13 +65,11 @@ TCP_10GBE_LINK = LinkSpec(
 
 
 class _Delivery(Timeout):
-    """Macro-mode message propagation: ONE scheduled event.
+    """Message propagation: ONE scheduled event per message.
 
-    Replaces the per-message ``_deliver`` process (an Initialize event, a
-    latency timeout, a Process-completion event and a StorePut event) with
-    a single timeout carrying the payload, whose callback hands the
-    message straight to the inbox's first live getter — or queues it.
-    Fires at exactly the timestamp the process version delivered at.
+    A timeout carrying the payload, whose callback hands the message
+    straight to the inbox's first live getter — or queues it — at
+    ``latency_s`` after the transmission finished.
     """
 
     __slots__ = ("_channel", "_payload")
@@ -93,10 +91,10 @@ def _deliver_payload(event: "_Delivery") -> None:
         if getter._cancelled:  # purged lazily, like Store._settle
             continue
         if env.peek() > env._now:
-            # Nothing else is scheduled at this instant, so the stock
-            # grant event would be the very next pop: resume the receiver
-            # inside this callback instead of scheduling its wake-up —
-            # same timestamp, one heap event fewer per message.
+            # Nothing else is scheduled at this instant, so a grant event
+            # would be the very next pop: resume the receiver inside this
+            # callback instead of scheduling its wake-up — same
+            # timestamp, one heap event fewer per message.
             getter._ok = True
             getter._value = event._payload
             callbacks, getter.callbacks = getter.callbacks, None
@@ -104,7 +102,8 @@ def _deliver_payload(event: "_Delivery") -> None:
                 callback(getter)
         else:
             # Same-tick company (e.g. an URGENT process start already in
-            # the heap): preserve stock ordering via a real grant event.
+            # the heap): it runs first, so wake the receiver through a
+            # real grant event.
             getter.succeed(event._payload)
         break
     else:
@@ -120,11 +119,9 @@ class Channel:
         self.env = env
         self.link = link
         self._inbox: Store = Store(env)
-        self._tx_free = env.event()
-        self._tx_free.succeed()
-        #: Macro-mode transmitter state: a plain busy flag plus a FIFO of
-        #: waiting senders (woken one at a time) instead of the broadcast
-        #: ``_tx_free`` event — no heap event at all when nobody waits.
+        #: Transmitter state: a plain busy flag plus a FIFO of waiting
+        #: senders, woken one at a time — no heap event at all when
+        #: nobody waits.
         self._tx_busy = False
         self._tx_waiters: deque = deque()
         self.messages_sent = 0
@@ -144,54 +141,31 @@ class Channel:
         if self.closed:
             raise ConnectionError(f"channel over {self.link.name} is closed")
         env = self.env
-        if env.macro_step:
-            # Macro path: same link timing, 3 heap events per message
-            # instead of 7 — the transmit timeout, the _Delivery event,
-            # and the receiver's wake-up; transmitter hand-off is a flag
-            # plus a FIFO (one wake per release, only when contended).
-            while self._tx_busy:
-                waiter = Waiter(env)
-                waiter._on_cancel = self._tx_waiters.remove
-                self._tx_waiters.append(waiter)
-                yield waiter
-            self._tx_busy = True
-            try:
-                yield env.timeout(self.link.transmit_seconds(nbytes))
-                self.messages_sent += 1
-                self.bytes_sent += nbytes
-                if self.on_activity is not None:
-                    self.on_activity("send", nbytes, self.pending)
-                _Delivery(self, payload)
-            finally:
-                self._tx_busy = False
-                waiters = self._tx_waiters
-                while waiters:
-                    nxt = waiters.popleft()
-                    if not nxt._cancelled:
-                        nxt.succeed()
-                        break
-            return
-        # Serialize on the transmitter (``callbacks is None`` is the
-        # processed check, minus the property call — this is the
-        # simulator's single hottest wait loop).
-        while self._tx_free.callbacks is not None:
-            yield self._tx_free
-        self._tx_free = Event(env)
+        # Three heap events per message — the transmit timeout, the
+        # _Delivery event, and the receiver's wake-up; transmitter
+        # hand-off is a flag plus a FIFO (one wake per release, only
+        # when contended).
+        while self._tx_busy:
+            waiter = Waiter(env)
+            waiter._on_cancel = self._tx_waiters.remove
+            self._tx_waiters.append(waiter)
+            yield waiter
+        self._tx_busy = True
         try:
             yield env.timeout(self.link.transmit_seconds(nbytes))
             self.messages_sent += 1
             self.bytes_sent += nbytes
             if self.on_activity is not None:
                 self.on_activity("send", nbytes, self.pending)
-            env.process(self._deliver(payload))
+            _Delivery(self, payload)
         finally:
-            self._tx_free.succeed()
-
-    def _deliver(self, payload: Any) -> Generator:
-        yield self.env.timeout(self.link.latency_s)
-        self._inbox.put(payload)
-        if self.on_activity is not None:
-            self.on_activity("deliver", 0, self.pending)
+            self._tx_busy = False
+            waiters = self._tx_waiters
+            while waiters:
+                nxt = waiters.popleft()
+                if not nxt._cancelled:
+                    nxt.succeed()
+                    break
 
     def recv(self):
         """Event yielding the next message (blocks while empty)."""

@@ -255,8 +255,8 @@ class Event:
 def complete_now(event: "Event", value: Any = None) -> "Event":
     """Mark a fresh event *processed* with ``value``, bypassing the heap.
 
-    The macro-step fast path for grants that succeed immediately (a free
-    lock, an uncontended resource slot, a non-empty store): a process
+    The fast path for grants that succeed immediately (a free lock, an
+    uncontended resource slot, a non-empty store): a process
     that yields a processed event continues synchronously in
     :meth:`Process._resume`'s inline loop — zero heap traffic, same
     simulated timestamp.  Only valid on an event nobody has seen yet.
@@ -268,7 +268,7 @@ def complete_now(event: "Event", value: Any = None) -> "Event":
 
 
 def granted(env: "Environment") -> "Event":
-    """A processed, value-less event for macro-mode immediate grants.
+    """A processed, value-less event for immediate grants.
 
     Yielding it continues synchronously; it is immutable once processed,
     so one shared instance per environment serves every valueless grant
@@ -439,17 +439,18 @@ class Process(Event):
                     # Already done: loop immediately with its outcome.
                     event = target
                     continue
-                if env.macro_step and type(target) is Timeout and not cbs:
-                    # Macro step: if this timeout is the next live event in
-                    # the whole simulation (and inside the run horizon),
+                if type(target) is Timeout and not cbs:
+                    # Greedy resume: if this timeout is the next live event
+                    # in the whole simulation (and inside the run horizon),
                     # the run loop's very next action would be to pop it
                     # and resume us.  Skip the detour: pop it here, advance
                     # the clock to its exact fire time, and keep running
                     # the generator.  Because the *heap head* is the
-                    # horizon check, ordering is identical to stock — any
-                    # event scheduled at or before the timeout (including
-                    # same-time, earlier-sequence events) makes the check
-                    # fail and falls back to the cooperative path.
+                    # horizon check, ordering is identical to a pop from
+                    # the run loop — any event scheduled at or before the
+                    # timeout (including same-time, earlier-sequence
+                    # events) makes the check fail and the process waits
+                    # on the heap as usual.
                     queue = env._queue
                     while queue and queue[0][3]._cancelled:
                         heapq.heappop(queue)
@@ -570,15 +571,6 @@ class Environment:
         Starting value of :attr:`now` (default 0.0).
     """
 
-    #: Macro-stepped model execution (set by the node runtime from
-    #: ``RuntimeConfig.macro_step``).  When True, model components elide
-    #: per-step heap events whose ordering cannot be observed — the
-    #: channel's delivery process, uncontended sync-primitive grants —
-    #: and continue synchronously instead.  Simulated timestamps are
-    #: bit-identical either way; only wall-clock cost changes.  A raw
-    #: Environment stays stock (False) unless someone opts in.
-    macro_step = False
-
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: List = []
@@ -586,7 +578,7 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: Cancelled entries buried in the queue (compaction trigger).
         self._ncancelled = 0
-        #: Horizon for greedy (macro-step) timeout consumption: a numeric
+        #: Horizon for greedy timeout consumption: a numeric
         #: ``run(until=...)`` sets it so an inline resume never advances
         #: the clock past the requested stop time.
         self._greedy_limit = float("inf")
@@ -749,7 +741,7 @@ class Environment:
         horizon = float(until)
         if horizon < self._now:
             raise SimulationError(f"until={horizon} lies in the past (now={self._now})")
-        # Greedy (macro-step) resumes must not advance the clock past the
+        # Greedy resumes must not advance the clock past the
         # requested stop time either.
         self._greedy_limit = horizon
         try:

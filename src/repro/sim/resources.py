@@ -96,7 +96,7 @@ class Resource:
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(request)
             env = request.env
-            if env.macro_step and env.peek() > env._now:
+            if env.peek() > env._now:
                 # The slot is granted synchronously either way (users
                 # already holds the request); with nothing else pending
                 # at this instant, the requester may continue without a
@@ -168,8 +168,7 @@ class Container:
         if amount < 0:
             raise SimulationError("negative amount")
         if (
-            self.env.macro_step
-            and not self._putters
+            not self._putters
             and not self._getters
             and self._level + amount <= self.capacity
             and self.env.peek() > self.env._now
@@ -186,8 +185,7 @@ class Container:
         if amount < 0:
             raise SimulationError("negative amount")
         if (
-            self.env.macro_step
-            and not self._getters
+            not self._getters
             and not self._putters
             and self._level >= amount
             and self.env.peek() > self.env._now
@@ -252,11 +250,7 @@ class Store:
         return len(self.items)
 
     def put(self, item: Any) -> StorePut:
-        if (
-            self.env.macro_step
-            and len(self.items) < self.capacity
-            and self.env.peek() > self.env._now
-        ):
+        if len(self.items) < self.capacity and self.env.peek() > self.env._now:
             # Space available: hand the item to the first live getter (or
             # shelve it) and let the putter continue synchronously.
             ev = complete_now(StorePut(self, item))
@@ -275,12 +269,7 @@ class Store:
         return ev
 
     def get(self) -> StoreGet:
-        if (
-            self.env.macro_step
-            and self.items
-            and not self._putters
-            and self.env.peek() > self.env._now
-        ):
+        if self.items and not self._putters and self.env.peek() > self.env._now:
             return complete_now(StoreGet(self), self.items.popleft())
         ev = StoreGet(self)
         self._getters.append(ev)

@@ -51,14 +51,13 @@ class Lock:
         if not self._locked:
             self._locked = True
             env = self.env
-            if env.macro_step and env.peek() > env._now:
+            if env.peek() > env._now:
                 # Uncontended grant with nothing else pending at this
-                # instant: stock would pop the grant event next anyway,
-                # so the acquirer may simply continue — no heap event.
-                # (The peek() guard keeps same-tick ordering exact: any
+                # instant: the grant event would be the very next pop
+                # anyway, so the acquirer may simply continue — no heap
+                # event.  (The peek() guard is the ordering rule: any
                 # event already scheduled at `now` — including an URGENT
-                # process start — must run before the resumption, as it
-                # would in stock.)
+                # process start — runs before the resumption.)
                 return granted(env)
             ev = Event(env)
             ev.succeed()
@@ -97,7 +96,7 @@ class Semaphore:
         if self._value > 0:
             self._value -= 1
             env = self.env
-            if env.macro_step and env.peek() > env._now:
+            if env.peek() > env._now:
                 return granted(env)
             ev = Event(env)
             ev.succeed()
@@ -196,7 +195,7 @@ class FifoQueue:
     def get(self) -> Event:
         if self._items:
             env = self.env
-            if env.macro_step and env.peek() > env._now:
+            if env.peek() > env._now:
                 return complete_now(Event(env), self._items.popleft())
             ev = Event(env)
             ev.succeed(self._items.popleft())

@@ -8,11 +8,17 @@ random mutation sequences and asserts identical coalesced runs, flags,
 byte counts — and identical page-table epoch bumps, so memoization keyed
 on the epoch can never observe a divergence either.
 
+A whole (unchunked) entry is the same bitmap machine with one chunk.
+The second reference below is the paper's three-flag Figure-4 machine
+(the five legal states and the whole-entry transitions) that one-chunk
+entries must reproduce exactly.
+
 Plus the payoff assertion: the packed state of a multi-GiB chunked entry
 is a few hundred bytes of integers, not tens of thousands of Python
 objects.
 """
 
+import itertools
 import sys
 from types import SimpleNamespace
 
@@ -90,7 +96,7 @@ class _RefEntry:
                 c.to_copy_2swap = False
         self._sync_flags()
 
-    def on_device_allocated(self):
+    def allocate_device(self):
         self._bump()
         self.is_allocated = True
 
@@ -131,7 +137,7 @@ class _RefEntry:
             c for c in self.chunks if c.valid and not c.to_copy_2dev
         )
 
-    def on_device_released(self):
+    def release_device(self):
         assert not self.to_copy_2swap
         self._bump()
         self.is_allocated = False
@@ -166,6 +172,100 @@ class _RefEntry:
 
 
 # ---------------------------------------------------------------------------
+# reference implementation: the whole-entry Figure-4 flag machine
+# ---------------------------------------------------------------------------
+#: The five legal (isAllocated, toCopy2Dev, toCopy2Swap) states of Figure 4.
+_LEGAL_STATES = {
+    (False, False, False),  # created, nothing anywhere yet
+    (False, True, False),   # data in swap only
+    (True, False, False),   # resident, device and swap in sync
+    (True, True, False),    # resident, swap copy is newer (host overwrote)
+    (True, False, True),    # resident, device copy is newer (kernel wrote)
+}
+
+
+class _RefWholeEntry:
+    """Three flags, no chunks: every transition covers the allocation."""
+
+    def __init__(self, size):
+        self.size = size
+        self.is_allocated = False
+        self.to_copy_2dev = False
+        self.to_copy_2swap = False
+        self.epoch = 0
+
+    @property
+    def flags(self):
+        return (self.is_allocated, self.to_copy_2dev, self.to_copy_2swap)
+
+    @property
+    def chunks(self):
+        # The one chunk always holds data: in swap, on device, or both.
+        return [SimpleNamespace(valid=True, to_copy_2dev=self.to_copy_2dev,
+                                to_copy_2swap=self.to_copy_2swap)]
+
+    def _whole_if(self, flag):
+        return [(0, self.size)] if flag else []
+
+    def host_write(self, nbytes=None):  # the extent is ignored
+        self.epoch += 1
+        self.to_copy_2dev = True
+        self.to_copy_2swap = False
+
+    def allocate_device(self):
+        self.epoch += 1
+        self.is_allocated = True
+
+    def complete_fault(self, run):
+        assert self.is_allocated
+        self.epoch += 1
+        self.to_copy_2dev = False
+
+    def kernel_write(self):
+        assert self.is_allocated and not self.to_copy_2dev
+        self.epoch += 1
+        self.to_copy_2swap = True
+
+    def complete_writeback(self, run):
+        self.epoch += 1
+        self.to_copy_2swap = False
+
+    def release_device(self):
+        assert not self.to_copy_2swap
+        self.epoch += 1
+        self.is_allocated = False
+        self.to_copy_2dev = True
+
+    def drop_device_state(self):
+        self.epoch += 1
+        self.is_allocated = False
+        self.to_copy_2swap = False
+        self.to_copy_2dev = True
+
+    def discard_device_dirty(self):
+        self.epoch += 1
+        self.to_copy_2swap = False
+
+    def fault_runs(self):
+        return self._whole_if(self.to_copy_2dev)
+
+    def writeback_runs(self):
+        return self._whole_if(self.to_copy_2swap)
+
+    def device_current_runs(self):
+        return self._whole_if(not self.to_copy_2dev)
+
+    def fault_bytes(self):
+        return self.size if self.to_copy_2dev else 0
+
+    def dirty_bytes(self):
+        return self.size if self.to_copy_2swap else 0
+
+    def valid_bytes(self):
+        return self.size
+
+
+# ---------------------------------------------------------------------------
 # driving both implementations through the same mutation sequence
 # ---------------------------------------------------------------------------
 def _bitmap_entry(size, chunk_bytes):
@@ -197,6 +297,7 @@ def _assert_equivalent(pte, ref):
 #: holds (guards keep the sequence inside the legal Figure-4 states).
 _OPS = (
     "host_write",
+    "host_write_empty",
     "alloc",
     "fault_one",
     "fault_all",
@@ -216,9 +317,12 @@ def _apply(op, arg, pte, ref):
         n = 1 + arg % ref.size
         pte.host_write(n)
         ref.host_write(n)
+    elif op == "host_write_empty":
+        pte.host_write(0)
+        ref.host_write(0)
     elif op == "alloc" and not ref.is_allocated:
-        pte.on_device_allocated(0x1000)
-        ref.on_device_allocated()
+        pte.allocate_device(0x1000)
+        ref.allocate_device()
     elif op == "fault_one" and ref.is_allocated and ref.fault_runs():
         runs = ref.fault_runs()
         run = runs[arg % len(runs)]
@@ -241,8 +345,8 @@ def _apply(op, arg, pte, ref):
             pte.complete_writeback(run)
             ref.complete_writeback(run)
     elif op == "release" and ref.is_allocated and not ref.to_copy_2swap:
-        pte.on_device_released()
-        ref.on_device_released()
+        pte.release_device()
+        ref.release_device()
     elif op == "drop" and ref.is_allocated:
         pte.drop_device_state()
         ref.drop_device_state()
@@ -297,6 +401,80 @@ def test_bitmap_state_matches_reference_smoke():
 
 
 # ---------------------------------------------------------------------------
+# one chunk: a whole entry is the Figure-4 flag machine
+# ---------------------------------------------------------------------------
+def _one_chunk_entry(size, chunk_bytes):
+    pte = PageTableEntry(0x7000_0000_0000, size)
+    pte.configure_chunks(chunk_bytes)
+    assert not pte.chunked and pte._nchunks == 1
+    pte._table = SimpleNamespace(epoch=0)
+    return pte
+
+
+def _drive_one_chunk(size, chunk_bytes, ops):
+    pte = _one_chunk_entry(size, chunk_bytes)
+    ref = _RefWholeEntry(size)
+    _assert_equivalent(pte, ref)
+    for op, arg in ops:
+        _apply(op, arg, pte, ref)
+        pte.check_invariants()
+        assert ref.flags in _LEGAL_STATES
+        assert pte.flags == ref.flags
+        _assert_equivalent(pte, ref)
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=1 << 20),
+        # Whole entries come from chunking off (0) or a chunk size at or
+        # above the allocation; both must be the one-chunk machine.
+        chunk_extra=st.one_of(st.none(), st.integers(min_value=0, max_value=64)),
+        ops=st.lists(
+            st.tuples(st.sampled_from(_OPS), st.integers(min_value=0, max_value=1 << 30)),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_one_chunk_state_matches_whole_entry_reference(size, chunk_extra, ops):
+        chunk_bytes = 0 if chunk_extra is None else size + chunk_extra
+        _drive_one_chunk(size, chunk_bytes, ops)
+
+
+@pytest.mark.parametrize("chunk_bytes", [0, 100, 4096])
+def test_one_chunk_state_matches_whole_entry_reference_smoke(chunk_bytes):
+    """The Figure-4 cycle, partial and empty host writes included, on a
+    100-byte entry that stays one chunk."""
+    script = [
+        ("host_write_empty", 0), ("alloc", 0), ("fault_one", 0),
+        ("kernel_write", 0), ("host_write", 9), ("fault_all", 0),
+        ("kernel_write", 0), ("writeback_one", 0), ("release", 0),
+        ("alloc", 0), ("fault_all", 0), ("kernel_write", 0), ("drop", 0),
+        ("alloc", 0), ("fault_all", 0), ("kernel_write", 0),
+        ("discard", 0), ("release", 0),
+    ]
+    _drive_one_chunk(100, chunk_bytes, script)
+
+
+def test_one_chunk_invariants_accept_exactly_the_legal_states():
+    """The chunk check admits exactly Figure 4's five flag states when
+    the entry has one chunk."""
+    for state in itertools.product((False, True), repeat=3):
+        allocated, dev, swap = state
+        pte = _one_chunk_entry(100, 0)
+        pte.is_allocated = allocated
+        pte.device_ptr = 0x1000 if allocated else None
+        pte._dev_bm, pte._swap_bm = int(dev), int(swap)
+        pte.to_copy_2dev, pte.to_copy_2swap = dev, swap
+        if state in _LEGAL_STATES:
+            pte.check_invariants()
+        else:
+            with pytest.raises(AssertionError):
+                pte.check_invariants()
+
+
+# ---------------------------------------------------------------------------
 # the payoff: interned state for multi-GiB entries
 # ---------------------------------------------------------------------------
 def test_multi_gib_entry_state_is_interned():
@@ -308,7 +486,7 @@ def test_multi_gib_entry_state_is_interned():
     pte.configure_chunks(1 * MIB)
     assert pte._nchunks == 16384
     pte.host_write(size // 2)
-    pte.on_device_allocated(0x1000)
+    pte.allocate_device(0x1000)
     for run in pte.fault_runs():
         pte.complete_fault(run)
     pte.kernel_write(1.0)
@@ -330,7 +508,7 @@ def test_full_cover_runs_roundtrip_multi_gib():
     pte = PageTableEntry(0x7000_0000_0000, 4 * 1024 * MIB + 123)
     pte.configure_chunks(2 * MIB)
     pte.host_write()  # everything
-    pte.on_device_allocated(0x1000)
+    pte.allocate_device(0x1000)
     runs = pte.fault_runs()
     assert runs == [(0, pte.size)]
     for run in runs:

@@ -59,7 +59,7 @@ def test_partial_host_write_marks_only_covered_chunks():
 def test_fault_runs_coalesce_adjacent_chunks():
     pte = _pte(12 * MIB, chunk=4 * MIB)
     pte.host_write(8 * MIB)
-    pte.on_device_allocated(0x1000)
+    pte.allocate_device(0x1000)
     assert pte.fault_runs() == [(0, 8 * MIB)]  # two chunks, one transfer
     assert pte.fault_bytes() == 8 * MIB
     pte.complete_fault((0, 8 * MIB))
@@ -71,7 +71,7 @@ def test_kernel_write_on_output_buffer_dirties_everything():
     """A never-written buffer the kernel writes is all output: every
     chunk becomes valid and device-dirty."""
     pte = _pte(8 * MIB, chunk=4 * MIB)
-    pte.on_device_allocated(0x1000)
+    pte.allocate_device(0x1000)
     pte.kernel_write(1.0)
     assert all(c.valid and c.to_copy_2swap for c in pte.chunks)
     assert pte.dirty_bytes() == 8 * MIB
@@ -80,7 +80,7 @@ def test_kernel_write_on_output_buffer_dirties_everything():
 def test_kernel_write_dirties_only_valid_chunks():
     pte = _pte(12 * MIB, chunk=4 * MIB)
     pte.host_write(4 * MIB)
-    pte.on_device_allocated(0x1000)
+    pte.allocate_device(0x1000)
     pte.complete_fault((0, 4 * MIB))
     pte.kernel_write(1.0)
     assert [c.to_copy_2swap for c in pte.chunks] == [True, False, False]
@@ -90,12 +90,12 @@ def test_kernel_write_dirties_only_valid_chunks():
 def test_writeback_then_release_keeps_valid_set():
     pte = _pte(12 * MIB, chunk=4 * MIB)
     pte.host_write(4 * MIB)
-    pte.on_device_allocated(0x1000)
+    pte.allocate_device(0x1000)
     pte.complete_fault((0, 4 * MIB))
     pte.kernel_write(1.0)
     for run in pte.writeback_runs():
         pte.complete_writeback(run)
-    pte.on_device_released()
+    pte.release_device()
     # Only the valid chunk needs re-faulting; invalid ones hold no data.
     assert pte.fault_bytes() == 4 * MIB
     assert pte.valid_bytes() == 4 * MIB

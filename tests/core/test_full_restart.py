@@ -44,7 +44,7 @@ def make_snapshot(kernels_before_snapshot=3):
     return box["snapshot"]
 
 
-def test_restart_restores_and_replays():
+def _restore_and_replay(swap_chunk_bytes):
     snap = make_snapshot()
     assert len(snap.journal) == 3  # three un-checkpointed kernels
     assert snap.total_bytes == 96 * MIB
@@ -52,7 +52,8 @@ def test_restart_restores_and_replays():
     # --- the restarted node: a completely fresh world -------------------
     env = Environment()
     driver = CudaDriver(env, [TESLA_C2050])
-    runtime = NodeRuntime(env, driver, RuntimeConfig(vgpus_per_device=2))
+    runtime = NodeRuntime(env, driver, RuntimeConfig(
+        vgpus_per_device=2, swap_chunk_bytes=swap_chunk_bytes))
     env.process(runtime.start())
     env.run(until=1.0)
 
@@ -80,6 +81,18 @@ def test_restart_restores_and_replays():
     # The journal survives replay: the re-executed effects are still only
     # on the device (a second failure would replay again).
     assert len(ctx.replay_journal) == 3
+    # The restored bytes flowed to the device: nothing left to fault in.
+    assert all(pte.fault_bytes() == 0 for pte in entries)
+
+
+def test_restart_restores_and_replays():
+    _restore_and_replay(swap_chunk_bytes=0)
+
+
+def test_restart_restores_and_replays_chunked():
+    """Restoring into a chunked runtime marks every chunk host-newer
+    (the multi-chunk entries fault in exactly like a whole entry)."""
+    _restore_and_replay(swap_chunk_bytes=16 * MIB)
 
 
 def test_restart_then_continue_and_exit_cleanly():

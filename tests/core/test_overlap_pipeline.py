@@ -61,10 +61,12 @@ def update_heavy_app(h, name, rounds=4, alloc_mib=512, kernel_seconds=0.3,
 def test_eager_copy_h2d_transfers_immediately_when_bound():
     """With deferral off, a host write to a resident entry pushes the
     data right away — and only the launch-time bulk path counts swap-in
-    bytes, so the byte counters tell eager and deferred apart."""
+    bytes, so the byte counters tell eager and deferred apart.  A partial
+    write (``nbytes < size``) to a whole entry pushes exactly ``nbytes``
+    eagerly, while the deferred path faults in the whole allocation."""
     size = 64 * MIB
 
-    def run(defer):
+    def run(defer, second=size):
         h = Harness(config=RuntimeConfig(defer_transfers=defer))
 
         def app():
@@ -77,7 +79,7 @@ def test_eager_copy_h2d_transfers_immediately_when_bound():
             ptr = yield from fe.cuda_malloc(size)
             yield from fe.cuda_memcpy_h2d(ptr, size)   # unbound: deferred
             yield from fe.launch_kernel(k, [ptr])       # binds + bulk H2D
-            yield from fe.cuda_memcpy_h2d(ptr, size)   # bound + resident
+            yield from fe.cuda_memcpy_h2d(ptr, second)  # bound + resident
             yield from fe.launch_kernel(k, [ptr])
             yield from fe.cuda_thread_exit()
 
@@ -95,6 +97,20 @@ def test_eager_copy_h2d_transfers_immediately_when_bound():
     assert deferred.stats.swap_bytes_in == 2 * size
     assert_swap_accounting_consistent(eager)
     assert_swap_accounting_consistent(deferred)
+
+    # Partial eager copy: the device receives the bulk fault-in plus the
+    # quarter just written, and the run is shorter by the bytes not moved.
+    partial = run(defer=False, second=size // 4)
+    partial_deferred = run(defer=True, second=size // 4)
+    assert partial.stats.h2d_device_transfers == 2
+    assert partial.stats.swap_bytes_in == size
+    assert partial.driver.devices[0].bytes_copied == size + size // 4
+    assert partial_deferred.driver.devices[0].bytes_copied == 2 * size
+    assert eager.driver.devices[0].bytes_copied == 2 * size
+    assert partial.env.now == 0.3745039116160359
+    assert partial_deferred.env.now == 0.38457024121603595
+    assert eager.env.now == deferred.env.now == 0.403444609216036
+    assert_swap_accounting_consistent(partial)
 
 
 # ----------------------------------------------------------------------

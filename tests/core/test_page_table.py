@@ -53,9 +53,9 @@ def test_allocated_bytes_counts_resident_only():
     a = pt.create_entry(ctx, 100)
     b = pt.create_entry(ctx, 200)
     assert pt.allocated_bytes(ctx) == 0
-    a.on_device_allocated(0x1000)
+    a.allocate_device(0x1000)
     assert pt.allocated_bytes(ctx) == 100
-    b.on_device_allocated(0x2000)
+    b.allocate_device(0x2000)
     assert pt.allocated_bytes(ctx) == 300
     assert pt.total_bytes(ctx) == 300
 
@@ -98,41 +98,41 @@ def test_initial_state_fff():
 
 def test_host_write_moves_to_ftf():
     pte = fresh_pte()
-    pte.on_host_write()
+    pte.host_write()
     assert pte.flags == (False, True, False)
 
 
 def test_launch_sequence_reaches_tft():
     """malloc → copyHD → (allocate, transfer, kernel write) = T/F/T."""
     pte = fresh_pte()
-    pte.on_host_write()
-    pte.on_device_allocated(0x1000)
+    pte.host_write()
+    pte.allocate_device(0x1000)
     assert pte.flags == (True, True, False)
-    pte.on_copied_to_device()
+    pte.complete_fault((0, pte.size))
     assert pte.flags == (True, False, False)
-    pte.on_kernel_write(now=1.0)
+    pte.kernel_write(now=1.0)
     assert pte.flags == (True, False, True)
     assert pte.last_use == 1.0
 
 
 def test_copy_dh_cleans_dirty_state():
     pte = fresh_pte()
-    pte.on_host_write()
-    pte.on_device_allocated(0x1000)
-    pte.on_copied_to_device()
-    pte.on_kernel_write(now=0)
-    pte.on_copied_to_swap()
+    pte.host_write()
+    pte.allocate_device(0x1000)
+    pte.complete_fault((0, pte.size))
+    pte.kernel_write(now=0)
+    pte.complete_writeback((0, pte.size))
     assert pte.flags == (True, False, False)
 
 
 def test_swap_out_returns_to_host_only_state():
     pte = fresh_pte()
-    pte.on_host_write()
-    pte.on_device_allocated(0x1000)
-    pte.on_copied_to_device()
-    pte.on_kernel_write(now=0)
-    pte.on_copied_to_swap()
-    pte.on_device_released()
+    pte.host_write()
+    pte.allocate_device(0x1000)
+    pte.complete_fault((0, pte.size))
+    pte.kernel_write(now=0)
+    pte.complete_writeback((0, pte.size))
+    pte.release_device()
     assert pte.flags == (False, True, False)
     assert pte.device_ptr is None
 
@@ -140,20 +140,20 @@ def test_swap_out_returns_to_host_only_state():
 def test_release_while_dirty_asserts():
     """Swap must write back before dropping the device copy."""
     pte = fresh_pte()
-    pte.on_host_write()
-    pte.on_device_allocated(0x1000)
-    pte.on_copied_to_device()
-    pte.on_kernel_write(now=0)
+    pte.host_write()
+    pte.allocate_device(0x1000)
+    pte.complete_fault((0, pte.size))
+    pte.kernel_write(now=0)
     with pytest.raises(AssertionError):
-        pte.on_device_released()
+        pte.release_device()
 
 
 def test_kernel_read_does_not_dirty():
     pte = fresh_pte()
-    pte.on_host_write()
-    pte.on_device_allocated(0x1000)
-    pte.on_copied_to_device()
-    pte.on_kernel_read(now=2.0)
+    pte.host_write()
+    pte.allocate_device(0x1000)
+    pte.complete_fault((0, pte.size))
+    pte.kernel_read(now=2.0)
     assert pte.flags == (True, False, False)
     assert pte.last_use == 2.0
 
@@ -169,17 +169,17 @@ class PteStateMachine(RuleBasedStateMachine):
 
     @rule()
     def host_write(self):
-        self.pte.on_host_write()
+        self.pte.host_write()
 
     @precondition(lambda self: not self.pte.is_allocated)
     @rule()
     def allocate(self):
-        self.pte.on_device_allocated(0x1000)
+        self.pte.allocate_device(0x1000)
 
     @precondition(lambda self: self.pte.is_allocated and self.pte.to_copy_2dev)
     @rule()
     def transfer_h2d(self):
-        self.pte.on_copied_to_device()
+        self.pte.complete_fault((0, self.pte.size))
 
     @precondition(
         lambda self: self.pte.is_allocated and not self.pte.to_copy_2dev
@@ -188,21 +188,21 @@ class PteStateMachine(RuleBasedStateMachine):
     def kernel(self, write):
         self.clock += 1
         if write:
-            self.pte.on_kernel_write(self.clock)
+            self.pte.kernel_write(self.clock)
         else:
-            self.pte.on_kernel_read(self.clock)
+            self.pte.kernel_read(self.clock)
 
     @precondition(lambda self: self.pte.to_copy_2swap)
     @rule()
     def write_back(self):
-        self.pte.on_copied_to_swap()
+        self.pte.complete_writeback((0, self.pte.size))
 
     @precondition(
         lambda self: self.pte.is_allocated and not self.pte.to_copy_2swap
     )
     @rule()
     def release(self):
-        self.pte.on_device_released()
+        self.pte.release_device()
 
     @invariant()
     def always_legal(self):

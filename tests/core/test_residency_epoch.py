@@ -41,12 +41,12 @@ def test_epoch_bumps_on_state_transitions():
     ctx = Ctx()
     pte = pt.create_entry(ctx, 100)
     for mutate in (
-        lambda: pte.on_host_write(),
-        lambda: pte.on_device_allocated(0x1000),
-        lambda: pte.on_copied_to_device(),
-        lambda: pte.on_kernel_write(now=1.0),
-        lambda: pte.on_copied_to_swap(),
-        lambda: pte.on_device_released(),
+        lambda: pte.host_write(),
+        lambda: pte.allocate_device(0x1000),
+        lambda: pte.complete_fault((0, pte.size)),
+        lambda: pte.kernel_write(now=1.0),
+        lambda: pte.complete_writeback((0, pte.size)),
+        lambda: pte.release_device(),
     ):
         before = pt.epoch
         mutate()
@@ -66,8 +66,8 @@ def test_relocate_device_bumps_and_moves():
     pt = PageTable()
     ctx = Ctx()
     pte = pt.create_entry(ctx, 100)
-    pte.on_host_write()
-    pte.on_device_allocated(0x1000, device_id=0)
+    pte.host_write()
+    pte.allocate_device(0x1000, device_id=0)
     before = pt.epoch
     pte.relocate_device(0x9000, 3)
     assert pt.epoch > before
@@ -102,7 +102,7 @@ def test_residency_change_invalidates_cache():
     pte = pt.create_entry(ctx, 100)
     model = _model(pt)
     ws1 = model.working_set(ctx)
-    pte.on_host_write()  # bumps the epoch
+    pte.host_write()  # bumps the epoch
     ws2 = model.working_set(ctx)
     assert ws1 is not ws2
 
@@ -111,13 +111,13 @@ def test_dirty_fraction_tracks_epoch():
     pt = PageTable()
     ctx = Ctx()
     pte = pt.create_entry(ctx, 100)
-    pte.on_host_write()
-    pte.on_device_allocated(0x1000, device_id=0)
-    pte.on_copied_to_device()
+    pte.host_write()
+    pte.allocate_device(0x1000, device_id=0)
+    pte.complete_fault((0, pte.size))
     model = _model(pt)
     device = types.SimpleNamespace(device_id=0)
     assert model._device_dirty_fraction(device) == 0.0
-    pte.on_kernel_write(now=1.0)  # now dirty; epoch bumped
+    pte.kernel_write(now=1.0)  # now dirty; epoch bumped
     assert model._device_dirty_fraction(device) == 1.0
 
 
