@@ -6,10 +6,9 @@ T4/P100/V100 demand mix) replayed open-loop over an 8-node
 heterogeneous cluster (16 GPUs), once per scheduling policy:
 
 ``fcfs``, ``wfq``, ``locality`` (the pre-existing runtime policies) vs
-the history-driven trio this subsystem adds: ``sjf_est`` (shortest
-predicted remaining time from per-user/group EWMA history), ``hrrn``
-(highest response ratio next) and ``fairshare`` (decayed hierarchical
-group→user fair share).
+the two history-driven ones: ``sjf_est`` (shortest predicted remaining
+time from per-user/group EWMA history) and ``fairshare`` (decayed
+hierarchical group→user fair share).
 
 The shape claims the bake-off gates:
 
@@ -40,7 +39,7 @@ ARRIVAL_RATE = 8.0
 NODES = 8
 GPUS_PER_NODE = 2
 
-POLICIES = ("fcfs", "wfq", "locality", "sjf_est", "hrrn", "fairshare", "lottery")
+POLICIES = ("fcfs", "wfq", "locality", "sjf_est", "fairshare")
 
 SMOKE_JOBS = 200
 SMOKE_NODES = 4

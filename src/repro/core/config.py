@@ -71,8 +71,9 @@ class RuntimeConfig:
         correctness path for unbind/migration/checkpoint either way.
     eviction_policy:
         Victim ordering for partial eviction, registered in
-        :mod:`repro.core.memory.eviction`: "lru", "lfu", "second_chance",
-        or "cost_aware" (fewest dirty bytes written back per byte freed).
+        :mod:`repro.core.memory.eviction`: "lru", "cost_aware" (fewest
+        dirty bytes written back per byte freed) or "quota_aware"
+        (over-quota tenants' entries first).
     swap_retry_backoff_s:
         Initial wait before a context that failed to obtain device memory
         (and found no swap victim) retries after unbinding.  Consecutive

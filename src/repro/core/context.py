@@ -97,10 +97,6 @@ class Context:
         #: Consecutive times the locality policy passed this waiter over
         #: for a younger waiter with better locality (starvation guard).
         self.locality_skips = 0
-        #: When the context last joined the scheduler's waiting list
-        #: (stamped by ``request_binding``); the HRRN policy's aging
-        #: clock reads ``env.now - wait_since``.
-        self.wait_since = env.now
         #: Pending kernel configuration (cudaConfigureCall).
         self.pending_config: Optional[Any] = None
         #: Graph capture/replay (control-plane batching).  ``capture`` is

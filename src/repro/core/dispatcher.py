@@ -1101,9 +1101,9 @@ class Dispatcher:
         else:
             self.scheduler.cancel_wait(ctx)
         self.runtime.admission.release(ctx)
-        # History-estimator policies (sjf_est/hrrn) learn from every
+        # The runtime estimator (read by ``sjf_est``) learns from every
         # completed context: measured GPU seconds keyed by its tenant.
-        estimator = getattr(self.scheduler.policy, "estimator", None)
+        estimator = self.scheduler.policy_context.estimator
         if estimator is not None and ctx.gpu_seconds_used > 0:
             tenant = ctx.tenant
             estimator.observe(

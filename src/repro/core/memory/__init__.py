@@ -17,9 +17,7 @@ from repro.core.memory.eviction import (
     CostAwareEviction,
     EVICTION_POLICY_NAMES,
     EvictionPolicy,
-    LfuEviction,
     LruEviction,
-    SecondChanceEviction,
     make_eviction_policy,
 )
 from repro.core.memory.manager import MemoryManager, NeedRetry
@@ -31,14 +29,12 @@ __all__ = [
     "EVICTION_POLICY_NAMES",
     "EntryType",
     "EvictionPolicy",
-    "LfuEviction",
     "LruEviction",
     "MemoryManager",
     "NeedRetry",
     "NestedStructure",
     "PageTable",
     "PageTableEntry",
-    "SecondChanceEviction",
     "SwapArea",
     "make_eviction_policy",
 ]

@@ -15,13 +15,6 @@ eviction loop walks that order until enough bytes are free.
 
 ``lru``
     Least recently used entry first (the launch-time ``last_use`` stamp).
-``lfu``
-    Least frequently used entry first (launch reference counts), with
-    LRU as the tie-break.
-``second_chance``
-    Clock-style sweep over the entries in allocation order: an entry
-    whose referenced bit is set gets it cleared and one more pass;
-    unreferenced entries go first.
 ``cost_aware``
     Cheapest eviction first: minimize dirty-bytes-to-write-back per byte
     freed (a clean entry frees memory without moving any data), with LRU
@@ -42,8 +35,6 @@ from repro.core.memory.page_table import PageTableEntry
 __all__ = [
     "EvictionPolicy",
     "LruEviction",
-    "LfuEviction",
-    "SecondChanceEviction",
     "CostAwareEviction",
     "QuotaAwareEviction",
     "EVICTION_POLICY_NAMES",
@@ -72,51 +63,6 @@ class LruEviction(EvictionPolicy):
         return sorted(candidates, key=lambda c: (c[1].last_use, c[1].seq))
 
 
-class LfuEviction(EvictionPolicy):
-    """Least-frequently-used entry first, LRU among equals."""
-
-    name = "lfu"
-
-    def order(self, candidates: List[Candidate]) -> List[Candidate]:
-        return sorted(
-            candidates, key=lambda c: (c[1].use_count, c[1].last_use, c[1].seq)
-        )
-
-
-class SecondChanceEviction(EvictionPolicy):
-    """Clock sweep with a referenced bit.
-
-    Entries are visited in allocation (seq) order starting just past the
-    clock hand; a referenced entry gets its bit cleared and is deferred
-    behind every unreferenced one.  The hand advances to the first entry
-    the sweep would evict, so successive sweeps rotate through the ring.
-    """
-
-    name = "second_chance"
-
-    def __init__(self) -> None:
-        self._hand = 0
-
-    def order(self, candidates: List[Candidate]) -> List[Candidate]:
-        ring = sorted(candidates, key=lambda c: c[1].seq)
-        start = next(
-            (i for i, c in enumerate(ring) if c[1].seq > self._hand), 0
-        )
-        ring = ring[start:] + ring[:start]
-        first: List[Candidate] = []
-        deferred: List[Candidate] = []
-        for cand in ring:
-            if cand[1].referenced:
-                cand[1].referenced = False
-                deferred.append(cand)
-            else:
-                first.append(cand)
-        ordered = first + deferred
-        if ordered:
-            self._hand = ordered[0][1].seq
-        return ordered
-
-
 class CostAwareEviction(EvictionPolicy):
     """Minimize dirty bytes written back per byte freed.
 
@@ -124,8 +70,8 @@ class CostAwareEviction(EvictionPolicy):
     chunked entry costs its dirty chunks; an unchunked dirty entry costs
     its whole size.  Ties break LRU-first.
 
-    When the runtime wires ``cost_fn(ctx, pte) -> seconds`` (the
-    transfer-cost model, under ``locality_binding``), the ordering uses
+    Given ``cost_fn(ctx, pte) -> seconds`` (the memory manager passes
+    the transfer-cost model's under ``locality_binding``), the ordering uses
     the *modeled* eviction cost instead — write-back seconds now plus
     the recency-discounted re-fault seconds later — so eviction, binding
     and migration all price a byte of data movement consistently.
@@ -133,8 +79,10 @@ class CostAwareEviction(EvictionPolicy):
 
     name = "cost_aware"
 
-    def __init__(self) -> None:
-        self.cost_fn: Optional[Callable[[Any, PageTableEntry], float]] = None
+    def __init__(
+        self, cost_fn: Optional[Callable[[Any, PageTableEntry], float]] = None
+    ) -> None:
+        self.cost_fn = cost_fn
 
     def order(self, candidates: List[Candidate]) -> List[Candidate]:
         if self.cost_fn is not None:
@@ -156,15 +104,15 @@ class QuotaAwareEviction(EvictionPolicy):
     ``overage_fn(ctx) -> bytes`` reports how far a candidate context's
     tenant currently sits above its device-memory quota (0 for compliant
     tenants, tenant-less contexts, or when QoS is off); the memory
-    manager wires it after construction.  Candidates sort by descending
+    manager passes it at construction.  Candidates sort by descending
     overage, then LRU — with everyone compliant the ordering degrades to
     exactly :class:`LruEviction`.
     """
 
     name = "quota_aware"
 
-    def __init__(self) -> None:
-        self.overage_fn: Optional[Callable[[Any], int]] = None
+    def __init__(self, overage_fn: Optional[Callable[[Any], int]] = None) -> None:
+        self.overage_fn = overage_fn
 
     def order(self, candidates: List[Candidate]) -> List[Candidate]:
         overage = self.overage_fn or (lambda ctx: 0)
@@ -174,25 +122,28 @@ class QuotaAwareEviction(EvictionPolicy):
         )
 
 
+#: name -> factory(cost_fn, overage_fn)
 _POLICIES = {
-    p.name: p
-    for p in (
-        LruEviction,
-        LfuEviction,
-        SecondChanceEviction,
-        CostAwareEviction,
-        QuotaAwareEviction,
-    )
+    "lru": lambda cost_fn, overage_fn: LruEviction(),
+    "cost_aware": lambda cost_fn, overage_fn: CostAwareEviction(cost_fn),
+    "quota_aware": lambda cost_fn, overage_fn: QuotaAwareEviction(overage_fn),
 }
 
 EVICTION_POLICY_NAMES: Tuple[str, ...] = tuple(sorted(_POLICIES))
 
 
-def make_eviction_policy(name: str) -> EvictionPolicy:
-    """Instantiate an eviction policy by its registered name."""
+def make_eviction_policy(
+    name: str,
+    cost_fn: Optional[Callable[[Any, PageTableEntry], float]] = None,
+    overage_fn: Optional[Callable[[Any], int]] = None,
+) -> EvictionPolicy:
+    """Instantiate an eviction policy by its registered name, handing
+    ``cost_aware`` its ``cost_fn`` and ``quota_aware`` its
+    ``overage_fn``."""
     try:
-        return _POLICIES[name]()
+        factory = _POLICIES[name]
     except KeyError:
         raise ValueError(
             f"unknown eviction policy {name!r}; known: {sorted(_POLICIES)}"
         ) from None
+    return factory(cost_fn, overage_fn)

@@ -107,11 +107,14 @@ class MemoryManager:
         self.page_table = PageTable()
         self.swap = SwapArea(config.host_swap_capacity_bytes, config.host_memcpy_bps)
         #: Victim ordering for partial (device-wide) eviction.
-        self.eviction_policy = make_eviction_policy(config.eviction_policy)
-        if hasattr(self.eviction_policy, "overage_fn"):
-            # quota_aware ordering (repro.qos): over-quota tenants'
-            # entries become everyone's preferred victims.
-            self.eviction_policy.overage_fn = self._tenant_overage
+        #: ``quota_aware`` makes over-quota tenants' entries everyone's
+        #: preferred victims (repro.qos); ``cost_aware`` under
+        #: ``locality_binding`` prices victims with the transfer-cost model.
+        self.eviction_policy = make_eviction_policy(
+            config.eviction_policy,
+            cost_fn=self._modeled_evict_cost if config.locality_binding else None,
+            overage_fn=self._tenant_overage,
+        )
         #: parent virtual ptr -> registration
         self.nested: Dict[int, NestedStructure] = {}
         #: Wired by the runtime: unbind a context after an inter-app swap.
@@ -789,6 +792,11 @@ class MemoryManager:
             self.obs.eviction(
                 ctx, self.eviction_policy.name, freed, dirty_written, len(touched)
             )
+
+    def _modeled_evict_cost(self, ctx: Context, pte: PageTableEntry) -> float:
+        """The ``cost_aware`` eviction key under ``locality_binding``:
+        write-back now plus recency-discounted re-fault later."""
+        return self.cost_model.evict_cost(ctx, pte, self.env.now)
 
     # ------------------------------------------------------------------
     # tenant quotas (repro.qos)

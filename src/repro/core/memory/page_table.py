@@ -122,8 +122,6 @@ class PageTableEntry:
         "params",
         "nested",
         "last_use",
-        "use_count",
-        "referenced",
         "seq",
         "prefetched",
         "_chunk_bytes",
@@ -156,11 +154,6 @@ class PageTableEntry:
         #: Simulated time of the last launch referencing this entry
         #: (victim choice for intra-application swap and LRU eviction).
         self.last_use = 0.0
-        #: Launches that referenced this entry (LFU eviction).
-        self.use_count = 0
-        #: Referenced bit, set on every launch use and cleared by the
-        #: second-chance eviction policy's clock sweep.
-        self.referenced = False
         self.seq = next(_entry_seq)
         #: Set by the overlap engine when a CPU-phase prefetch staged this
         #: entry; the next launch referencing it counts a prefetch hit.
@@ -265,12 +258,6 @@ class PageTableEntry:
         self.device_id = device_id
         self.check_invariants()
 
-    def _touch(self, now: float) -> None:
-        """Recency/frequency bookkeeping shared by every launch use."""
-        self.last_use = now
-        self.use_count += 1
-        self.referenced = True
-
     # -- chunked granularity (demand-paged swapping) --------------------
     def configure_chunks(self, chunk_bytes: int) -> None:
         """Split the entry into fixed-size chunks (the last may be short).
@@ -366,14 +353,14 @@ class PageTableEntry:
             self._swap_bm = full
         else:
             self._swap_bm |= self._valid_bm
-        self._touch(now)
+        self.last_use = now
         self._sync_flags()
         self.check_invariants()
 
     def kernel_read(self, now: float) -> None:
         """A launch referenced this entry read-only."""
         assert self.is_allocated and not self.to_copy_2dev
-        self._touch(now)
+        self.last_use = now
         self.check_invariants()
 
     def fault_runs(self) -> List[Tuple[int, int]]:

@@ -1,179 +1,133 @@
 """Pluggable scheduling policies (paper §2 "Configurable Scheduling").
 
-A policy makes two decisions for the dispatcher:
+A policy orders the waiting-contexts list: when a vGPU frees, the
+scheduler asks ``pick_next(waiting, pc)`` which waiter to serve next.
+Placement (which idle vGPU the chosen context lands on) is the
+scheduler's own rule, not a policy decision.
 
-- *placement*: given a context to bind and the currently idle vGPUs,
-  which vGPU to use (:meth:`SchedulingPolicy.select_vgpu`);
-- *ordering*: given the waiting-contexts list and a freed vGPU, which
-  context to serve next (:meth:`SchedulingPolicy.pick_next`).
-
-Three policies from the paper's discussion are provided:
+Every policy has one shape: a sort key over the waiters, read against a
+single :class:`PolicyContext` that the node runtime builds once.  The
+waiter with the smallest key goes next, ``context_id`` (arrival order)
+breaking ties.  Only two policies keep state of their own: ``locality``
+(its starvation guard) and ``fairshare`` (its usage-decay ledger).
 
 ``fcfs``
-    First-come-first-served with round-robin placement that keeps the
-    number of active vGPUs uniform across GPUs — the policy used for all
-    of the paper's experiments (§5).
+    First-come-first-served: the policy used for all of the paper's
+    experiments (§5).
 ``sjf``
     Shortest-job-first, usable when profiling information (an estimated
     GPU time) accompanies the connection.
 ``credit``
     Credit-based fairness: the context that has consumed the least GPU
     time so far goes first.
-
-Plus ``edf`` (deadline QoS), ``wfq`` (weighted-fair across tenants),
-``locality`` (cost-model-driven: bind waiters where their data lives —
-see :mod:`repro.core.memory.costmodel` and ``docs/scheduling.md``), and
-the history-driven trio the trace-replay bake-off compares
-(``docs/trace_replay.md``):
-
+``edf``
+    Earliest deadline first (§2's quality-of-service example).
 ``sjf_est``
     Shortest-remaining-job-first on a *learned* runtime estimate: no
     profiling hints, just the per-user/per-group EWMA history of a
-    :class:`~repro.core.estimator.RuntimeEstimator` — the key idea of
-    production trace simulators.
-``hrrn``
-    Highest-response-ratio-next: serve the waiter maximizing
-    ``(wait + est_service) / est_service`` — SJF's throughput with
-    built-in aging, so long jobs cannot starve.
+    :class:`~repro.core.estimator.RuntimeEstimator`.
+``locality``
+    Cost-model-driven: serve the waiter whose data lives where a vGPU
+    is idle (see :mod:`repro.core.memory.costmodel`).
 ``fairshare``
-    Unweighted fair share across users with a group level above them:
-    the waiter whose group, then user, has consumed the least GPU time
-    goes first (max-min on usage, the classic HPC fair-share tree).
-``lottery``
-    Ticket-weighted random draw (Waldspurger & Weihl, OSDI '94): each
-    waiter holds tickets equal to its tenant's contract weight and the
-    winner is drawn proportionally.  Probabilistically fair without any
-    usage ledger, and starvation-free by construction.  Draws come from
-    a named :class:`~repro.sim.rng.RngStreams` stream, so runs are
-    reproducible and adding other randomness consumers does not perturb
-    the schedule.
+    Decayed fair share across users with a group level above them.
+``wfq``
+    ``fairshare`` with contract weights on, no group level and no
+    decay: weighted-fair queueing across tenants (``repro.qos``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+import dataclasses
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import Context
 from repro.core.estimator import RuntimeEstimator
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.vgpu import VirtualGPU
-
 __all__ = [
-    "SchedulingPolicy",
+    "PolicyContext",
     "FcfsPolicy",
     "SjfPolicy",
     "CreditPolicy",
     "DeadlinePolicy",
-    "WeightedFairPolicy",
     "LocalityPolicy",
     "EstimatorSjfPolicy",
-    "HrrnPolicy",
     "FairSharePolicy",
-    "LotteryPolicy",
     "POLICY_NAMES",
     "make_policy",
 ]
 
+_INF = float("inf")
 
-class SchedulingPolicy:
-    """Interface for dispatcher scheduling decisions."""
 
-    name = "abstract"
+@dataclasses.dataclass
+class PolicyContext:
+    """Everything a policy may read when it picks.
 
-    def select_vgpu(
-        self,
-        ctx: Context,
-        idle_vgpus: Sequence["VirtualGPU"],
-        active_per_device: Dict[int, int],
-        mem_needed: int = 0,
-    ) -> Optional["VirtualGPU"]:
-        """Choose a vGPU for ``ctx`` among ``idle_vgpus`` (None = decline).
+    The node runtime builds one per node and hands it to every
+    ``pick_next`` call; a field left ``None`` makes the policies that
+    read it degrade (``sjf_est`` to the profiling hint, ``locality`` to
+    FCFS, ``fairshare`` to per-waiter usage without group aggregates).
+    """
 
-        ``active_per_device`` maps device id → number of currently bound
-        vGPUs on that device (for load balancing).
-        """
+    #: The simulation environment (``env.now`` is the pick time).
+    env: Any
+    #: Runtime history read by ``sjf_est`` and fed by the dispatcher.
+    estimator: Optional[RuntimeEstimator] = None
+    #: The node's :class:`~repro.qos.TenantRegistry` (``fairshare``).
+    tenants: Any = None
+    #: The node's :class:`~repro.core.memory.costmodel.TransferCostModel`
+    #: (``locality``).
+    cost_model: Any = None
+    #: ``() -> idle vGPUs`` (``locality``).
+    idle_vgpus: Optional[Callable[[], List[Any]]] = None
+
+
+class _KeyPolicy:
+    """A policy that is only a sort key: :meth:`key` returns the key
+    function for this pick, and the waiter with the smallest key goes
+    next."""
+
+    def key(self, pc: PolicyContext) -> Callable[[Context], Tuple]:
         raise NotImplementedError
 
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        """Choose the next waiting context to serve."""
-        raise NotImplementedError
-
-
-class _BasePolicy(SchedulingPolicy):
-    """Shared placement heuristic: keep active vGPU counts uniform across
-    devices (the paper's load balancing), avoid devices that cannot hold
-    the context's data right now, then favour faster devices."""
-
-    def select_vgpu(
-        self,
-        ctx: Context,
-        idle_vgpus: Sequence["VirtualGPU"],
-        active_per_device: Dict[int, int],
-        mem_needed: int = 0,
-    ) -> Optional["VirtualGPU"]:
-        if not idle_vgpus:
+    def pick_next(self, waiting: Sequence[Context], pc: PolicyContext) -> Optional[Context]:
+        if not waiting:
             return None
-
-        def key(vgpu: "VirtualGPU"):
-            device = vgpu.device
-            memory_short = 1 if device.allocator.free_bytes < mem_needed else 0
-            active = active_per_device.get(device.device_id, 0)
-            # Load per unit of compute: on homogeneous devices this is the
-            # paper's uniform-active-vGPU balancing; on heterogeneous
-            # nodes it avoids oversubscribing the slow GPU.
-            weighted_load = (active + 1) / device.spec.effective_gflops
-            return (
-                memory_short,
-                weighted_load,
-                -device.spec.effective_gflops,
-                device.device_id,
-                vgpu.index,
-            )
-
-        return min(idle_vgpus, key=key)
+        return min(waiting, key=self.key(pc))
 
 
-class FcfsPolicy(_BasePolicy):
+class FcfsPolicy:
     """First-come-first-served (paper's experimental policy)."""
 
     name = "fcfs"
 
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
+    def pick_next(self, waiting: Sequence[Context], pc: PolicyContext) -> Optional[Context]:
         return waiting[0] if waiting else None
 
 
-class SjfPolicy(_BasePolicy):
+class SjfPolicy(_KeyPolicy):
     """Shortest-job-first on the profiling hint; FCFS among unknowns."""
 
     name = "sjf"
 
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        return min(
-            waiting,
-            key=lambda c: (
-                c.estimated_gpu_seconds
-                if c.estimated_gpu_seconds is not None
-                else float("inf"),
-                c.context_id,
-            ),
+    def key(self, pc):
+        return lambda c: (
+            c.estimated_gpu_seconds if c.estimated_gpu_seconds is not None else _INF,
+            c.context_id,
         )
 
 
-class CreditPolicy(_BasePolicy):
+class CreditPolicy(_KeyPolicy):
     """Serve the context that has consumed the least GPU time so far."""
 
     name = "credit"
 
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        return min(waiting, key=lambda c: (c.gpu_seconds_used, c.context_id))
+    def key(self, pc):
+        return lambda c: (c.gpu_seconds_used, c.context_id)
 
 
-class DeadlinePolicy(_BasePolicy):
+class DeadlinePolicy(_KeyPolicy):
     """Earliest-deadline-first for QoS requirements (paper §2: "yet
     another scheduling policy may be adopted in the presence of expected
     quality of service requirements (e.g.: execution deadlines)").
@@ -184,57 +138,50 @@ class DeadlinePolicy(_BasePolicy):
 
     name = "edf"
 
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        return min(
-            waiting,
-            key=lambda c: (
-                c.deadline_s if c.deadline_s is not None else float("inf"),
-                c.context_id,
-            ),
+    def key(self, pc):
+        return lambda c: (
+            c.deadline_s if c.deadline_s is not None else _INF,
+            c.context_id,
         )
 
 
-class WeightedFairPolicy(_BasePolicy):
-    """Weighted-fair queueing across *tenants* (repro.qos).
+class EstimatorSjfPolicy(_KeyPolicy):
+    """Shortest-remaining-job-first on learned runtime estimates.
 
-    Each tenant's accumulated GPU seconds are normalized by its weight
-    (the wfq virtual time); the waiting context whose tenant has the
-    smallest normalized usage goes first, so a weight-2 tenant receives
-    twice the GPU time of a weight-1 tenant under contention.  Within a
-    tenant (and for contexts with no tenant, which compete at weight
-    1.0 on their own usage) the credit rule breaks ties: least GPU time
-    consumed first, then FCFS.
+    Production traces carry no profiling hints, so plain ``sjf`` degrades
+    to FCFS on them.  This policy asks ``pc.estimator`` (per-user EWMA
+    history with group/global fallback) and orders waiters by
+    *remaining* estimated work (estimate minus GPU seconds already
+    consumed), so a preempted job near completion is not re-queued behind
+    fresh short jobs.  A handshake hint, when present, serves as the
+    cold-start fallback; with neither, the waiter sorts last (FCFS among
+    fully unknown).
     """
 
-    name = "wfq"
+    name = "sjf_est"
 
-    @staticmethod
-    def _virtual_time(ctx: Context) -> float:
-        tenant = getattr(ctx, "tenant", None)
-        if tenant is not None:
-            return tenant.normalized_gpu_seconds()
-        return ctx.gpu_seconds_used
+    def key(self, pc):
+        estimator = pc.estimator
 
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        return min(
-            waiting,
-            key=lambda c: (self._virtual_time(c), c.gpu_seconds_used, c.context_id),
-        )
+        def remaining(c: Context) -> Tuple:
+            est = estimator.predict_for(c) if estimator is not None else None
+            if est is None:
+                est = c.estimated_gpu_seconds
+            if est is None:
+                return (_INF, c.context_id)
+            return (max(est - c.gpu_seconds_used, 0.0), c.context_id)
+
+        return remaining
 
 
-class LocalityPolicy(_BasePolicy):
+class LocalityPolicy:
     """Bind waiters where their data lives (§4.4 cost-driven binding).
 
-    Ordering consults the node's :class:`TransferCostModel` (wired by the
-    runtime after construction, like the eviction policies' hooks): when
-    a vGPU frees, the waiter with the cheapest modeled time-to-first-
-    kernel over the currently idle vGPUs goes next — typically the one
-    whose retained working set is resident on the freed device.  Without
-    the wiring (or with no idle vGPU) it degrades to FCFS.
+    When a vGPU frees, the waiter with the cheapest modeled time-to-
+    first-kernel (``pc.cost_model``) over the idle vGPUs
+    (``pc.idle_vgpus``) goes next: typically the one whose retained
+    working set is resident on the freed device.  Without either (or
+    with no idle vGPU) it degrades to FCFS.
 
     Starvation guard: each time the front (oldest) waiter is passed over
     for a younger waiter with better locality, its skip counter ticks;
@@ -248,24 +195,19 @@ class LocalityPolicy(_BasePolicy):
     #: Consecutive pass-overs before the oldest waiter is forced through.
     max_skips = 8
 
-    def __init__(self) -> None:
-        self.cost_model = None
-        #: Wired by the runtime: () -> currently idle vGPUs.
-        self.idle_vgpus_fn = None
-
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
+    def pick_next(self, waiting: Sequence[Context], pc: PolicyContext) -> Optional[Context]:
         if not waiting:
             return None
         front = waiting[0]
-        if self.cost_model is None or self.idle_vgpus_fn is None:
+        model = pc.cost_model
+        if model is None or pc.idle_vgpus is None:
             return front
         if front.locality_skips >= self.max_skips:
             front.locality_skips = 0
             return front
-        idle = self.idle_vgpus_fn()
+        idle = pc.idle_vgpus()
         if not idle:
             return front
-        model = self.cost_model
         active = model.scheduler.active_per_device()
 
         def best_cost(ctx: Context) -> float:
@@ -280,132 +222,45 @@ class LocalityPolicy(_BasePolicy):
         return chosen
 
 
-class EstimatorSjfPolicy(_BasePolicy):
-    """Shortest-remaining-job-first on learned runtime estimates.
-
-    Production traces carry no profiling hints, so plain ``sjf`` (which
-    needs ``estimated_gpu_seconds`` on the handshake) degrades to FCFS
-    on them.  This policy instead asks a
-    :class:`~repro.core.estimator.RuntimeEstimator` — per-user EWMA
-    history with group/global fallback — and orders waiters by
-    *remaining* estimated work (estimate minus GPU seconds already
-    consumed), so a preempted job near completion is not re-queued
-    behind fresh short jobs.
-
-    The estimator is wired like the locality policy's cost model: the
-    node runtime supplies a node-local one fed by the dispatcher at
-    context exit, and the trace-replay harness overrides it with a
-    shared cluster-wide instance.  A handshake hint, when present,
-    serves as the cold-start fallback; with neither, the waiter sorts
-    last among estimated ones (FCFS among fully unknown).
-    """
-
-    name = "sjf_est"
-
-    def __init__(self) -> None:
-        #: Wired by the runtime / trace-replay harness.
-        self.estimator: Optional[RuntimeEstimator] = None
-
-    def _remaining(self, ctx: Context) -> float:
-        est = None
-        if self.estimator is not None:
-            est = self.estimator.predict_for(ctx)
-        if est is None:
-            est = ctx.estimated_gpu_seconds
-        if est is None:
-            return float("inf")
-        return max(est - ctx.gpu_seconds_used, 0.0)
-
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        return min(waiting, key=lambda c: (self._remaining(c), c.context_id))
-
-
-class HrrnPolicy(_BasePolicy):
-    """Highest-response-ratio-next (Brinch Hansen's aging SJF).
-
-    Serve the waiter with the largest ``(wait + s) / s`` where ``wait``
-    is time spent on the waiting list (``ctx.wait_since``, stamped by
-    the scheduler at enqueue) and ``s`` the estimated service time from
-    the shared :class:`~repro.core.estimator.RuntimeEstimator` (same
-    wiring and fallbacks as ``sjf_est``).  Short jobs win when waits are
-    comparable — but every second queued inflates a long job's ratio,
-    so nothing starves.  With no estimate anywhere the service time
-    defaults to 1.0 modeled second, degrading to longest-wait-first
-    (= FCFS order).
-    """
-
-    name = "hrrn"
-
-    #: Service-time floor: keeps ratios finite for near-zero estimates.
-    min_service_s = 1e-3
-
-    def __init__(self) -> None:
-        self.estimator: Optional[RuntimeEstimator] = None
-
-    def _service(self, ctx: Context) -> float:
-        est = None
-        if self.estimator is not None:
-            est = self.estimator.predict_for(ctx)
-        if est is None:
-            est = ctx.estimated_gpu_seconds
-        if est is None:
-            est = 1.0
-        return max(max(est - ctx.gpu_seconds_used, 0.0), self.min_service_s)
-
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-
-        def ratio(ctx: Context) -> float:
-            wait = max(ctx.env.now - ctx.wait_since, 0.0)
-            service = self._service(ctx)
-            return (wait + service) / service
-
-        return min(waiting, key=lambda c: (-ratio(c), c.context_id))
-
-
-class FairSharePolicy(_BasePolicy):
-    """Hierarchical unweighted fair share with usage decay: group, then
-    user, then FCFS.
+class FairSharePolicy(_KeyPolicy):
+    """Fair share: group usage, then tenant usage, then context usage,
+    then FCFS.
 
     The classic HPC fair-share tree (Slurm's multifactor priority)
     flattened to two levels: among the waiters, first equalize *group*
     GPU-time consumption, within the winning group equalize *user*
-    (tenant) consumption, and break ties FCFS.  Unlike ``wfq`` this
-    ignores contract weights — every user deserves the same slice,
-    which is what the Jain's-fairness column of the trace bake-off
-    measures — and it adds the group level that production traces
-    (users belong to departments) need.
+    (tenant) consumption; within a tenant the context that has consumed
+    the least GPU time goes first, then FCFS.  Group aggregates sum over
+    **all** tenants in ``pc.tenants``, not just the waiting ones.
+    Contexts with no tenant compete on their own consumed GPU seconds.
 
-    Usage is **exponentially decayed** with ``half_life_s`` exactly as
-    production fair-share schedulers do: a burst submitted an hour ago
-    is forgiven, and ordering reflects *recent* consumption.  Without
-    decay, cumulative usage turns into a strict priority inversion
-    against heavy users — the top Zipf user in a production trace is
-    starved for the whole run and its slowdown tail explodes, which is
-    anti-fair by the very metric fair share exists to protect.  Decayed
-    per-user fair share approximates per-user processor sharing, whose
-    hallmark is *equalized slowdowns* across users regardless of their
-    demand.
+    Usage is **exponentially decayed** with ``half_life_s``, as
+    production fair-share schedulers do: a burst submitted an hour ago is
+    forgiven, and ordering reflects *recent* consumption.  Without decay,
+    cumulative usage turns into a strict priority inversion against heavy
+    users: the top Zipf user in a production trace is starved for the
+    whole run and its slowdown tail explodes.  With ``half_life_s <= 0``
+    the raw ``Tenant.gpu_seconds_used`` counter is read directly.
 
-    Group aggregates sum over **all** tenants of the group, not just the
-    currently waiting ones, via ``tenants_fn`` (wired by the runtime to
-    the node's :class:`~repro.qos.TenantRegistry`); without the wiring
-    the aggregate degrades to the waiter's own tenant usage.  Contexts
-    with no tenant compete on their own (undecayed) consumed GPU
-    seconds.
+    The registered ``wfq`` entry is this policy with ``weighted`` on
+    (usage divided by the tenant's contract weight, so a weight-2 tenant
+    receives twice the GPU time of a weight-1 tenant under contention),
+    ``groups`` off and no decay.
     """
 
     name = "fairshare"
 
-    def __init__(self, half_life_s: float = 30.0) -> None:
-        #: Wired by the runtime: () -> all registered tenants.
-        self.tenants_fn: Optional[Callable[[], List]] = None
-        #: Usage forgiveness half-life (simulated seconds); <= 0
-        #: disables decay (pure cumulative fair share).
+    def __init__(
+        self,
+        half_life_s: float = 30.0,
+        weighted: bool = False,
+        groups: bool = True,
+        name: str = "fairshare",
+    ) -> None:
         self.half_life_s = half_life_s
+        self.weighted = weighted
+        self.groups = groups
+        self.name = name
         #: tenant name -> [decayed_usage, last_raw_usage, last_update_t]
         self._ledger: Dict[str, List[float]] = {}
 
@@ -417,104 +272,54 @@ class FairSharePolicy(_BasePolicy):
             entry = [0.0, 0.0, now]
             self._ledger[tenant.name] = entry
         decayed, last_raw, last_t = entry
-        if self.half_life_s > 0 and now > last_t:
+        if now > last_t:
             decayed *= 0.5 ** ((now - last_t) / self.half_life_s)
         decayed += max(raw - last_raw, 0.0)
         entry[0], entry[1], entry[2] = decayed, raw, now
         return decayed
 
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        now = waiting[0].env.now
+    def _usage(self, tenant, now: float) -> float:
+        if self.half_life_s > 0:
+            used = self._decayed_usage(tenant, now)
+        else:
+            used = tenant.gpu_seconds_used
+        return used / tenant.weight if self.weighted else used
+
+    def key(self, pc):
+        now = pc.env.now
         usage: Dict[str, float] = {}
         group_usage: Dict[str, float] = {}
-        if self.tenants_fn is not None:
-            for tenant in self.tenants_fn():
-                used = self._decayed_usage(tenant, now)
+        if self.groups and pc.tenants is not None:
+            for tenant in pc.tenants.tenants():
+                used = self._usage(tenant, now)
                 usage[tenant.name] = used
-                group = getattr(tenant, "group", None)
-                if group is not None:
-                    group_usage[group] = group_usage.get(group, 0.0) + used
+                if tenant.group is not None:
+                    group_usage[tenant.group] = group_usage.get(tenant.group, 0.0) + used
 
-        def key(ctx: Context):
-            tenant = getattr(ctx, "tenant", None)
+        def by_usage(ctx: Context) -> Tuple:
+            own = ctx.gpu_seconds_used
+            tenant = ctx.tenant
             if tenant is None:
-                return (ctx.gpu_seconds_used, ctx.gpu_seconds_used,
-                        ctx.context_id)
+                return (own, own, own, ctx.context_id)
             t_used = usage.get(tenant.name)
             if t_used is None:
-                t_used = self._decayed_usage(tenant, now)
-            group = getattr(tenant, "group", None)
-            g_used = group_usage.get(group, t_used)
-            return (g_used, t_used, ctx.context_id)
+                t_used = self._usage(tenant, now)
+            return (group_usage.get(tenant.group, t_used), t_used, own, ctx.context_id)
 
-        return min(waiting, key=key)
+        return by_usage
 
 
-class LotteryPolicy(_BasePolicy):
-    """Ticket-weighted lottery scheduling (proportional-share).
-
-    Every waiting context holds tickets equal to its tenant's contract
-    ``weight`` (tenantless contexts hold 1.0), and the next context to
-    serve is drawn with probability proportional to its tickets.  The
-    expected GPU-time split matches ``wfq``'s deterministic one, but
-    with no virtual-time ledger and no possibility of starvation: any
-    waiter with nonzero tickets eventually wins.
-
-    Draws are pulled from the ``"lottery"`` stream of an
-    :class:`~repro.sim.rng.RngStreams` tree, so the schedule is a pure
-    function of the seed — two runs with the same seed and workload
-    make identical picks, and other randomness consumers (trace
-    generators, failure injectors) cannot perturb it.
-    """
-
-    name = "lottery"
-
-    def __init__(self, seed: int = 0) -> None:
-        from repro.sim.rng import RngStreams
-
-        #: Replaceable by the harness/runtime (wired like the other
-        #: policy hooks): any object with ``random() -> [0, 1)``.
-        self.rng = RngStreams(seed).stream("lottery")
-
-    @staticmethod
-    def _tickets(ctx: Context) -> float:
-        tenant = getattr(ctx, "tenant", None)
-        if tenant is None:
-            return 1.0
-        return tenant.weight
-
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        if len(waiting) == 1:
-            return waiting[0]
-        tickets = [self._tickets(c) for c in waiting]
-        total = sum(tickets)
-        draw = self.rng.random() * total
-        acc = 0.0
-        for ctx, t in zip(waiting, tickets):
-            acc += t
-            if draw < acc:
-                return ctx
-        return waiting[-1]  # draw == total edge (fp roundup)
-
-
-_POLICIES = {
-    p.name: p
-    for p in (
-        FcfsPolicy,
-        SjfPolicy,
-        CreditPolicy,
-        DeadlinePolicy,
-        WeightedFairPolicy,
-        LocalityPolicy,
-        EstimatorSjfPolicy,
-        HrrnPolicy,
-        FairSharePolicy,
-        LotteryPolicy,
-    )
+_POLICIES: Dict[str, Callable[[], Any]] = {
+    "fcfs": FcfsPolicy,
+    "sjf": SjfPolicy,
+    "credit": CreditPolicy,
+    "edf": DeadlinePolicy,
+    "sjf_est": EstimatorSjfPolicy,
+    "locality": LocalityPolicy,
+    "fairshare": FairSharePolicy,
+    "wfq": lambda: FairSharePolicy(
+        half_life_s=0.0, weighted=True, groups=False, name="wfq"
+    ),
 }
 
 #: Registered policy names — the single source for CLI choices and
@@ -522,7 +327,7 @@ _POLICIES = {
 POLICY_NAMES: Tuple[str, ...] = tuple(sorted(_POLICIES))
 
 
-def make_policy(name: str) -> SchedulingPolicy:
+def make_policy(name: str):
     """Instantiate a policy by its registered name."""
     try:
         return _POLICIES[name]()

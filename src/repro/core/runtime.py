@@ -19,11 +19,12 @@ from repro.core.config import RuntimeConfig
 from repro.core.connection import ConnectionManager
 from repro.core.context import Context, ContextState
 from repro.core.dispatcher import Dispatcher
+from repro.core.estimator import RuntimeEstimator
 from repro.core.memory.costmodel import TransferCostModel
 from repro.core.memory.manager import MemoryManager
 from repro.core.migration import MigrationManager
 from repro.core.offload import OffloadManager
-from repro.core.policies import make_policy
+from repro.core.policies import PolicyContext, make_policy
 from repro.core.scheduler import Scheduler
 from repro.core.stats import RuntimeStats
 from repro.obs import MetricsRegistry, SLOMonitor, Tracer
@@ -142,31 +143,22 @@ class NodeRuntime:
             self.config, self.memory.page_table, self.memory.swap, self.scheduler
         )
         self.memory.cost_model = self.cost_model
-        policy = self.scheduler.policy
-        if hasattr(policy, "cost_model"):
-            policy.cost_model = self.cost_model
-        if hasattr(policy, "idle_vgpus_fn"):
-            policy.idle_vgpus_fn = self.scheduler.idle_vgpus
         if self.config.locality_binding or self.config.policy == "locality":
             self.scheduler.cost_model = self.cost_model
         if self.config.locality_binding:
             self.migration.cost_model = self.cost_model
-            if hasattr(self.memory.eviction_policy, "cost_fn"):
-                self.memory.eviction_policy.cost_fn = (
-                    lambda ctx, pte: self.cost_model.evict_cost(ctx, pte, env.now)
-                )
-        # History-estimator policies (sjf_est/hrrn): a node-local
-        # estimator fed by the dispatcher at context exit.  The
-        # trace-replay harness replaces it with one shared cluster-wide
-        # instance so every node's policy sees the head node's history.
-        if hasattr(policy, "estimator") and policy.estimator is None:
-            from repro.core.estimator import RuntimeEstimator
-
-            policy.estimator = RuntimeEstimator()
-        # Fair-share needs the whole tenant population for its group
-        # aggregates, not just the tenants currently waiting.
-        if hasattr(policy, "tenants_fn") and policy.tenants_fn is None:
-            policy.tenants_fn = self.qos.tenants
+        # Everything the scheduling policy may read at a pick.  The
+        # estimator is node-local history fed by the dispatcher at
+        # context exit; the trace-replay harness replaces it with one
+        # shared cluster-wide instance so every node sees the head
+        # node's history.
+        self.scheduler.policy_context = PolicyContext(
+            env,
+            estimator=RuntimeEstimator(),
+            tenants=self.qos,
+            cost_model=self.cost_model,
+            idle_vgpus=self.scheduler.idle_vgpus,
+        )
 
     # ------------------------------------------------------------------
     # lifecycle

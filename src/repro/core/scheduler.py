@@ -5,8 +5,8 @@ contexts queue here for a vGPU; *assigned* contexts are the ones bound;
 the *failed* list is managed by the dispatcher's recovery path but vGPU
 retirement on device failure happens here.
 
-The scheduling policy decides both which waiting context is served when a
-vGPU frees and which idle vGPU a context is placed on.
+The scheduling policy decides which waiting context is served when a vGPU
+frees; the scheduler itself decides which idle vGPU a context is placed on.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.simcuda.errors import CudaError, CudaRuntimeError
 
 from repro.core.config import RuntimeConfig
 from repro.core.context import Context, ContextState
-from repro.core.policies import SchedulingPolicy
+from repro.core.policies import PolicyContext
 from repro.core.stats import RuntimeStats
 from repro.core.vgpu import VirtualGPU
 from repro.obs import MetricsRegistry, QUEUE_WAIT_BUCKETS_S, Tracer
@@ -36,7 +36,7 @@ class Scheduler:
         env: Environment,
         config: RuntimeConfig,
         driver: CudaDriver,
-        policy: SchedulingPolicy,
+        policy,
         stats: RuntimeStats,
         obs: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -44,7 +44,11 @@ class Scheduler:
         self.env = env
         self.config = config
         self.driver = driver
+        #: Orders the waiting list (:mod:`repro.core.policies`).
         self.policy = policy
+        #: What the policy reads at each pick; the runtime replaces this
+        #: bare one with the node's fully wired context.
+        self.policy_context = PolicyContext(env)
         self.stats = stats
         self.obs = obs or Tracer(env)
         metrics = metrics or MetricsRegistry()
@@ -72,7 +76,7 @@ class Scheduler:
         #: Wired by the runtime under ``locality_binding`` (or the
         #: ``locality`` policy): the transfer-cost model.  When set,
         #: placement picks the idle vGPU with the cheapest modeled
-        #: time-to-first-kernel instead of the policy's load heuristic.
+        #: time-to-first-kernel instead of the load heuristic.
         self.cost_model = None
         #: Wired by the runtime: called with (ctx, wait_seconds) at every
         #: queue-wait observation, feeding the per-tenant SLO monitor.
@@ -241,7 +245,6 @@ class Scheduler:
         ev = Event(self.env)
         self._waiting_events[ctx] = ev
         self._enqueued_at[ctx] = self.env.now
-        ctx.wait_since = self.env.now
         if front:
             self._waiting.insert(0, ctx)
         else:
@@ -287,11 +290,14 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     def _choose_vgpu(self, ctx: Context, idle: List[VirtualGPU]) -> VirtualGPU:
+        """Placement: the cost model's cheapest candidate when wired, else
+        keep active vGPU counts uniform across devices (the paper's load
+        balancing), avoid devices that cannot hold the context's data
+        right now, then favour faster devices."""
         mem_needed = self.mem_needed_fn(ctx)
+        active = self.active_per_device()
         if self.cost_model is not None:
-            scored = self.cost_model.score_candidates(
-                ctx, idle, self.active_per_device(), mem_needed
-            )
+            scored = self.cost_model.score_candidates(ctx, idle, active, mem_needed)
             if scored:
                 chosen, _cost = min(
                     scored,
@@ -300,8 +306,24 @@ class Scheduler:
                 if self.obs.enabled:
                     self.obs.binding_decision(ctx, chosen, scored)
                 return chosen
-        vgpu = self.policy.select_vgpu(ctx, idle, self.active_per_device(), mem_needed)
-        return vgpu if vgpu is not None else idle[0]
+
+        def key(vgpu: VirtualGPU):
+            device = vgpu.device
+            memory_short = 1 if device.allocator.free_bytes < mem_needed else 0
+            # Load per unit of compute: on homogeneous devices this is the
+            # paper's uniform-active-vGPU balancing; on heterogeneous
+            # nodes it avoids oversubscribing the slow GPU.
+            load = active.get(device.device_id, 0)
+            weighted_load = (load + 1) / device.spec.effective_gflops
+            return (
+                memory_short,
+                weighted_load,
+                -device.spec.effective_gflops,
+                device.device_id,
+                vgpu.index,
+            )
+
+        return min(idle, key=key)
 
     def _bind(self, ctx: Context, vgpu: VirtualGPU) -> None:
         vgpu.bind(ctx)
@@ -319,9 +341,7 @@ class Scheduler:
             candidates = list(self._waiting)
             granted = False
             while candidates:
-                ctx = self.policy.pick_next(candidates)
-                if ctx is None:
-                    return
+                ctx = self.policy.pick_next(candidates, self.policy_context)
                 if self._share_capped(ctx):
                     # Tenant at its vGPU share: like an unsatisfiable
                     # affinity, it must not block other waiters.

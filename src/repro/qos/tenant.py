@@ -170,10 +170,6 @@ class Tenant:
         self._swap_bytes_memo = (key, total)
         return total
 
-    def normalized_gpu_seconds(self) -> float:
-        """GPU seconds per unit of weight — the wfq virtual time."""
-        return self.gpu_seconds_used / self.weight
-
     def __repr__(self) -> str:
         return (
             f"<Tenant {self.name!r} weight={self.weight} "

@@ -24,7 +24,7 @@ shape:
   (the GPU-aware placement of :class:`~repro.cluster.torque.Torque`,
   read off the runtimes' load metric), and every completion feeds the
   shared :class:`~repro.core.estimator.RuntimeEstimator` the
-  ``sjf_est``/``hrrn`` policies consult;
+  ``sjf_est`` policy consults;
 - :class:`TraceReplayResult` — per-job records plus the rollups the
   bake-off reports: makespan, mean/p50/p99 JCT, queueing delay, and
   Jain's fairness index over per-user mean slowdown.
@@ -498,8 +498,8 @@ def replay_trace(
 
     Every completion reports the job's measured GPU demand to the shared
     cluster-wide :class:`RuntimeEstimator` (created fresh unless passed
-    in), which is wired into each node's scheduling policy when that
-    policy learns from history (``sjf_est``/``hrrn``).
+    in), which becomes every node's ``PolicyContext.estimator``: the
+    history ``sjf_est`` reads and each node's dispatcher also feeds.
 
     Pure function of its inputs: no wall-clock, no global RNG — an
     identical call returns bit-identical simulated metrics.  An optional
@@ -544,9 +544,7 @@ def replay_trace(
         users.setdefault(job.user, job.group)
     for node in cluster.nodes:
         runtime = node.runtime
-        sched_policy = runtime.scheduler.policy
-        if hasattr(sched_policy, "estimator"):
-            sched_policy.estimator = shared_estimator
+        runtime.scheduler.policy_context.estimator = shared_estimator
         for user, group in users.items():
             runtime.qos.get_or_create(user, group=group)
         if collector is not None:
@@ -641,7 +639,7 @@ def replay_trace(
         ok = outcome.error is None
         if ok:
             # The head node's history: measured GPU demand per user —
-            # what sjf_est/hrrn predict the *next* job from.
+            # what sjf_est predicts the *next* job from.
             shared_estimator.observe(tj.user, tj.duration, group=tj.group)
         records.append(
             {

@@ -87,6 +87,37 @@ class TestEstimatorWiring:
             1 for j in trace if j.user == u))
         assert est.predict(heavy) is not None
 
+    def test_every_node_reads_and_feeds_the_shared_estimator(self):
+        class CountingEstimator(RuntimeEstimator):
+            predictions = 0
+
+            def predict_for(self, ctx):
+                self.predictions += 1
+                return super().predict_for(ctx)
+
+        class RuntimeList:
+            """Collector stand-in: remembers every node's runtime."""
+
+            def __init__(self):
+                self.runtimes = []
+
+            def attach(self, runtime):
+                self.runtimes.append(runtime)
+
+        trace = synthetic_trace(30, seed=2)
+        est, nodes = CountingEstimator(), RuntimeList()
+        res = replay_trace(trace, nodes=2, policy="sjf_est", estimator=est,
+                           collector=nodes)
+        assert len(nodes.runtimes) == 2
+        for runtime in nodes.runtimes:
+            assert runtime.scheduler.policy_context.estimator is est
+        assert est.predictions > 0  # sjf_est read it
+        # One observation per completed job from the harness, plus one
+        # per rank exit from each node's dispatcher.
+        ranks = sum(r["num_gpus"] for r in res.completed)
+        assert res.errors == 0
+        assert est.observations == len(res.completed) + ranks
+
 
 class TestNodeTypePlan:
     def plan_of(self, jobs, nodes):

@@ -115,7 +115,7 @@ class TestFlashCrowd:
 
 
 class TestStressAcrossPolicies:
-    @pytest.mark.parametrize("policy", ["fcfs", "sjf_est", "hrrn", "wfq"])
+    @pytest.mark.parametrize("policy", ["fcfs", "sjf_est", "wfq"])
     def test_burst_drains_under_policy(self, policy):
         trace = flash_crowd(num_jobs=40)
         res = replay_trace(trace, nodes=2, policy=policy,

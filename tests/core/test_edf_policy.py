@@ -2,7 +2,7 @@
 
 from repro.core import RuntimeConfig
 from repro.core.context import Context
-from repro.core.policies import DeadlinePolicy, make_policy
+from repro.core.policies import DeadlinePolicy, PolicyContext, make_policy
 from repro.sim import Environment
 from repro.simcuda import KernelDescriptor, TESLA_C2050
 
@@ -19,11 +19,11 @@ def test_pick_next_earliest_deadline_first():
     a.deadline_s = 100.0
     b.deadline_s = 50.0
     # c has no deadline: goes last
-    policy = DeadlinePolicy()
-    assert policy.pick_next([a, b, c]) is b
-    assert policy.pick_next([a, c]) is a
-    assert policy.pick_next([c]) is c
-    assert policy.pick_next([]) is None
+    policy, pc = DeadlinePolicy(), PolicyContext(env)
+    assert policy.pick_next([a, b, c], pc) is b
+    assert policy.pick_next([a, c], pc) is a
+    assert policy.pick_next([c], pc) is c
+    assert policy.pick_next([], pc) is None
 
 
 def test_edf_end_to_end_prefers_urgent_job():

@@ -1,15 +1,16 @@
-"""RuntimeEstimator and the history-driven policies (sjf_est, hrrn,
+"""RuntimeEstimator and the history-driven policies (sjf_est,
 fairshare)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.config import RuntimeConfig
 from repro.core.estimator import RuntimeEstimator
 from repro.core.policies import (
     POLICY_NAMES,
     EstimatorSjfPolicy,
     FairSharePolicy,
-    HrrnPolicy,
+    PolicyContext,
     make_policy,
 )
 from repro.qos.tenant import Tenant
@@ -23,14 +24,28 @@ class FakeEnv:
 class FakeCtx:
     _seq = iter(range(10000))
 
-    def __init__(self, tenant=None, gpu_seconds_used=0.0, wait_since=0.0,
-                 estimated_gpu_seconds=None, now=100.0):
+    def __init__(self, tenant=None, gpu_seconds_used=0.0,
+                 estimated_gpu_seconds=None):
         self.context_id = next(self._seq)
         self.tenant = tenant
         self.gpu_seconds_used = gpu_seconds_used
-        self.wait_since = wait_since
         self.estimated_gpu_seconds = estimated_gpu_seconds
-        self.env = FakeEnv(now)
+
+
+class FakeRegistry:
+    def __init__(self, tenants):
+        self._tenants = tenants
+
+    def tenants(self):
+        return list(self._tenants)
+
+
+def pc(now=100.0, estimator=None, tenants=None):
+    return PolicyContext(
+        FakeEnv(now),
+        estimator=estimator,
+        tenants=FakeRegistry(tenants) if tenants is not None else None,
+    )
 
 
 class TestRuntimeEstimator:
@@ -77,23 +92,10 @@ class TestRuntimeEstimator:
 
 class TestRegistration:
     def test_new_policies_registered(self):
-        for name in ("sjf_est", "hrrn", "fairshare"):
+        for name in ("sjf_est", "fairshare"):
             assert name in POLICY_NAMES
+        for name in POLICY_NAMES:
             assert make_policy(name).name == name
-
-    def test_runtime_wires_estimator_and_tenants(self):
-        from repro.core.runtime import NodeRuntime
-        from repro.sim import Environment
-        from repro.simcuda.device import TESLA_C2050
-        from repro.simcuda.driver import CudaDriver
-
-        env = Environment()
-        rt = NodeRuntime(env, CudaDriver(env, [TESLA_C2050]),
-                         config=RuntimeConfig(policy="sjf_est"))
-        assert isinstance(rt.scheduler.policy.estimator, RuntimeEstimator)
-        rt2 = NodeRuntime(env, CudaDriver(env, [TESLA_C2050]),
-                          config=RuntimeConfig(policy="fairshare"))
-        assert rt2.scheduler.policy.tenants_fn is not None
 
 
 class TestEstimatorSjf:
@@ -103,71 +105,41 @@ class TestEstimatorSjf:
         est.observe("short", 1.0)
         est.observe("long", 50.0)
         est.observe("long", 50.0)
-        policy = EstimatorSjfPolicy()
-        policy.estimator = est
         a = FakeCtx(tenant=Tenant("long"))
         b = FakeCtx(tenant=Tenant("short"))
-        assert policy.pick_next([a, b]) is b
+        assert EstimatorSjfPolicy().pick_next([a, b], pc(estimator=est)) is b
 
     def test_remaining_discounts_used_time(self):
         est = RuntimeEstimator(min_samples=1)
         est.observe("u", 10.0)
         est.observe("v", 10.0)
-        policy = EstimatorSjfPolicy()
-        policy.estimator = est
         nearly_done = FakeCtx(tenant=Tenant("u"), gpu_seconds_used=9.5)
         fresh = FakeCtx(tenant=Tenant("v"), gpu_seconds_used=0.0)
-        assert policy.pick_next([fresh, nearly_done]) is nearly_done
+        picked = EstimatorSjfPolicy().pick_next([fresh, nearly_done], pc(estimator=est))
+        assert picked is nearly_done
 
     def test_cold_start_falls_back_to_hint_then_fcfs(self):
-        policy = EstimatorSjfPolicy()
-        policy.estimator = RuntimeEstimator()
         hinted = FakeCtx(estimated_gpu_seconds=2.0)
         unhinted = FakeCtx()
-        assert policy.pick_next([unhinted, hinted]) is hinted
+        picked = EstimatorSjfPolicy().pick_next(
+            [unhinted, hinted], pc(estimator=RuntimeEstimator())
+        )
+        assert picked is hinted
 
     def test_empty_queue(self):
-        assert EstimatorSjfPolicy().pick_next([]) is None
-
-
-class TestHrrn:
-    def test_long_wait_beats_short_service(self):
-        est = RuntimeEstimator(min_samples=1)
-        for _ in range(2):
-            est.observe("a", 10.0)
-            est.observe("b", 10.0)
-        policy = HrrnPolicy()
-        policy.estimator = est
-        old = FakeCtx(tenant=Tenant("a"), wait_since=0.0, now=100.0)
-        young = FakeCtx(tenant=Tenant("b"), wait_since=99.0, now=100.0)
-        assert policy.pick_next([young, old]) is old
-
-    def test_shorter_service_wins_equal_wait(self):
-        est = RuntimeEstimator(min_samples=1)
-        for _ in range(2):
-            est.observe("fast", 1.0)
-            est.observe("slow", 100.0)
-        policy = HrrnPolicy()
-        policy.estimator = est
-        slow = FakeCtx(tenant=Tenant("slow"), wait_since=50.0, now=100.0)
-        fast = FakeCtx(tenant=Tenant("fast"), wait_since=50.0, now=100.0)
-        assert policy.pick_next([slow, fast]) is fast
+        assert EstimatorSjfPolicy().pick_next([], pc()) is None
 
 
 class TestFairShare:
-    def _wire(self, policy, tenants):
-        policy.tenants_fn = lambda: tenants
-
     def test_lighter_user_first(self):
         policy = FairSharePolicy()
         heavy = Tenant("heavy", group="g1")
         light = Tenant("light", group="g1")
         heavy.gpu_seconds_used = 100.0
         light.gpu_seconds_used = 1.0
-        self._wire(policy, [heavy, light])
         a = FakeCtx(tenant=heavy)
         b = FakeCtx(tenant=light)
-        assert policy.pick_next([a, b]) is b
+        assert policy.pick_next([a, b], pc(tenants=[heavy, light])) is b
 
     def test_group_level_dominates(self):
         policy = FairSharePolicy()
@@ -179,9 +151,8 @@ class TestFairShare:
         g1a.gpu_seconds_used = 1.0
         g1b.gpu_seconds_used = 100.0
         g2a.gpu_seconds_used = 5.0
-        self._wire(policy, [g1a, g1b, g2a])
         assert policy.pick_next(
-            [FakeCtx(tenant=g1a), FakeCtx(tenant=g2a)]
+            [FakeCtx(tenant=g1a), FakeCtx(tenant=g2a)], pc(tenants=[g1a, g1b, g2a])
         ).tenant is g2a
 
     def test_usage_decays(self):
@@ -190,14 +161,14 @@ class TestFairShare:
         recent = Tenant("recent", group="g2")
         old_heavy.gpu_seconds_used = 100.0
         recent.gpu_seconds_used = 0.0
-        self._wire(policy, [old_heavy, recent])
+        tenants = [old_heavy, recent]
         # Observe the usage at t=0, then let 20 half-lives pass while
         # `recent` consumes a little.
-        policy.pick_next([FakeCtx(tenant=old_heavy, now=0.0)])
+        policy.pick_next([FakeCtx(tenant=old_heavy)], pc(0.0, tenants=tenants))
         recent.gpu_seconds_used = 5.0
         picked = policy.pick_next(
-            [FakeCtx(tenant=old_heavy, now=200.0),
-             FakeCtx(tenant=recent, now=200.0)]
+            [FakeCtx(tenant=old_heavy), FakeCtx(tenant=recent)],
+            pc(200.0, tenants=tenants),
         )
         assert picked.tenant is old_heavy
 
@@ -207,17 +178,57 @@ class TestFairShare:
         light = Tenant("l", group="g2")
         heavy.gpu_seconds_used = 100.0
         light.gpu_seconds_used = 1.0
-        self._wire(policy, [heavy, light])
-        policy.pick_next([FakeCtx(tenant=heavy, now=0.0)])
+        tenants = [heavy, light]
+        policy.pick_next([FakeCtx(tenant=heavy)], pc(0.0, tenants=tenants))
         picked = policy.pick_next(
-            [FakeCtx(tenant=heavy, now=1000.0),
-             FakeCtx(tenant=light, now=1000.0)]
+            [FakeCtx(tenant=heavy), FakeCtx(tenant=light)],
+            pc(1000.0, tenants=tenants),
         )
         assert picked.tenant is light
 
     def test_tenantless_context_uses_own_usage(self):
         policy = FairSharePolicy()
-        self._wire(policy, [])
         a = FakeCtx(gpu_seconds_used=5.0)
         b = FakeCtx(gpu_seconds_used=1.0)
-        assert policy.pick_next([a, b]) is b
+        assert policy.pick_next([a, b], pc(tenants=[])) is b
+
+
+def _weighted_fair_key(c):
+    """Reference: the key of the standalone weighted-fair policy that
+    ``wfq`` replaced (tenant usage per unit weight, then the context's
+    own usage, then arrival order)."""
+    tenant = c.tenant
+    vt = tenant.gpu_seconds_used / tenant.weight if tenant is not None else c.gpu_seconds_used
+    return (vt, c.gpu_seconds_used, c.context_id)
+
+
+# Small pools make ties (equal usage, equal weight) likely.
+_usage = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+                   st.floats(0.0, 100.0, allow_nan=False))
+_weight = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+                    st.floats(0.1, 10.0, allow_nan=False))
+
+
+class TestWfqIsWeightedFairShare:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tenants=st.lists(
+            st.tuples(_weight, _usage, st.sampled_from([None, "g1", "g2"])),
+            min_size=1, max_size=4,
+        ),
+        waiters=st.lists(
+            st.tuples(st.integers(-1, 3), _usage), min_size=1, max_size=8
+        ),
+    )
+    def test_wfq_picks_like_the_weighted_fair_key(self, tenants, waiters):
+        registry = []
+        for i, (weight, used, group) in enumerate(tenants):
+            t = Tenant(f"t{i}", weight=weight, group=group)
+            t.gpu_seconds_used = used
+            registry.append(t)
+        waiting = []
+        for index, used in waiters:
+            tenant = registry[index] if 0 <= index < len(registry) else None
+            waiting.append(FakeCtx(tenant=tenant, gpu_seconds_used=used))
+        picked = make_policy("wfq").pick_next(waiting, pc(tenants=registry))
+        assert picked is min(waiting, key=_weighted_fair_key)

@@ -4,9 +4,7 @@ import pytest
 
 from repro.core.memory import (
     EVICTION_POLICY_NAMES,
-    LfuEviction,
     LruEviction,
-    SecondChanceEviction,
     CostAwareEviction,
     PageTableEntry,
     make_eviction_policy,
@@ -15,19 +13,15 @@ from repro.core.memory import (
 MIB = 1024**2
 
 
-def _pte(size=MIB, last_use=0.0, use_count=0, referenced=False, chunk=0):
+def _pte(size=MIB, last_use=0.0, chunk=0):
     pte = PageTableEntry(0x7000_0000_0000, size)
     pte.configure_chunks(chunk)
     pte.last_use = last_use
-    pte.use_count = use_count
-    pte.referenced = referenced
     return pte
 
 
 def test_registry_names_and_factory():
-    assert EVICTION_POLICY_NAMES == (
-        "cost_aware", "lfu", "lru", "quota_aware", "second_chance"
-    )
+    assert EVICTION_POLICY_NAMES == ("cost_aware", "lru", "quota_aware")
     for name in EVICTION_POLICY_NAMES:
         assert make_eviction_policy(name).name == name
     with pytest.raises(ValueError):
@@ -38,37 +32,6 @@ def test_lru_orders_by_last_use():
     old, mid, new = _pte(last_use=1.0), _pte(last_use=2.0), _pte(last_use=3.0)
     ordered = LruEviction().order([("c", new), ("c", old), ("c", mid)])
     assert [p for _ctx, p in ordered] == [old, mid, new]
-
-
-def test_lfu_orders_by_use_count_then_recency():
-    rare = _pte(use_count=1, last_use=9.0)
-    frequent = _pte(use_count=5, last_use=1.0)
-    tied_older = _pte(use_count=2, last_use=1.0)
-    tied_newer = _pte(use_count=2, last_use=2.0)
-    ordered = LfuEviction().order(
-        [("c", frequent), ("c", tied_newer), ("c", rare), ("c", tied_older)]
-    )
-    assert [p for _ctx, p in ordered] == [rare, tied_older, tied_newer, frequent]
-
-
-def test_second_chance_defers_referenced_and_clears_bit():
-    a = _pte(referenced=True)
-    b = _pte(referenced=False)
-    c = _pte(referenced=True)
-    ordered = SecondChanceEviction().order([("x", a), ("x", b), ("x", c)])
-    # Unreferenced b evicts first; a and c got their second chance.
-    assert [p for _ctx, p in ordered] == [b, a, c]
-    assert not a.referenced and not c.referenced
-
-
-def test_second_chance_hand_rotates():
-    policy = SecondChanceEviction()
-    a, b = _pte(), _pte()
-    first = policy.order([("x", a), ("x", b)])
-    assert first[0][1] is a  # seq order on the first sweep
-    # Hand now at a; the next sweep starts past it.
-    second = policy.order([("x", a), ("x", b)])
-    assert second[0][1] is b
 
 
 def test_cost_aware_prefers_clean_entries():

@@ -8,7 +8,7 @@ import pytest
 from repro.core import RuntimeConfig
 from repro.core.memory.costmodel import TransferCostModel
 from repro.core.memory.eviction import CostAwareEviction
-from repro.core.policies import LocalityPolicy, make_policy
+from repro.core.policies import LocalityPolicy, PolicyContext, make_policy
 from repro.simcuda import FatBinary, GPUSpec, KernelDescriptor, TESLA_C2050
 from repro.simcuda import timing
 
@@ -183,12 +183,25 @@ def _waiter(context_id):
     return SimpleNamespace(context_id=context_id, locality_skips=0)
 
 
+def _locality_context(bind_cost, idle):
+    """A fake PolicyContext: a cost model scoring with ``bind_cost`` and
+    ``idle`` as the idle vGPUs."""
+    model = SimpleNamespace(
+        scheduler=SimpleNamespace(active_per_device=lambda: {}),
+        bind_cost=bind_cost,
+    )
+    return PolicyContext(
+        SimpleNamespace(now=0.0), cost_model=model, idle_vgpus=lambda: list(idle)
+    )
+
+
 def test_locality_policy_unwired_degrades_to_fcfs():
     policy = make_policy("locality")
     assert isinstance(policy, LocalityPolicy)
     a, b = _waiter(1), _waiter(2)
-    assert policy.pick_next([a, b]) is a
-    assert policy.pick_next([]) is None
+    pc = PolicyContext(SimpleNamespace(now=0.0))
+    assert policy.pick_next([a, b], pc) is a
+    assert policy.pick_next([], pc) is None
 
 
 def test_locality_policy_prefers_cheapest_waiter():
@@ -196,16 +209,12 @@ def test_locality_policy_prefers_cheapest_waiter():
     dev0 = _fake_device(0)
     v0 = _fake_vgpu(dev0)
     costs = {1: 5.0, 2: 0.5}
-    policy.cost_model = SimpleNamespace(
-        scheduler=SimpleNamespace(active_per_device=lambda: {}),
-        bind_cost=lambda ctx, v, active: costs[ctx.context_id],
-    )
-    policy.idle_vgpus_fn = lambda: [v0]
+    pc = _locality_context(lambda ctx, v, active: costs[ctx.context_id], [v0])
     a, b = _waiter(1), _waiter(2)
-    assert policy.pick_next([a, b]) is b
+    assert policy.pick_next([a, b], pc) is b
     # No idle vGPU to score against: FCFS.
-    policy.idle_vgpus_fn = lambda: []
-    assert policy.pick_next([a, b]) is a
+    pc.idle_vgpus = lambda: []
+    assert policy.pick_next([a, b], pc) is a
 
 
 def test_locality_policy_never_starves_the_front_waiter():
@@ -215,17 +224,15 @@ def test_locality_policy_never_starves_the_front_waiter():
     dev0 = _fake_device(0)
     v0 = _fake_vgpu(dev0)
     old = _waiter(1)
-    policy.cost_model = SimpleNamespace(
-        scheduler=SimpleNamespace(active_per_device=lambda: {}),
-        # Every younger waiter always models cheaper than the old one.
-        bind_cost=lambda ctx, v, active: 0.0 if ctx.context_id != 1 else 9.0,
+    # Every younger waiter always models cheaper than the old one.
+    pc = _locality_context(
+        lambda ctx, v, active: 0.0 if ctx.context_id != 1 else 9.0, [v0]
     )
-    policy.idle_vgpus_fn = lambda: [v0]
     served = []
     next_id = 2
     waiting = [old, _waiter(next_id)]
     for _round in range(2 * policy.max_skips + 2):
-        chosen = policy.pick_next(list(waiting))
+        chosen = policy.pick_next(list(waiting), pc)
         served.append(chosen)
         waiting.remove(chosen)
         if chosen is old:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import RuntimeConfig
-from repro.core.policies import CreditPolicy, FcfsPolicy, SjfPolicy, make_policy
+from repro.core.policies import (
+    CreditPolicy, FcfsPolicy, PolicyContext, SjfPolicy, make_policy,
+)
 from repro.simcuda import KernelDescriptor, QUADRO_2000, TESLA_C1060, TESLA_C2050
 
 from tests.core.conftest import Harness, MIB
@@ -159,9 +161,9 @@ def test_credit_pick_next_orders_by_consumed_gpu_time():
     a.gpu_seconds_used = 5.0
     b.gpu_seconds_used = 0.5
     c.gpu_seconds_used = 2.0
-    policy = CreditPolicy()
-    assert policy.pick_next([a, b, c]) is b
-    assert policy.pick_next([]) is None
+    policy, pc = CreditPolicy(), PolicyContext(env)
+    assert policy.pick_next([a, b, c], pc) is b
+    assert policy.pick_next([], pc) is None
 
 
 def test_sjf_pick_next_unknown_estimates_go_last():
@@ -172,8 +174,7 @@ def test_sjf_pick_next_unknown_estimates_go_last():
     known = Context(env, "known")
     known.estimated_gpu_seconds = 3.0
     unknown = Context(env, "unknown")
-    policy = SjfPolicy()
-    assert policy.pick_next([unknown, known]) is known
+    assert SjfPolicy().pick_next([unknown, known], PolicyContext(env)) is known
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from repro.core import Frontend, RuntimeConfig
 from repro.core.context import Context
-from repro.core.policies import make_policy
+from repro.core.policies import PolicyContext, make_policy
 from repro.qos import Tenant
 from repro.sim import Environment
 from repro.simcuda import FatBinary, KernelDescriptor, TESLA_C2050
@@ -156,11 +156,12 @@ def test_wfq_policy_orders_by_weight_normalized_gpu_time():
     a.tenant = gold
     b = Context(env, owner="b")
     b.tenant = econ
-    assert policy.pick_next([b, a]) is a  # lower virtual time wins
+    pc = PolicyContext(env)
+    assert policy.pick_next([b, a], pc) is a  # lower virtual time wins
     # Tenant-less contexts fall back to their own gpu seconds.
     c = Context(env, owner="c")
     c.gpu_seconds_used = 0.5
-    assert policy.pick_next([a, b, c]) is c
+    assert policy.pick_next([a, b, c], pc) is c
 
 
 def test_wfq_favors_heavier_weight_under_contention():

@@ -30,13 +30,6 @@ def test_attach_detach_idempotent():
     assert t.contexts == []
 
 
-def test_normalized_gpu_seconds_divides_by_weight():
-    t = Tenant("t", weight=4.0)
-    t.gpu_seconds_used = 8.0
-    assert t.normalized_gpu_seconds() == 2.0
-    assert Tenant("u").normalized_gpu_seconds() == 0.0
-
-
 def test_registry_register_and_lookup():
     reg = TenantRegistry()
     t = reg.register(Tenant("gold", weight=2.0))
