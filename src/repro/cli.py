@@ -71,6 +71,24 @@ def _parse_gpus(text: str) -> List[GPUSpec]:
 DEFAULT_JOB_MIX = ("MM-L", "BS-L")
 
 
+def _job_token(token: str) -> str:
+    """Validate one ``--jobs`` token — ``N``, ``TAG`` or ``TAG:N`` — so a
+    typo is a usage error naming the known tags, not a traceback."""
+    if token.isdigit():
+        return token
+    tag, colon, count = token.partition(":")
+    known = sorted(w.tag for w in ALL_WORKLOADS)
+    if tag not in known:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {tag!r}; choose from {known}"
+        )
+    if colon and not count.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"bad job count {count!r} in {token!r}; expected TAG:N"
+        )
+    return token
+
+
 def _parse_jobs(tokens: List[str], cpu_fraction: float, use_runtime: bool = True):
     jobs = []
 
@@ -360,7 +378,7 @@ def main(argv=None) -> int:
                      choices=("batch", "trace"),
                      help="'batch' (default): a job mix on one node; "
                           "'trace': open-loop trace replay on a cluster")
-    run.add_argument("--jobs", nargs="+", metavar="TAG[:N]|N",
+    run.add_argument("--jobs", nargs="+", type=_job_token, metavar="TAG[:N]|N",
                      help="e.g. MM-L:6 BS-L:2 HS, or a bare count "
                           "(cycles a default memory-heavy mix)")
     run.add_argument("--gpus", type=_parse_gpus, default=[TESLA_C2050],

@@ -57,8 +57,6 @@ class Context:
         self.in_cpu_phase = True
         #: Timestamp of entering the current CPU phase.
         self.cpu_phase_since = 0.0
-        #: Last device call (for failure recovery, §4.6).
-        self.last_call: Optional[Any] = None
         #: Error from the last failure.
         self.error: Optional[BaseException] = None
         #: Kernel launches executed since device state was last fully
@@ -121,7 +119,6 @@ class Context:
         self.swaps_suffered = 0
         self.migrations = 0
         self.rebind_attempts = 0
-        self.connected_at = env.now
         self.finished_at: Optional[float] = None
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Generator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.net.rpc import BatchRequest, BatchResponse, Request, Response
 from repro.net.socket import Socket
@@ -51,6 +51,28 @@ __all__ = ["Dispatcher", "GraphInstance"]
 HELLO_METHOD = "reproHello"
 
 _graph_ids = itertools.count(1)
+
+
+def _error_name(error: Optional[BaseException]) -> Optional[str]:
+    return type(error).__name__ if error is not None else None
+
+
+def _configuration(args: dict) -> tuple:
+    """A ``cudaConfigureCall``'s ``(grid, block)``; ``{}`` gives the
+    default configuration."""
+    return tuple(args.get("grid", (1, 1, 1))), tuple(args.get("block", (256, 1, 1)))
+
+
+def _launch_record(args: dict, grid, block) -> KernelLaunch:
+    """A ``cudaLaunch`` call's arguments as a launch record with
+    *virtual* pointers, under the configuration that preceded it."""
+    return KernelLaunch(
+        kernel=args["kernel"],
+        grid=grid,
+        block=block,
+        arg_pointers=tuple(args.get("args", ())),
+        read_only=tuple(args.get("read_only", ())) or None,
+    )
 
 
 @dataclasses.dataclass
@@ -151,10 +173,7 @@ class Dispatcher:
         # iteration of the hottest loop in the simulator.
         env = self.env
         obs = self.obs
-        stats = self.stats
         recv = sock.recv
-        latency_observe = self._call_latency.observe
-        slo_observe = self.runtime.slo.observe_call
         migration = self.runtime.migration
         ctx = Context(env, owner=sock.peer_name)
         ctx.enter_cpu_phase(env.now)
@@ -169,82 +188,46 @@ class Dispatcher:
                 # scheduler round-trip; preemption/migration/prefetch run
                 # only at the batch boundary.
                 exited = yield from self._serve_batch(sock, ctx, req)
-                if exited:
-                    return
-                if self._quantum_exhausted(ctx):
-                    yield from self._preempt(ctx)
-                migration.maybe_migrate(ctx)
-                self._maybe_prefetch(ctx)
-                continue
-            span = None
-            if obs.enabled:
-                # The span's clock starts at the client's send timestamp,
-                # so the request's wire leg lands in the "rpc" phase.
-                span = CallSpan(
-                    env,
-                    trace_id=getattr(req, "trace_id", None),
-                    span_id=getattr(req, "span_id", None) or req.request_id,
-                    begin_at=getattr(req, "sent_at", None),
-                )
-                ctx.span = span
-                span.push("queue_wait")
-            yield lock_acquire()
-            if span is not None:
-                span.pop()
-            value, error, resp_bytes = None, None, 0
-            begin_at = obs.call_begin(ctx, req.method) if obs.enabled else None
-            t0 = env.now
-            try:
-                while True:
-                    try:
-                        if ctx.state is ContextState.FAILED:
-                            yield from self._recover(ctx)
-                        value, resp_bytes = yield from self._dispatch(ctx, req)
-                        ctx.rebind_attempts = 0
-                        break
-                    except CudaRuntimeError as exc:
-                        if (
-                            exc.code == CudaError.cudaErrorDevicesUnavailable
-                            and ctx.rebind_attempts
-                            < self.config.max_failed_rebind_attempts
-                        ):
-                            self._mark_failed(ctx, exc)
-                            continue
-                        error = exc
-                        break
-                    except RuntimeApiError as exc:
-                        error = exc
-                        break
-            finally:
-                elapsed = env.now - t0
-                latency_observe(elapsed)
-                slo_observe(ctx, elapsed)
-                if begin_at is not None:
-                    obs.call_end(
-                        ctx, req.method, begin_at,
-                        error=type(error).__name__ if error is not None else None,
+            else:
+                span = None
+                if obs.enabled:
+                    # The span's clock starts at the client's send
+                    # timestamp, so the request's wire leg lands in the
+                    # "rpc" phase.
+                    span = CallSpan(
+                        env,
+                        trace_id=getattr(req, "trace_id", None),
+                        span_id=getattr(req, "span_id", None) or req.request_id,
+                        begin_at=getattr(req, "sent_at", None),
                     )
+                    ctx.span = span
+                    span.push("queue_wait")
+                yield lock_acquire()
                 if span is not None:
-                    # Everything from here until the response lands is
-                    # the reply's wire leg.
-                    span.push("rpc")
-                ctx.enter_cpu_phase(env.now)
-                lock_release()
-            resp = Response(
-                request_id=req.request_id,
-                value=value,
-                error=error,
-                payload_bytes=resp_bytes,
-            )
-            stats.calls_served += 1
-            yield from sock.send(resp, nbytes=resp.wire_bytes)
-            if span is not None:
-                ctx.span = None
-                obs.phase_breakdown(
-                    ctx, req.method, span,
-                    error=type(error).__name__ if error is not None else None,
-                )
-            if req.method == CallType.EXIT:
+                    span.pop()
+                begin_at = obs.call_begin(ctx, req.method) if obs.enabled else None
+                t0 = env.now
+                try:
+                    # ``_dispatch`` charges the round-trip overhead inside
+                    # the recovery loop: a call served again after a
+                    # rebind pays it again.
+                    result, error = yield from self._execute_call(
+                        ctx, self._dispatch, req
+                    )
+                    resp = self._finish_call(ctx, req, t0, begin_at, result, error)
+                finally:
+                    if span is not None:
+                        # Everything from here until the response lands
+                        # is the reply's wire leg.
+                        span.push("rpc")
+                    ctx.enter_cpu_phase(env.now)
+                    lock_release()
+                yield from sock.send(resp, nbytes=resp.wire_bytes)
+                if span is not None:
+                    ctx.span = None
+                    obs.phase_breakdown(ctx, req.method, span, error=_error_name(error))
+                exited = req.method == CallType.EXIT
+            if exited:
                 return
             if self._quantum_exhausted(ctx):
                 # Preemptive time-slicing (repro.qos): the context burned
@@ -256,6 +239,52 @@ class Dispatcher:
             # may now claim it (dynamic binding, §5.3.4).
             migration.maybe_migrate(ctx)
             self._maybe_prefetch(ctx)
+
+    def _execute_call(self, ctx: Context, body, *args) -> Generator:
+        """Run ``body(ctx, *args)`` under the device-failure rule (§4.6):
+        a ``FAILED`` context is recovered first, and a call that meets a
+        dead device marks the context failed and runs again, up to
+        ``max_failed_rebind_attempts`` times.  Returns ``(result,
+        error)`` instead of raising an API error, so every caller can
+        still respond."""
+        while True:
+            try:
+                if ctx.state is ContextState.FAILED:
+                    yield from self._recover(ctx)
+                result = yield from body(ctx, *args)
+                ctx.rebind_attempts = 0
+                return result, None
+            except CudaRuntimeError as exc:
+                if (
+                    exc.code == CudaError.cudaErrorDevicesUnavailable
+                    and ctx.rebind_attempts
+                    < self.config.max_failed_rebind_attempts
+                ):
+                    self._mark_failed(ctx, exc)
+                    continue
+                return None, exc
+            except RuntimeApiError as exc:
+                return None, exc
+
+    def _finish_call(
+        self, ctx: Context, req: Request, t0: float, begin_at, result, error
+    ) -> Response:
+        """Per-call bookkeeping once a call is served: latency and SLO
+        observation, the ``call_end`` event and ``calls_served``.
+        ``result`` is the body's ``(value, payload_bytes)`` or None."""
+        elapsed = self.env.now - t0
+        self._call_latency.observe(elapsed)
+        self.runtime.slo.observe_call(ctx, elapsed)
+        if begin_at is not None:
+            self.obs.call_end(ctx, req.method, begin_at, error=_error_name(error))
+        self.stats.calls_served += 1
+        value, payload_bytes = result if result is not None else (None, 0)
+        return Response(
+            request_id=req.request_id,
+            value=value,
+            error=error,
+            payload_bytes=payload_bytes,
+        )
 
     # ------------------------------------------------------------------
     # control-plane batching + graph replay
@@ -296,19 +325,18 @@ class Dispatcher:
         else:
             spans = [None] * len(calls)
         last_span = spans[-1] if spans else None
-        responses: List[Response] = []
-        last_error: Optional[BaseException] = None
-        exited = False
         yield ctx.lock.acquire()
         try:
             yield env.timeout(self.config.dispatcher_overhead_s)
             instance = self._match_graph(ctx, calls)
             if instance is not None:
-                responses, last_error = yield from self._serve_batch_as_graph(
+                # A graph frame holds only configure/launch calls.
+                exited = False
+                responses = yield from self._serve_batch_as_graph(
                     ctx, calls, spans, instance
                 )
             else:
-                responses, last_error, exited = yield from self._serve_batch_calls(
+                responses, exited = yield from self._serve_batch_calls(
                     ctx, calls, spans
                 )
         finally:
@@ -323,21 +351,17 @@ class Dispatcher:
         if last_span is not None:
             ctx.span = None
             obs.phase_breakdown(
-                ctx,
-                calls[-1].method,
-                last_span,
-                error=type(last_error).__name__ if last_error is not None else None,
+                ctx, calls[-1].method, last_span, error=_error_name(responses[-1].error)
             )
         return exited
 
     def _serve_batch_calls(
         self, ctx: Context, calls: List[Request], spans: List[Optional[CallSpan]]
     ) -> Generator:
-        """Per-call execution of a batch frame (no matching graph)."""
+        """Per-call execution of a batch frame (no matching graph);
+        returns ``(responses, exited)``."""
         env = self.env
         obs = self.obs
-        latency_observe = self._call_latency.observe
-        slo_observe = self.runtime.slo.observe_call
         responses: List[Response] = []
         exited = False
         first_error: Optional[BaseException] = None
@@ -350,70 +374,29 @@ class Dispatcher:
                 ctx.span = span
             begin_at = obs.call_begin(ctx, req.method) if obs.enabled else None
             t0 = env.now
-            value, resp_bytes, error = None, 0, None
             if first_error is not None:
-                error = RuntimeApiError(
+                result, error = None, RuntimeApiError(
                     RuntimeErrorCode.BATCH_ABORTED,
                     f"call #{i + 1} followed failed call "
                     f"#{first_error_at + 1}: {first_error}",
                 )
             else:
-                value, resp_bytes, error = yield from self._execute_call(ctx, req)
+                result, error = yield from self._execute_call(
+                    ctx, self._dispatch_body, req
+                )
                 if error is not None:
                     first_error, first_error_at = error, i
                 elif req.method == CallType.EXIT:
                     exited = True
-            elapsed = env.now - t0
-            latency_observe(elapsed)
-            slo_observe(ctx, elapsed)
-            if begin_at is not None:
-                obs.call_end(
-                    ctx, req.method, begin_at,
-                    error=type(error).__name__ if error is not None else None,
-                )
-            responses.append(
-                Response(
-                    request_id=req.request_id,
-                    value=value,
-                    error=error,
-                    payload_bytes=resp_bytes,
-                )
-            )
-            self.stats.calls_served += 1
+            responses.append(self._finish_call(ctx, req, t0, begin_at, result, error))
             if span is not None and i < last:
                 # Non-tail calls complete here; the reply wire leg is not
                 # theirs (it is charged once, to the tail call's span).
                 ctx.span = None
-                obs.phase_breakdown(
-                    ctx, req.method, span,
-                    error=type(error).__name__ if error is not None else None,
-                )
+                obs.phase_breakdown(ctx, req.method, span, error=_error_name(error))
         if first_error is None:
             self._note_graph_candidate(ctx, calls)
-        return responses, (responses[-1].error if responses else None), exited
-
-    def _execute_call(self, ctx: Context, req: Request) -> Generator:
-        """One batched call through the same recovery/retry loop as the
-        single-call path; returns ``(value, resp_bytes, error)`` instead
-        of raising, so the batch can abort its tail and still respond."""
-        while True:
-            try:
-                if ctx.state is ContextState.FAILED:
-                    yield from self._recover(ctx)
-                value, resp_bytes = yield from self._dispatch_body(ctx, req)
-                ctx.rebind_attempts = 0
-                return value, resp_bytes, None
-            except CudaRuntimeError as exc:
-                if (
-                    exc.code == CudaError.cudaErrorDevicesUnavailable
-                    and ctx.rebind_attempts
-                    < self.config.max_failed_rebind_attempts
-                ):
-                    self._mark_failed(ctx, exc)
-                    continue
-                return None, 0, exc
-            except RuntimeApiError as exc:
-                return None, 0, exc
+        return responses, exited
 
     # -- graph detection / replay --------------------------------------
     @staticmethod
@@ -426,13 +409,7 @@ class Dispatcher:
         for req in calls:
             method = req.method
             if method == CallType.CONFIGURE_CALL:
-                sig.append(
-                    (
-                        "cfg",
-                        tuple(req.args.get("grid", (1, 1, 1))),
-                        tuple(req.args.get("block", (256, 1, 1))),
-                    )
-                )
+                sig.append(("cfg", *_configuration(req.args)))
             elif method == CallType.LAUNCH:
                 kernel = req.args["kernel"]
                 sig.append(
@@ -444,25 +421,16 @@ class Dispatcher:
         return tuple(sig) if has_launch else None
 
     @staticmethod
-    def _launch_records(calls: List[Request]) -> List[dict]:
-        """Configure/launch pairs → launch parameter records (the
-        incoming args are the graph's "parameter patching")."""
-        records: List[dict] = []
-        grid, block = (1, 1, 1), (256, 1, 1)
+    def _launch_records(calls: List[Request]) -> List[KernelLaunch]:
+        """Configure/launch pairs → launch records (the incoming args are
+        the graph's "parameter patching")."""
+        records: List[KernelLaunch] = []
+        grid, block = _configuration({})
         for req in calls:
             if req.method == CallType.CONFIGURE_CALL:
-                grid = tuple(req.args.get("grid", (1, 1, 1)))
-                block = tuple(req.args.get("block", (256, 1, 1)))
+                grid, block = _configuration(req.args)
             elif req.method == CallType.LAUNCH:
-                records.append(
-                    {
-                        "kernel": req.args["kernel"],
-                        "vptrs": tuple(req.args.get("args", ())),
-                        "read_only": tuple(req.args.get("read_only", ())),
-                        "grid": grid,
-                        "block": block,
-                    }
-                )
+                records.append(_launch_record(req.args, grid, block))
         return records
 
     def _match_graph(
@@ -489,16 +457,7 @@ class Dispatcher:
             ctx.graph_candidates[sig] = seen
             return
         ctx.graph_candidates.pop(sig, None)
-        template = tuple(
-            KernelLaunch(
-                kernel=r["kernel"],
-                grid=r["grid"],
-                block=r["block"],
-                arg_pointers=r["vptrs"],
-                read_only=r["read_only"] or None,
-            )
-            for r in self._launch_records(calls)
-        )
+        template = tuple(self._launch_records(calls))
         instance = GraphInstance(graph_id=next(_graph_ids), template=template)
         # The instantiating frame just executed, so its working set is
         # resident right now: the next matching frame replays hot.
@@ -522,7 +481,8 @@ class Dispatcher:
         """Replay path: the frame matches an instantiated graph, so it is
         re-issued as one unit instead of being dispatched call by call.
         All execution accrues to the tail call's span; a replay error is
-        all-or-nothing (every call of the frame reports it)."""
+        all-or-nothing (every call of the frame reports it).  Returns the
+        frame's responses."""
         env = self.env
         obs = self.obs
         launches = self._launch_records(calls)
@@ -543,41 +503,17 @@ class Dispatcher:
             ctx.span = last_span
         begin_at = obs.call_begin(ctx, last_req.method) if obs.enabled else None
         t0 = env.now
-        error: Optional[BaseException] = None
-        while True:
-            try:
-                if ctx.state is ContextState.FAILED:
-                    yield from self._recover(ctx)
-                yield from self._execute_graph(ctx, instance, launches)
-                ctx.rebind_attempts = 0
-                break
-            except CudaRuntimeError as exc:
-                if (
-                    exc.code == CudaError.cudaErrorDevicesUnavailable
-                    and ctx.rebind_attempts
-                    < self.config.max_failed_rebind_attempts
-                ):
-                    self._mark_failed(ctx, exc)
-                    continue
-                error = exc
-                break
-            except RuntimeApiError as exc:
-                error = exc
-                break
-        elapsed = env.now - t0
-        self._call_latency.observe(elapsed)
-        self.runtime.slo.observe_call(ctx, elapsed)
-        if begin_at is not None:
-            obs.call_end(
-                ctx, last_req.method, begin_at,
-                error=type(error).__name__ if error is not None else None,
-            )
-        self.stats.calls_served += 1
-        responses = [Response(request_id=req.request_id, error=error) for req in calls]
-        return responses, error
+        _, error = yield from self._execute_call(
+            ctx, self._execute_graph, instance, launches
+        )
+        responses = [
+            Response(request_id=req.request_id, error=error) for req in calls[:last]
+        ]
+        responses.append(self._finish_call(ctx, last_req, t0, begin_at, None, error))
+        return responses
 
     def _graph_valid(
-        self, ctx: Context, instance: GraphInstance, launches: List[dict]
+        self, ctx: Context, instance: GraphInstance, launches: Sequence[KernelLaunch]
     ) -> bool:
         """Are the instance's baked translations still good?  Epoch
         equality is the O(1) fast path; after any table change, a direct
@@ -587,8 +523,8 @@ class Dispatcher:
             return False
         if instance.epoch == page_table.epoch:
             return True
-        for entry in launches:
-            for vptr in entry["vptrs"]:
+        for launch in launches:
+            for vptr in launch.arg_pointers:
                 try:
                     pte = page_table.lookup(ctx, vptr)
                 except RuntimeApiError:
@@ -598,7 +534,7 @@ class Dispatcher:
         return True
 
     def _execute_graph(
-        self, ctx: Context, instance: GraphInstance, launches: List[dict]
+        self, ctx: Context, instance: GraphInstance, launches: Sequence[KernelLaunch]
     ) -> Generator:
         """Re-issue an instantiated graph: one control-plane charge when
         the cached translations are still good, the full per-launch path
@@ -621,29 +557,10 @@ class Dispatcher:
             if valid and cp > 0.0:
                 yield env.timeout(cp)
             backoff = self.config.swap_retry_backoff_s
-            index = 0
-            while index < len(launches):
-                if not ctx.bound:
-                    yield from self.scheduler.request_binding(ctx)
-                entry = launches[index]
-                try:
-                    yield from self.memory.prepare_and_launch(
-                        ctx,
-                        entry["kernel"],
-                        entry["vptrs"],
-                        entry["read_only"],
-                        grid=entry["grid"],
-                        block=entry["block"],
-                        control_plane=not valid,
-                    )
-                    index += 1
-                except NeedRetry:
-                    yield from self.memory.swap_out_context(ctx, notify=False)
-                    self.scheduler.release(ctx, "graph retry")
-                    timeout = env.timeout(backoff)
-                    freed = self.memory.memory_freed.wait()
-                    yield env.any_of([timeout, freed])
-                    backoff = min(backoff * 2, self.config.swap_retry_max_backoff_s)
+            for launch in launches:
+                _, backoff = yield from self._launch(
+                    ctx, launch, backoff, "graph retry", control_plane=not valid
+                )
         finally:
             if span is not None:
                 span.pop()
@@ -829,10 +746,27 @@ class Dispatcher:
             return None, args["nbytes"]
 
         if method == CallType.CONFIGURE_CALL:
-            ctx.pending_config = (args.get("grid", (1, 1, 1)), args.get("block", (256, 1, 1)))
+            ctx.pending_config = _configuration(args)
             return None, 0
         if method == CallType.LAUNCH:
-            yield from self._launch(ctx, req)
+            if ctx.pending_config is None:
+                raise CudaRuntimeError(
+                    CudaError.cudaErrorMissingConfiguration,
+                    "cudaLaunch without cudaConfigureCall",
+                )
+            # Keep the configuration until the launch succeeds: the call
+            # may be retried wholesale after a device failure.
+            duration, _ = yield from self._launch(
+                ctx,
+                _launch_record(args, *ctx.pending_config),
+                self.config.swap_retry_backoff_s,
+                "swap retry",
+            )
+            ctx.pending_config = None
+            threshold = self.config.checkpoint_kernel_seconds
+            if threshold is not None and duration >= threshold:
+                # Automatic checkpoint after long-running kernels (§4.6).
+                yield from self.memory.checkpoint(ctx)
             return None, 0
         if method == CallType.THREAD_SYNCHRONIZE:
             return None, 0
@@ -887,17 +821,7 @@ class Dispatcher:
                     RuntimeErrorCode.GRAPH_INVALID,
                     f"unknown graph handle {args.get('graph')!r}",
                 )
-            launches = [
-                {
-                    "kernel": l.kernel,
-                    "vptrs": l.arg_pointers,
-                    "read_only": l.read_only or (),
-                    "grid": l.grid,
-                    "block": l.block,
-                }
-                for l in instance.template
-            ]
-            yield from self._execute_graph(ctx, instance, launches)
+            yield from self._execute_graph(ctx, instance, instance.template)
             return None, 0
 
         if method == CallType.EXIT:
@@ -908,21 +832,10 @@ class Dispatcher:
 
     def _record_capture(self, ctx: Context, method: CallType, args: dict) -> None:
         if method == CallType.CONFIGURE_CALL:
-            ctx.capture_config = (
-                args.get("grid", (1, 1, 1)),
-                args.get("block", (256, 1, 1)),
-            )
+            ctx.capture_config = _configuration(args)
             return
-        grid, block = ctx.capture_config or ((1, 1, 1), (256, 1, 1))
-        ctx.capture.append(
-            KernelLaunch(
-                kernel=args["kernel"],
-                grid=tuple(grid),
-                block=tuple(block),
-                arg_pointers=tuple(args.get("args", ())),
-                read_only=tuple(args.get("read_only", ())) or None,
-            )
-        )
+        grid, block = ctx.capture_config or _configuration({})
+        ctx.capture.append(_launch_record(args, grid, block))
         ctx.capture_config = None
 
     def _registration(self, ctx: Context, req: Request) -> Generator:
@@ -965,40 +878,42 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # launch path: delayed binding + swap retries (§4.3, §4.5)
     # ------------------------------------------------------------------
-    def _launch(self, ctx: Context, req: Request) -> Generator:
-        if ctx.pending_config is None:
-            raise CudaRuntimeError(
-                CudaError.cudaErrorMissingConfiguration,
-                "cudaLaunch without cudaConfigureCall",
-            )
-        # Keep the configuration until the launch succeeds: the call may
-        # be retried wholesale after a device failure.
-        grid, block = ctx.pending_config
-        kernel = req.args["kernel"]
-        vptrs = tuple(req.args.get("args", ()))
-        read_only = tuple(req.args.get("read_only", ()))
+    def _launch(
+        self, ctx: Context, launch: KernelLaunch, backoff: float, reason: str,
+        front: bool = False, control_plane: bool = True,
+    ) -> Generator:
+        """Bind if needed and execute one launch record; returns
+        ``(duration, backoff)``.
 
-        backoff = self.config.swap_retry_backoff_s
+        A launch that finds no device memory and no victim unbinds and
+        retries later (§4.5): it wakes early if anyone releases device
+        memory, otherwise it backs off exponentially so stuck launches do
+        not spin.  The back-off carries from one launch of a sequence to
+        the next.  ``reason`` names the release; ``front`` queues the
+        rebinding ahead of other waiters (journal replay).
+        """
         while True:
             if not ctx.bound:
-                yield from self.scheduler.request_binding(ctx)
-            ctx.last_call = req
+                yield from self.scheduler.request_binding(ctx, front=front)
             try:
                 duration = yield from self.memory.prepare_and_launch(
-                    ctx, kernel, vptrs, read_only, grid=grid, block=block
+                    ctx,
+                    launch.kernel,
+                    launch.arg_pointers,
+                    launch.read_only or (),
+                    grid=launch.grid,
+                    block=launch.block,
+                    control_plane=control_plane,
                 )
-                break
+                return duration, backoff
             except NeedRetry:
-                # No device memory, no victim: unbind, retry later (§4.5).
-                # Wake early if anyone releases device memory; otherwise
-                # back off exponentially so stuck launches do not spin.
                 # The lost time is off-device time: "preempted".
                 span = ctx.span
                 if span is not None:
                     span.push("preempted")
                 try:
                     yield from self.memory.swap_out_context(ctx, notify=False)
-                    self.scheduler.release(ctx, "swap retry")
+                    self.scheduler.release(ctx, reason)
                     # When either branch wins, the AnyOf cancels the loser:
                     # a spent timeout leaves the kernel heap, an unneeded
                     # waiter leaves memory_freed's queue — so a later
@@ -1010,12 +925,6 @@ class Dispatcher:
                     if span is not None:
                         span.pop()
                 backoff = min(backoff * 2, self.config.swap_retry_max_backoff_s)
-
-        ctx.pending_config = None
-        threshold = self.config.checkpoint_kernel_seconds
-        if threshold is not None and duration >= threshold:
-            # Automatic checkpoint after long-running kernels (§4.6).
-            yield from self.memory.checkpoint(ctx)
 
     # ------------------------------------------------------------------
     # failure handling (§4.6)
@@ -1046,38 +955,11 @@ class Dispatcher:
         pending = list(ctx.replay_journal)
         ctx.replay_journal.clear()
         backoff = self.config.swap_retry_backoff_s
-        index = 0
-        while index < len(pending):
-            if not ctx.bound:
-                yield from self.scheduler.request_binding(ctx, front=True)
-            launch = pending[index]
-            try:
-                yield from self.memory.prepare_and_launch(
-                    ctx,
-                    launch.kernel,
-                    launch.arg_pointers,
-                    launch.read_only or (),
-                    grid=launch.grid,
-                    block=launch.block,
-                )
-                self.stats.replayed_kernels += 1
-                index += 1
-            except NeedRetry:
-                span = ctx.span
-                if span is not None:
-                    span.push("preempted")
-                try:
-                    yield from self.memory.swap_out_context(ctx, notify=False)
-                    self.scheduler.release(ctx, "replay retry")
-                    # As in _launch: the losing branch is cancelled, not
-                    # left as a ghost waiter/heap entry.
-                    timeout = self.env.timeout(backoff)
-                    freed = self.memory.memory_freed.wait()
-                    yield self.env.any_of([timeout, freed])
-                finally:
-                    if span is not None:
-                        span.pop()
-                backoff = min(backoff * 2, self.config.swap_retry_max_backoff_s)
+        for launch in pending:
+            _, backoff = yield from self._launch(
+                ctx, launch, backoff, "replay retry", front=True
+            )
+            self.stats.replayed_kernels += 1
         if not ctx.bound:
             yield from self.scheduler.request_binding(ctx, front=True)
         return len(pending)

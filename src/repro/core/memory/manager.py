@@ -172,7 +172,9 @@ class MemoryManager:
     def _drain_writebacks(self, ctx: Context) -> Generator:
         """Barrier: wait until every in-flight asynchronous write-back of
         ``ctx`` has landed *and* its bookkeeping has run.  Required before
-        reading dirty flags, freeing device memory, or launching."""
+        reading dirty flags, freeing device memory, or launching.  Only
+        overlap mode's :meth:`checkpoint` queues write-backs, so in every
+        other mode this returns at once."""
         while self._pending_writebacks.get(ctx):
             yield self._pending_writebacks[ctx][0]
 
@@ -256,12 +258,11 @@ class MemoryManager:
                 f"copy of {nbytes} bytes into {pte.size}-byte allocation",
             )
         self.stats.h2d_requests += 1
-        if self.config.overlap_transfers:
-            # An asynchronous write-back may still be reading this entry's
-            # device copy into swap; the host overwrite must order after
-            # it, or the stale write-back would clobber the fresh data.
-            with _span_phase(ctx, "writeback_drain"):
-                yield from self._drain_writebacks(ctx)
+        # An asynchronous write-back may still be reading this entry's
+        # device copy into swap; the host overwrite must order after it,
+        # or the stale write-back would clobber the fresh data.
+        with _span_phase(ctx, "writeback_drain"):
+            yield from self._drain_writebacks(ctx)
         with _span_phase(ctx, "fault_in"):
             # Host-side staging into the swap area.
             yield self.env.timeout(self.swap.write_seconds(nbytes))
@@ -306,10 +307,9 @@ class MemoryManager:
             )
         self.stats.d2h_requests += 1
         with _span_phase(ctx, "writeback_drain"):
-            if self.config.overlap_transfers:
-                # An asynchronous checkpoint may still be writing this data
-                # back; the dirty flags are only meaningful once it lands.
-                yield from self._drain_writebacks(ctx)
+            # An asynchronous checkpoint may still be writing this data
+            # back; the dirty flags are only meaningful once it lands.
+            yield from self._drain_writebacks(ctx)
             if pte.to_copy_2swap:
                 assert ctx.bound, "dirty device data implies a bound context"
                 for run in pte.writeback_runs():
@@ -328,10 +328,9 @@ class MemoryManager:
         except RuntimeApiError:
             self.stats.bad_calls_detected += 1
             raise
-        if self.config.overlap_transfers:
-            # Never free device memory out from under an in-flight D2H.
-            with _span_phase(ctx, "writeback_drain"):
-                yield from self._drain_writebacks(ctx)
+        # Never free device memory out from under an in-flight D2H.
+        with _span_phase(ctx, "writeback_drain"):
+            yield from self._drain_writebacks(ctx)
         if pte.is_allocated:
             if ctx.cache_vgpu is not None:
                 # Retained residency: the caching vGPU's CUDA context
@@ -389,12 +388,11 @@ class MemoryManager:
         """
         assert ctx.bound, "launch requires a bound context"
         device = ctx.vgpu.device
-        if self.config.overlap_transfers:
-            # Barrier: pending asynchronous write-backs must land before
-            # the dirty flags below are read (and before the kernel can
-            # re-dirty the entries being written back).
-            with _span_phase(ctx, "writeback_drain"):
-                yield from self._drain_writebacks(ctx)
+        # Barrier: pending asynchronous write-backs must land before the
+        # dirty flags below are read (and before the kernel can re-dirty
+        # the entries being written back).
+        with _span_phase(ctx, "writeback_drain"):
+            yield from self._drain_writebacks(ctx)
         if ctx.cache_vgpu is not None:
             # Locality retention (§4.4): revive the residency cache if
             # this binding landed on the caching vGPU, drop it otherwise
@@ -620,9 +618,8 @@ class MemoryManager:
         *failed* launch swaps itself out, so that stuck contexts do not
         wake each other in a retry storm.
         """
-        if self.config.overlap_transfers:
-            # An in-flight asynchronous write-back may target this entry.
-            yield from self._drain_writebacks(ctx)
+        # An in-flight asynchronous write-back may target this entry.
+        yield from self._drain_writebacks(ctx)
         if pte.to_copy_2swap:
             # Accounting belongs to the write-back, not the release: a
             # clean entry moves no data, so it must observe neither the
@@ -957,8 +954,7 @@ class MemoryManager:
         assert ctx.cache_vgpu is None or ctx.cache_vgpu is ctx.vgpu, (
             "a stale cache must be reconciled before the context launches"
         )
-        if self.config.overlap_transfers:
-            yield from self._drain_writebacks(ctx)
+        yield from self._drain_writebacks(ctx)
         cached = False
         for pte in self.page_table.entries_for(ctx):
             if not pte.is_allocated:
@@ -1068,10 +1064,9 @@ class MemoryManager:
         """
         src_vgpu = ctx.vgpu
         assert src_vgpu is not None and src_vgpu.device is not dst_vgpu.device
-        if self.config.overlap_transfers:
-            # The peer copies below read device memory directly; pending
-            # asynchronous write-backs must land first.
-            yield from self._drain_writebacks(ctx)
+        # The peer copies below read device memory directly; pending
+        # asynchronous write-backs must land first.
+        yield from self._drain_writebacks(ctx)
         moved = []  # (pte, old_device_ptr, new_device_ptr)
         entries = [p for p in self.page_table.entries_for(ctx) if p.is_allocated]
         try:
@@ -1254,9 +1249,8 @@ class MemoryManager:
     # ------------------------------------------------------------------
     def release_context(self, ctx: Context) -> Generator:
         """Application exit: free everything it still holds."""
-        if self.config.overlap_transfers:
-            # Never release device memory under an in-flight write-back.
-            yield from self._drain_writebacks(ctx)
+        # Never release device memory under an in-flight write-back.
+        yield from self._drain_writebacks(ctx)
         released_device_memory = False
         for pte in self.page_table.entries_for(ctx):
             if pte.is_allocated and ctx.cache_vgpu is not None:

@@ -21,7 +21,6 @@ __all__ = [
     "Response",
     "RpcClient",
     "RpcServer",
-    "RpcServer",
     "Socket",
     "TCP_10GBE_LINK",
     "TCP_GBE_LINK",

@@ -38,9 +38,19 @@ def test_run_rejects_unknown_gpu():
         main(["run", "--jobs", "HS", "--gpus", "rtx9090"])
 
 
-def test_run_rejects_unknown_workload():
-    with pytest.raises(KeyError):
+def test_run_rejects_unknown_workload(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--jobs", "NOPE"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown workload 'NOPE'" in err and "MM-L" in err
+
+
+def test_run_rejects_bad_job_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--jobs", "MM-L:x"])
+    assert exc.value.code == 2
+    assert "bad job count 'x'" in capsys.readouterr().err
 
 
 def test_run_with_policy_and_flags(capsys):
