@@ -211,6 +211,11 @@ def cmd_run_trace(args) -> int:
             arrival_rate_per_s=args.arrival_rate,
         )
         source = f"synthetic({args.synthetic}, seed={args.seed})"
+    try:
+        config = _run_config(args, tracing=bool(args.trace_out or args.events_out))
+    except ValueError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
+        return 2
     collector = None
     if args.trace_out or args.metrics_out or args.events_out:
         collector = ObsCollector(
@@ -218,7 +223,6 @@ def cmd_run_trace(args) -> int:
             metrics_path=args.metrics_out,
             events_path=args.events_out,
         )
-    config = _run_config(args, tracing=bool(args.trace_out or args.events_out))
     # Trace backlogs park hundreds of queued jobs' allocations in host
     # swap; size it like the replay harness's default, not like a
     # single-node batch box.
@@ -262,6 +266,13 @@ def cmd_run(args) -> int:
     if not jobs:
         print("no jobs requested", file=sys.stderr)
         return 2
+    config = None
+    if not args.bare:
+        try:
+            config = _run_config(args, tracing=bool(args.trace_out or args.events_out))
+        except ValueError as exc:
+            print(f"repro run: {exc}", file=sys.stderr)
+            return 2
     collector = None
     if args.trace_out or args.metrics_out or args.events_out:
         if args.bare:
@@ -273,12 +284,6 @@ def cmd_run(args) -> int:
                 metrics_path=args.metrics_out,
                 events_path=args.events_out,
             )
-    if args.bare:
-        config = None
-    else:
-        config = _run_config(
-            args, tracing=bool(args.trace_out or args.events_out)
-        )
     result = run_node_batch(jobs, args.gpus, config, label="cli",
                             collector=collector)
     print(f"jobs: {len(jobs)}   gpus: {len(args.gpus)}   "

@@ -77,8 +77,9 @@ class RuntimeConfig:
     swap_retry_backoff_s:
         Initial wait before a context that failed to obtain device memory
         (and found no swap victim) retries after unbinding.  Consecutive
-        failures back off exponentially up to ``swap_retry_max_backoff_s``;
-        any device-memory release wakes waiters immediately.
+        failures back off exponentially up to the dispatcher's
+        ``SWAP_RETRY_MAX_BACKOFF_S`` (1 s); any device-memory release
+        wakes waiters immediately.
     migration_enabled:
         Dynamic binding from slower to faster GPUs when the latter become
         idle and no pending jobs exist (§5.3.4).
@@ -227,7 +228,6 @@ class RuntimeConfig:
     eviction_mode: str = "context"
     eviction_policy: str = "lru"
     swap_retry_backoff_s: float = 2e-3
-    swap_retry_max_backoff_s: float = 1.0
     migration_enabled: bool = False
     migration_min_speedup: float = 1.25
     offload_enabled: bool = False

@@ -50,6 +50,11 @@ __all__ = ["Dispatcher", "GraphInstance"]
 #: profiling hint (estimated GPU seconds, used by the SJF policy).
 HELLO_METHOD = "reproHello"
 
+#: Cap on the exponential back-off of a launch that found no device
+#: memory and no victim (§4.5); any device-memory release wakes it
+#: earlier.
+SWAP_RETRY_MAX_BACKOFF_S = 1.0
+
 _graph_ids = itertools.count(1)
 
 
@@ -608,19 +613,7 @@ class Dispatcher:
                 return
             vgpu = ctx.vgpu
             used = ctx.quantum_used_s
-            # In-flight overlap-engine write-backs target this context's
-            # device memory; they must land before swap-out releases it
-            # (swap_out_context drains too, but an explicit barrier here
-            # keeps the invariant even if that path changes).
-            yield from self.memory._drain_writebacks(ctx)
-            if self.config.locality_binding:
-                # Retention unbind: write dirty chunks back but leave the
-                # device copy cached, so a rebind to the same vGPU skips
-                # the re-fault entirely (§4.4 locality-aware binding).
-                yield from self.memory.unbind_retain(ctx)
-            else:
-                yield from self.memory.swap_out_context(ctx)
-            self.scheduler.release(ctx, "quantum expired")
+            yield from self.memory.unbind(ctx, "quantum expired", retain=True)
             self.stats.preemptions += 1
             if ctx.tenant is not None:
                 ctx.tenant.preemptions += 1
@@ -912,8 +905,7 @@ class Dispatcher:
                 if span is not None:
                     span.push("preempted")
                 try:
-                    yield from self.memory.swap_out_context(ctx, notify=False)
-                    self.scheduler.release(ctx, reason)
+                    yield from self.memory.unbind(ctx, reason, notify=False)
                     # When either branch wins, the AnyOf cancels the loser:
                     # a spent timeout leaves the kernel heap, an unneeded
                     # waiter leaves memory_freed's queue — so a later
@@ -924,7 +916,7 @@ class Dispatcher:
                 finally:
                     if span is not None:
                         span.pop()
-                backoff = min(backoff * 2, self.config.swap_retry_max_backoff_s)
+                backoff = min(backoff * 2, SWAP_RETRY_MAX_BACKOFF_S)
 
     # ------------------------------------------------------------------
     # failure handling (§4.6)

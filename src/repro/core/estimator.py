@@ -99,10 +99,10 @@ class RuntimeEstimator:
 
     def predict_for(self, ctx) -> Optional[float]:
         """Estimate for a runtime context via its tenant identity."""
-        tenant = getattr(ctx, "tenant", None)
+        tenant = ctx.tenant
         if tenant is None:
             return self.predict(None)
-        return self.predict(tenant.name, getattr(tenant, "group", None))
+        return self.predict(tenant.name, tenant.group)
 
     def __repr__(self) -> str:
         return (

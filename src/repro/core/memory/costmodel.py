@@ -176,7 +176,6 @@ class TransferCostModel:
         ctx: Any,
         vgpu: Any,
         active_per_device: Optional[dict] = None,
-        mem_needed: Optional[int] = None,
     ) -> float:
         """Modeled time-to-first-kernel for binding ``ctx`` to ``vgpu``."""
         device = vgpu.device
@@ -220,16 +219,12 @@ class TransferCostModel:
         ctx: Any,
         vgpus: Iterable[Any],
         active_per_device: Optional[dict] = None,
-        mem_needed: Optional[int] = None,
     ) -> List[Tuple[Any, float]]:
         """(vgpu, modeled cost) for every candidate, for BindingDecision
         tracing and min-cost selection."""
         if active_per_device is None:
             active_per_device = self.scheduler.active_per_device()
-        return [
-            (v, self.bind_cost(ctx, v, active_per_device, mem_needed))
-            for v in vgpus
-        ]
+        return [(v, self.bind_cost(ctx, v, active_per_device)) for v in vgpus]
 
     # ------------------------------------------------------------------
     # migration

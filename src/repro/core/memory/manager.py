@@ -117,8 +117,9 @@ class MemoryManager:
         )
         #: parent virtual ptr -> registration
         self.nested: Dict[int, NestedStructure] = {}
-        #: Wired by the runtime: unbind a context after an inter-app swap.
-        self.unbind_callback: Optional[Callable[[Context, str], None]] = None
+        #: Wired by the runtime: hand a context's vGPU back to the
+        #: scheduler (``Scheduler.release``) — the last step of :meth:`unbind`.
+        self.release_vgpu: Callable[[Context, str], None] = lambda c, r: None
         #: Wired by the runtime: contexts currently bound to a device.
         self.bound_contexts_on: Callable[[GPUDevice], List[Context]] = lambda d: []
         #: Fired whenever device memory is released anywhere on the node;
@@ -129,11 +130,6 @@ class MemoryManager:
         #: decide whether a too-large working set could fit *some* GPU
         #: (rebind) or none at all (application error).
         self.devices_fn: Callable[[], List[GPUDevice]] = lambda: []
-        #: Wired by the runtime: the dispatcher's journal-replay loop —
-        #: the single replay implementation (§4.6), shared so a full-node
-        #: restart replays with exactly the recovery path's semantics
-        #: (re-journaling, unbind + backoff on memory pressure).
-        self.replay_fn: Optional[Callable[[Context], Generator]] = None
         #: Overlap engine: per-context barrier events for in-flight
         #: asynchronous write-backs (checkpoints running behind the call
         #: path).  Every consumer of the dirty flags drains these first.
@@ -152,7 +148,7 @@ class MemoryManager:
         """One device→host write-back of authoritative device data."""
         self.stats.swap_bytes_out += nbytes
         self._swap_out_bytes.observe(nbytes)
-        tenant = getattr(ctx, "tenant", None)
+        tenant = ctx.tenant
         if tenant is not None:
             tenant.swap_bytes_out_total += nbytes
         if self.obs.enabled:
@@ -163,7 +159,7 @@ class MemoryManager:
         self.stats.h2d_device_transfers += 1
         self.stats.swap_bytes_in += nbytes
         self._swap_in_bytes.observe(nbytes)
-        tenant = getattr(ctx, "tenant", None)
+        tenant = ctx.tenant
         if tenant is not None:
             tenant.swap_bytes_in_total += nbytes
         if self.obs.enabled:
@@ -177,6 +173,82 @@ class MemoryManager:
         other mode this returns at once."""
         while self._pending_writebacks.get(ctx):
             yield self._pending_writebacks[ctx][0]
+
+    # ------------------------------------------------------------------
+    # the transfer rules every operation below shares
+    # ------------------------------------------------------------------
+    def _write_back(self, ctx: Context, pte: PageTableEntry) -> Generator:
+        """Synchronous write-back of every device-dirty run of ``pte``
+        through the bound vGPU; returns the bytes written.  Accounting
+        belongs to the write-back, not to a release: a clean entry moves
+        no data and observes neither the histogram nor a trace event."""
+        written = 0
+        for run in pte.writeback_runs():
+            yield from ctx.vgpu.memcpy_d2h(pte.device_ptr + run[0], run[1])
+            pte.complete_writeback(run)
+            self._account_swap_out(ctx, run[1])
+            written += run[1]
+        return written
+
+    @staticmethod
+    def _stage(ctx: Context, ptes: Sequence[PageTableEntry], d2h: bool) -> list:
+        """Enqueue every write-back (``d2h``) or fault-in run of ``ptes``
+        on the bound vGPU's copy stream before any is awaited, keeping
+        the copy engine busy back-to-back; returns ``(pte, run, event)``
+        triples for :meth:`_land`."""
+        copy = ctx.vgpu.memcpy_d2h_async if d2h else ctx.vgpu.memcpy_h2d_async
+        return [
+            (pte, run, copy(pte.device_ptr + run[0], run[1]))
+            for pte in ptes
+            for run in (pte.writeback_runs() if d2h else pte.fault_runs())
+        ]
+
+    def _land(
+        self, ctx: Context, staged: list, d2h: bool,
+        on_land: Optional[Callable[[PageTableEntry, Tuple[int, int]], None]] = None,
+    ) -> Generator:
+        """Await :meth:`_stage`'d transfers in order, marking and
+        accounting each run as it lands (then calling ``on_land``)."""
+        for pte, run, ev in staged:
+            yield ev
+            if d2h:
+                pte.complete_writeback(run)
+                self._account_swap_out(ctx, run[1])
+            else:
+                pte.complete_fault(run)
+                self._account_swap_in(ctx, run[1])
+            if on_land is not None:
+                on_land(pte, run)
+
+    def _release_device(self, ctx: Context, pte: PageTableEntry) -> Generator:
+        """Free ``pte``'s device memory without write-back; returns
+        whether a device free ran.  A retained cache is freed through the
+        caching vGPU (the pointer's owner, wherever the context is bound
+        now), and simply lost if that device has failed; a bound entry is
+        freed on its vGPU, where a failed device raises into recovery."""
+        cache = ctx.cache_vgpu
+        freed = False
+        if cache is not None:
+            if cache.cuda_context is not None and not cache.device.failed:
+                yield from cache.free(pte.device_ptr)
+                freed = True
+        else:
+            assert ctx.bound, "resident allocation implies a bound context"
+            yield from ctx.vgpu.free(pte.device_ptr)
+            freed = True
+        pte.discard_device_dirty()
+        pte.release_device()
+        return freed
+
+    @staticmethod
+    def _fits(device: GPUDevice, required_bytes: int, min_contiguous: int) -> bool:
+        """``device`` has ``required_bytes`` free, in a block of at least
+        ``min_contiguous``."""
+        allocator = device.allocator
+        return (
+            allocator.free_bytes >= required_bytes
+            and allocator.largest_free_block >= min_contiguous
+        )
 
     # ------------------------------------------------------------------
     # Table 1: Malloc
@@ -198,7 +270,7 @@ class MemoryManager:
             raise RuntimeApiError(
                 RuntimeErrorCode.SWAP_ALLOCATION_FAILED, f"invalid size {size}"
             )
-        tenant = getattr(ctx, "tenant", None)
+        tenant = ctx.tenant
         if (
             self.config.qos_enabled
             and tenant is not None
@@ -276,17 +348,14 @@ class MemoryManager:
                 # Overlap mode: push the data now.  (A residency cache held
                 # by a *different* vGPU owns the device pointer — that case
                 # stays staged and resolves at the next launch's reconcile.)
-                if not pte.chunked:
-                    # A whole entry pushes exactly the bytes just written
-                    # (its one fault run would cover the whole allocation).
-                    yield from ctx.vgpu.memcpy_h2d(pte.device_ptr, nbytes)
-                    pte.complete_fault((0, pte.size))
+                # A whole entry pushes exactly the bytes just written, not
+                # its one fault run covering the whole allocation.
+                for run in pte.fault_runs():
+                    yield from ctx.vgpu.memcpy_h2d(
+                        pte.device_ptr + run[0], run[1] if pte.chunked else nbytes
+                    )
+                    pte.complete_fault(run)
                     self.stats.h2d_device_transfers += 1
-                else:
-                    for run in pte.fault_runs():
-                        yield from ctx.vgpu.memcpy_h2d(pte.device_ptr + run[0], run[1])
-                        pte.complete_fault(run)
-                        self.stats.h2d_device_transfers += 1
 
     # ------------------------------------------------------------------
     # Table 1: Copy_DH
@@ -312,10 +381,7 @@ class MemoryManager:
             yield from self._drain_writebacks(ctx)
             if pte.to_copy_2swap:
                 assert ctx.bound, "dirty device data implies a bound context"
-                for run in pte.writeback_runs():
-                    yield from ctx.vgpu.memcpy_d2h(pte.device_ptr + run[0], run[1])
-                    pte.complete_writeback(run)
-                    self._account_swap_out(ctx, run[1])
+                yield from self._write_back(ctx, pte)
                 self._maybe_clear_journal(ctx)
             yield self.env.timeout(self.swap.read_seconds(nbytes))
 
@@ -332,22 +398,8 @@ class MemoryManager:
         with _span_phase(ctx, "writeback_drain"):
             yield from self._drain_writebacks(ctx)
         if pte.is_allocated:
-            if ctx.cache_vgpu is not None:
-                # Retained residency: the caching vGPU's CUDA context
-                # owns the pointer, wherever (if anywhere) the context is
-                # bound now.
-                cache = ctx.cache_vgpu
-                if cache.cuda_context is not None and not cache.device.failed:
-                    yield from cache.free(pte.device_ptr)
-                pte.discard_device_dirty()
-                pte.release_device()
-                self.memory_freed.notify_all()
-            else:
-                assert ctx.bound, "resident allocation implies a bound context"
-                yield from ctx.vgpu.free(pte.device_ptr)
-                pte.discard_device_dirty()
-                pte.release_device()
-                self.memory_freed.notify_all()
+            yield from self._release_device(ctx, pte)
+            self.memory_freed.notify_all()
         if pte.swap_ptr is not None:
             self.swap.release(pte.swap_ptr)
             pte.swap_ptr = None
@@ -559,21 +611,11 @@ class MemoryManager:
         """One bulk H2D per entry whose swap copy is authoritative —
         however many copy_HD calls preceded it (coalescing, §4.5)."""
         if self.config.overlap_transfers:
-            # Pipelined: enqueue every bulk transfer on the copy stream
-            # before awaiting the first, so the stream worker keeps the
-            # copy engine saturated back-to-back while other tenants'
-            # kernels hold the execution engine.  Chunked entries enqueue
-            # one transfer per contiguous dirty run — finer pipelining
+            # Pipelined, so the copy engine stays busy while other
+            # tenants' kernels hold the execution engine.  Chunked entries
+            # enqueue one transfer per contiguous run — finer pipelining
             # units for the same total bytes.
-            staged = [
-                (pte, run, ctx.vgpu.memcpy_h2d_async(pte.device_ptr + run[0], run[1]))
-                for pte in ptes
-                for run in pte.fault_runs()
-            ]
-            for pte, run, ev in staged:
-                yield ev
-                pte.complete_fault(run)
-                self._account_swap_in(ctx, run[1])
+            yield from self._land(ctx, self._stage(ctx, ptes, d2h=False), d2h=False)
             return
         for pte in ptes:
             for run in pte.fault_runs():
@@ -621,14 +663,7 @@ class MemoryManager:
         # An in-flight asynchronous write-back may target this entry.
         yield from self._drain_writebacks(ctx)
         if pte.to_copy_2swap:
-            # Accounting belongs to the write-back, not the release: a
-            # clean entry moves no data, so it must observe neither the
-            # histogram nor the swap-out trace event.  Chunked entries
-            # write back only their dirty runs.
-            for run in pte.writeback_runs():
-                yield from ctx.vgpu.memcpy_d2h(pte.device_ptr + run[0], run[1])
-                pte.complete_writeback(run)
-                self._account_swap_out(ctx, run[1])
+            yield from self._write_back(ctx, pte)
         yield from ctx.vgpu.free(pte.device_ptr)
         pte.release_device()
         pte.prefetched = False
@@ -655,10 +690,7 @@ class MemoryManager:
             device = ctx.vgpu.device
             yield from self._reclaim_cached(ctx, device, required_bytes,
                                             min_contiguous)
-            if (
-                device.allocator.free_bytes >= required_bytes
-                and device.allocator.largest_free_block >= min_contiguous
-            ):
+            if self._fits(device, required_bytes, min_contiguous):
                 return
         if not self.config.enable_inter_swap:
             self.stats.swap_retries += 1
@@ -676,11 +708,10 @@ class MemoryManager:
             if not self._victim_eligible(victim, ctx.vgpu.device, required_bytes):
                 self.stats.swap_retries += 1
                 raise NeedRetry(required_bytes)
-            yield from self.swap_out_context(victim)
+            yield from self.unbind(victim, "inter-application swap")
+            # Counted only once the swap-out succeeded.
             victim.swaps_suffered += 1
             self.stats.swaps_inter += 1
-            if self.unbind_callback is not None:
-                self.unbind_callback(victim, "inter-application swap")
         finally:
             victim.lock.release()
 
@@ -738,15 +769,8 @@ class MemoryManager:
         clearing everything).
         """
         device = ctx.vgpu.device
-
-        def satisfied() -> bool:
-            # Memory already free counts toward the requester's need.
-            return (
-                device.allocator.free_bytes >= required_bytes
-                and device.allocator.largest_free_block >= min_contiguous
-            )
-
-        if satisfied():
+        # Memory already free counts toward the requester's need.
+        if self._fits(device, required_bytes, min_contiguous):
             return
         candidates = [
             (other, pte)
@@ -755,30 +779,15 @@ class MemoryManager:
             for pte in self.page_table.entries_for(other)
             if pte.is_allocated
         ]
-        freed = 0
-        dirty_written = 0
-        touched: List[Context] = []
-        for victim, pte in self.eviction_policy.order(candidates):
-            if satisfied():
-                break
-            yield victim.lock.acquire()
-            try:
-                # Re-check under the lock: the victim may have resumed (or
-                # freed the entry) while we waited.
-                if not self._victim_context_eligible(victim, device):
-                    continue
-                if not pte.is_allocated:
-                    continue
-                dirty_written += pte.dirty_bytes()
-                yield from self._swap_entry(victim, pte)
-                freed += pte.size
-                if victim not in touched:
-                    touched.append(victim)
-                    victim.swaps_suffered += 1
-                    self.stats.swaps_inter += 1
-                self._maybe_clear_journal(victim)
-            finally:
-                victim.lock.release()
+        freed, dirty_written, touched = yield from self._evict_entries(
+            ctx,
+            self.eviction_policy.order(candidates),
+            lambda: self._fits(device, required_bytes, min_contiguous),
+            device,
+        )
+        for victim in touched:
+            victim.swaps_suffered += 1
+            self.stats.swaps_inter += 1
         if freed == 0:
             self.stats.swap_retries += 1
             raise NeedRetry(required_bytes)
@@ -789,6 +798,50 @@ class MemoryManager:
             self.obs.eviction(
                 ctx, self.eviction_policy.name, freed, dirty_written, len(touched)
             )
+
+    def _evict_entries(
+        self,
+        ctx: Context,
+        ordered: Sequence[Tuple[Context, PageTableEntry]],
+        done: Callable[[], bool],
+        device: Optional[GPUDevice] = None,
+    ) -> Generator:
+        """Swap out ``(owner, entry)`` pairs in order until ``done()``;
+        returns ``(freed, dirty_written, victims)``, the distinct other
+        owners that lost an entry.
+
+        The requester's own entries are taken directly (it holds its own
+        lock) and wake no waiters.  Another owner is locked and re-checked
+        first — it may have resumed or freed the entry while we waited —
+        and must still be an eligible victim on ``device`` (the
+        requester's), or with no ``device`` on its own current one.
+        """
+        freed = dirty_written = 0
+        victims: List[Context] = []
+        for victim, pte in ordered:
+            if done():
+                break
+            other = victim is not ctx
+            if other:
+                yield victim.lock.acquire()
+            try:
+                if other and not self._victim_context_eligible(
+                    victim, device if device is not None else victim.device
+                ):
+                    continue
+                if not pte.is_allocated:
+                    continue
+                dirty_written += pte.dirty_bytes()
+                yield from self._swap_entry(victim, pte, notify=other)
+                freed += pte.size
+                if other:
+                    if victim not in victims:
+                        victims.append(victim)
+                    self._maybe_clear_journal(victim)
+            finally:
+                if other:
+                    victim.lock.release()
+        return freed, dirty_written, victims
 
     def _modeled_evict_cost(self, ctx: Context, pte: PageTableEntry) -> float:
         """The ``cost_aware`` eviction key under ``locality_binding``:
@@ -802,7 +855,7 @@ class MemoryManager:
         """Bytes the context's tenant currently sits above its device
         quota (0 when compliant, tenant-less, or QoS is off) — the
         quota_aware eviction ordering's key."""
-        tenant = getattr(ctx, "tenant", None)
+        tenant = ctx.tenant
         if (
             not self.config.qos_enabled
             or tenant is None
@@ -857,35 +910,11 @@ class MemoryManager:
                     for p in self.page_table.entries_for(member)
                     if p.is_allocated
                 ]
-        freed = 0
-        dirty_written = 0
-        for victim, pte in sorted(candidates, key=lambda c: (c[1].last_use, c[1].seq)):
-            if overage() <= 0:
-                break
-            if victim is ctx:
-                # The caller already holds its own lock (handler path).
-                if not pte.is_allocated:
-                    continue
-                dirty_written += pte.dirty_bytes()
-                yield from self._swap_entry(ctx, pte, notify=False)
-                freed += pte.size
-            else:
-                yield victim.lock.acquire()
-                try:
-                    # Re-check under the lock: the sibling may have
-                    # resumed (or freed the entry) while we waited.
-                    if not self._victim_context_eligible(
-                        victim, victim.vgpu.device if victim.bound else None
-                    ):
-                        continue
-                    if not pte.is_allocated:
-                        continue
-                    dirty_written += pte.dirty_bytes()
-                    yield from self._swap_entry(victim, pte)
-                    freed += pte.size
-                    self._maybe_clear_journal(victim)
-                finally:
-                    victim.lock.release()
+        freed, dirty_written, _ = yield from self._evict_entries(
+            ctx,
+            sorted(candidates, key=lambda c: (c[1].last_use, c[1].seq)),
+            lambda: overage() <= 0,
+        )
         if freed:
             self.stats.quota_evictions += 1
             self.stats.quota_eviction_bytes += freed
@@ -899,41 +928,43 @@ class MemoryManager:
         Afterwards the swap area captures the full device state of the
         application, so its failure-replay journal can be cleared.
         """
+        yield from self._drain_writebacks(ctx)
+        resident = [p for p in self.page_table.entries_for(ctx) if p.is_allocated]
         if self.config.overlap_transfers:
-            yield from self._swap_out_context_pipelined(ctx, notify)
-            return
-        for pte in self.page_table.entries_for(ctx):
-            if pte.is_allocated:
+            # Pipelined: every write-back lands before the first free,
+            # instead of one call/return round trip per entry; the frees
+            # below then find clean entries and wake waiters once.
+            yield from self._land(ctx, self._stage(ctx, resident, d2h=True), d2h=True)
+            for pte in resident:
+                yield from self._swap_entry(ctx, pte, notify=False)
+            if notify and resident:
+                self.memory_freed.notify_all()
+        else:
+            # One entry at a time: each is written back, freed and
+            # announced before the next.
+            for pte in resident:
                 yield from self._swap_entry(ctx, pte, notify=notify)
         if ctx.cache_vgpu is ctx.vgpu:
             ctx.cache_vgpu = None
         ctx.replay_journal.clear()
 
-    def _swap_out_context_pipelined(self, ctx: Context, notify: bool) -> Generator:
-        """Whole-context swap-out through the copy stream: every dirty
-        write-back is enqueued before the first is awaited, keeping the
-        copy engine saturated back-to-back instead of paying a full
-        call/return round trip per entry."""
-        yield from self._drain_writebacks(ctx)
-        resident = [p for p in self.page_table.entries_for(ctx) if p.is_allocated]
-        staged = [
-            (pte, run, ctx.vgpu.memcpy_d2h_async(pte.device_ptr + run[0], run[1]))
-            for pte in resident
-            for run in pte.writeback_runs()
-        ]
-        for pte, run, ev in staged:
-            yield ev
-            pte.complete_writeback(run)
-            self._account_swap_out(ctx, run[1])
-        for pte in resident:
-            yield from ctx.vgpu.free(pte.device_ptr)
-            pte.release_device()
-            pte.prefetched = False
-        if notify and resident:
-            self.memory_freed.notify_all()
-        if ctx.cache_vgpu is ctx.vgpu:
-            ctx.cache_vgpu = None
-        ctx.replay_journal.clear()
+    def unbind(
+        self, ctx: Context, reason: str, retain: bool = False, notify: bool = True
+    ) -> Generator:
+        """Unbind ``ctx`` (§4.4): capture its device state in the swap
+        area, then hand its vGPU back to the scheduler.
+
+        ``retain=True`` (quantum expiry, the CPU-phase reaper) keeps the
+        device copy as a clean residency cache under ``locality_binding``
+        (:meth:`unbind_retain`) instead of swapping out.  ``notify=False``
+        is for a context unbinding itself after a failed launch, so stuck
+        contexts do not wake each other in a retry storm.
+        """
+        if retain and self.config.locality_binding:
+            yield from self.unbind_retain(ctx)
+        else:
+            yield from self.swap_out_context(ctx, notify=notify)
+        self.release_vgpu(ctx, reason)
 
     # ------------------------------------------------------------------
     # locality retention (§4.4 + the transfer-cost model)
@@ -947,8 +978,8 @@ class MemoryManager:
         journal clears and every later consumer of the swap state stays
         correct), while a rebinding that lands back on the caching vGPU
         finds the working set resident and skips the fault-in entirely.
-        The caller still releases the vGPU afterwards, exactly like a
-        swap-out unbind.
+        :meth:`unbind` then releases the vGPU, exactly as after a
+        swap-out.
         """
         assert ctx.bound, "unbind_retain requires a bound context"
         assert ctx.cache_vgpu is None or ctx.cache_vgpu is ctx.vgpu, (
@@ -957,13 +988,9 @@ class MemoryManager:
         yield from self._drain_writebacks(ctx)
         cached = False
         for pte in self.page_table.entries_for(ctx):
-            if not pte.is_allocated:
-                continue
-            for run in pte.writeback_runs():
-                yield from ctx.vgpu.memcpy_d2h(pte.device_ptr + run[0], run[1])
-                pte.complete_writeback(run)
-                self._account_swap_out(ctx, run[1])
-            cached = True
+            if pte.is_allocated:
+                yield from self._write_back(ctx, pte)
+                cached = True
         ctx.replay_journal.clear()
         if cached:
             ctx.cache_vgpu = ctx.vgpu
@@ -1032,20 +1059,13 @@ class MemoryManager:
         synchronous release happen atomically (no intervening yield), so
         a skipped victim simply keeps its cache.
         """
-
-        def satisfied() -> bool:
-            return (
-                device.allocator.free_bytes >= required_bytes
-                and device.allocator.largest_free_block >= min_contiguous
-            )
-
         freed = 0
         for victim in list(self.page_table.contexts()):
-            if satisfied():
+            if self._fits(device, required_bytes, min_contiguous):
                 break
             if victim is ctx or victim.bound:
                 continue
-            cache = getattr(victim, "cache_vgpu", None)
+            cache = victim.cache_vgpu
             if cache is None or cache.device is not device or victim.lock.locked:
                 continue
             freed += yield from self.drop_cache(victim)
@@ -1111,11 +1131,7 @@ class MemoryManager:
         if self.config.overlap_transfers and ctx.bound:
             with _span_phase(ctx, "writeback_drain"):
                 yield from self._drain_writebacks(ctx)
-            staged = [
-                (pte, run, ctx.vgpu.memcpy_d2h_async(pte.device_ptr + run[0], run[1]))
-                for pte in self.page_table.entries_for(ctx)
-                for run in pte.writeback_runs()
-            ]
+            staged = self._stage(ctx, self.page_table.entries_for(ctx), d2h=True)
             barrier = self.env.event()
             self._pending_writebacks.setdefault(ctx, []).append(barrier)
             self.env.process(
@@ -1126,11 +1142,7 @@ class MemoryManager:
         written = 0
         with _span_phase(ctx, "writeback_drain"):
             for pte in self.page_table.entries_for(ctx):
-                for run in pte.writeback_runs():
-                    yield from ctx.vgpu.memcpy_d2h(pte.device_ptr + run[0], run[1])
-                    pte.complete_writeback(run)
-                    self._account_swap_out(ctx, run[1])
-                    written += run[1]
+                written += yield from self._write_back(ctx, pte)
         ctx.replay_journal.clear()
         self.stats.checkpoints += 1
         if self.obs.enabled:
@@ -1139,28 +1151,22 @@ class MemoryManager:
     def _finish_checkpoint(
         self,
         ctx: Context,
-        staged: List[Tuple[PageTableEntry, Tuple[int, int], Event]],
+        staged: list,
         barrier: Event,
     ) -> Generator:
         """Completer for an asynchronous checkpoint: marks entries clean
         as their write-backs land, then clears the replay journal."""
-        written = 0
         try:
-            for pte, run, ev in staged:
-                try:
-                    yield ev
-                except CudaRuntimeError:
-                    # Device died mid-write-back; the swap copies already
-                    # landed stay valid, recovery owns the rest.
-                    return
-                pte.complete_writeback(run)
-                self._account_swap_out(ctx, run[1])
-                written += run[1]
+            yield from self._land(ctx, staged, d2h=True)
             if ctx.state is not ContextState.FAILED:
                 ctx.replay_journal.clear()
                 self.stats.checkpoints += 1
                 if self.obs.enabled:
-                    self.obs.checkpoint(ctx, written)
+                    self.obs.checkpoint(ctx, sum(run[1] for _, run, _ in staged))
+        except CudaRuntimeError:
+            # Device died mid-write-back; the swap copies already landed
+            # stay valid, recovery owns the rest.
+            pass
         finally:
             # Remove before succeeding so woken drainers see the barrier
             # gone when they re-check the pending list.
@@ -1180,22 +1186,6 @@ class MemoryManager:
             pte.prefetched = False
             if pte.is_allocated:
                 pte.drop_device_state()
-
-    def replay(self, ctx: Context) -> Generator:
-        """Re-execute journaled kernels after a failure rebind (§4.6:
-        only memory operations required by not-yet-executed kernels are
-        replayed — the journal holds exactly the launches whose effects
-        were not yet captured in the swap area).
-
-        Delegates to the dispatcher's journal-replay loop (wired through
-        :attr:`replay_fn`) so full-node restart and single-device recovery
-        share one replay implementation — same re-journaling, same
-        unbind-and-back-off behavior under memory pressure — instead of
-        two slowly diverging copies.
-        """
-        assert self.replay_fn is not None, "replay_fn not wired by the runtime"
-        replayed = yield from self.replay_fn(ctx)
-        return replayed
 
     # ------------------------------------------------------------------
     # overlap engine: CPU-phase prefetch
@@ -1217,7 +1207,8 @@ class MemoryManager:
             # pointers a foreign CUDA context owns.
             yield from self._reconcile_cache(ctx)
         device = ctx.vgpu.device
-        staged: List[Tuple[PageTableEntry, Tuple[int, int], Event]] = []
+        staged = []
+        # Each entry is staged right after its own allocation.
         for vptr in vptrs:
             try:
                 pte = self.page_table.lookup(ctx, vptr)
@@ -1233,18 +1224,14 @@ class MemoryManager:
                         raise
                     continue
                 pte.allocate_device(address, ctx.vgpu.device.device_id)
-            for run in pte.fault_runs():
-                staged.append(
-                    (pte, run, ctx.vgpu.memcpy_h2d_async(pte.device_ptr + run[0], run[1]))
-                )
-        for pte, run, ev in staged:
-            yield ev
-            pte.complete_fault(run)
-            self._account_swap_in(ctx, run[1])
-            self.stats.prefetch_bytes += run[1]
-            if not pte.prefetched:
-                pte.prefetched = True
-                self.stats.prefetch_issued += 1
+            staged += self._stage(ctx, (pte,), d2h=False)
+        yield from self._land(ctx, staged, d2h=False, on_land=self._count_prefetch)
+
+    def _count_prefetch(self, pte: PageTableEntry, run: Tuple[int, int]) -> None:
+        self.stats.prefetch_bytes += run[1]
+        if not pte.prefetched:
+            pte.prefetched = True
+            self.stats.prefetch_issued += 1
 
     # ------------------------------------------------------------------
     def release_context(self, ctx: Context) -> Generator:
@@ -1253,21 +1240,9 @@ class MemoryManager:
         yield from self._drain_writebacks(ctx)
         released_device_memory = False
         for pte in self.page_table.entries_for(ctx):
-            if pte.is_allocated and ctx.cache_vgpu is not None:
-                # Exit with a retained cache: free via the caching vGPU's
-                # CUDA context (the pointer owner), unless its device is
-                # already gone.
-                cache = ctx.cache_vgpu
-                if cache.cuda_context is not None and not cache.device.failed:
-                    yield from cache.free(pte.device_ptr)
+            if pte.is_allocated:
+                if (yield from self._release_device(ctx, pte)):
                     released_device_memory = True
-                pte.discard_device_dirty()
-                pte.release_device()
-            elif pte.is_allocated and ctx.bound:
-                yield from ctx.vgpu.free(pte.device_ptr)
-                pte.discard_device_dirty()
-                pte.release_device()
-                released_device_memory = True
             if pte.swap_ptr is not None:
                 self.swap.release(pte.swap_ptr)
                 pte.swap_ptr = None
@@ -1288,11 +1263,3 @@ class MemoryManager:
         entry is device-dirty, the swap area is a complete checkpoint."""
         if not any(p.to_copy_2swap for p in self.page_table.entries_for(ctx)):
             ctx.replay_journal.clear()
-
-    def mem_usage(self, ctx: Context) -> int:
-        """The paper's ``MemUsage`` for one context."""
-        return self.page_table.allocated_bytes(ctx)
-
-    def mem_avail(self, device: GPUDevice) -> int:
-        """The paper's ``MemAvailList`` entry for one device."""
-        return device.allocator.free_bytes

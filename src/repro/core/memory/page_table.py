@@ -509,21 +509,3 @@ class PageTable:
 
     def total_bytes(self, ctx: Any) -> int:
         return sum(p.size for p in self._by_context.get(ctx, ()))
-
-    def resident_bytes_on(self, ctx: Any, device_id: int) -> int:
-        """Chunk-aware bytes of ``ctx`` current on ``device_id``: resident
-        allocation minus what would still have to fault in.  The signal
-        the transfer-cost model scores candidate devices by."""
-        return sum(
-            p.size - p.fault_bytes()
-            for p in self._by_context.get(ctx, ())
-            if p.is_allocated and p.device_id == device_id
-        )
-
-    def resident_device(self, ctx: Any) -> Optional[int]:
-        """The device holding ``ctx``'s resident entries (None if no
-        entry is device-resident)."""
-        for p in self._by_context.get(ctx, ()):
-            if p.is_allocated and p.device_id is not None:
-                return p.device_id
-        return None

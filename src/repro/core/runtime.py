@@ -120,16 +120,13 @@ class NodeRuntime:
         # histograms are created by the dispatcher, scheduler and memory
         # manager against this same registry.)
         # Wire the memory manager's collaboration points.
-        self.memory.unbind_callback = self._unbind_after_inter_swap
+        self.memory.release_vgpu = self.scheduler.release
         self.memory.bound_contexts_on = self.scheduler.bound_contexts_on
         self.memory.devices_fn = lambda: [
             d for d in self.driver.devices if not d.failed
         ]
         # Memory-informed placement (§4.5 MemUsage/CapacityList).
         self.scheduler.mem_needed_fn = self.memory.page_table.total_bytes
-        # Single replay implementation (§4.6): full-node restart replays
-        # through the dispatcher's recovery loop.
-        self.memory.replay_fn = self.dispatcher.replay_journal
         # Engine-occupancy tracing: the driver reports every copy/exec
         # span; forwarded onto the event bus when tracing is enabled.
         self.driver.span_hook = self._on_engine_span
@@ -219,8 +216,7 @@ class NodeRuntime:
             yield ctx.lock.acquire()
             try:
                 if ctx.bound and ctx.vgpu.device is device:
-                    yield from self.memory.swap_out_context(ctx)
-                    self.scheduler.release(ctx, "device downgrade")
+                    yield from self.memory.unbind(ctx, "device downgrade")
             finally:
                 ctx.lock.release()
         for vgpu in self.scheduler.vgpus:
@@ -232,9 +228,6 @@ class NodeRuntime:
     # ------------------------------------------------------------------
     # collaboration points
     # ------------------------------------------------------------------
-    def _unbind_after_inter_swap(self, victim: Context, reason: str) -> None:
-        self.scheduler.release(victim, reason)
-
     def _on_tenant_registered(self, tenant) -> None:
         """Per-tenant observability: callback gauges so exports and
         node_report() always see live usage without push updates."""
@@ -314,13 +307,7 @@ class NodeRuntime:
                 and self.scheduler.waiting_count > 0
                 and ctx.state is ContextState.ASSIGNED
             ):
-                if self.config.locality_binding:
-                    # Retention unbind: dirty chunks go to swap but the
-                    # device copy stays cached for a same-vGPU rebind.
-                    yield from self.memory.unbind_retain(ctx)
-                else:
-                    yield from self.memory.swap_out_context(ctx)
-                self.scheduler.release(ctx, "cpu-phase unbind")
+                yield from self.memory.unbind(ctx, "cpu-phase unbind", retain=True)
         finally:
             ctx.lock.release()
 

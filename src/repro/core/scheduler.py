@@ -146,7 +146,7 @@ class Scheduler:
         return sum(1 for v in self.vgpus if not v.retired)
 
     def idle_vgpus(self) -> List[VirtualGPU]:
-        return [v for v in self.vgpus if v.idle and not getattr(v, "reserved", False)]
+        return [v for v in self.vgpus if v.idle and not v.reserved]
 
     def active_per_device(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}
@@ -201,7 +201,7 @@ class Scheduler:
         already holds its configured fraction of the node's vGPUs
         (rounded up to at least one) — the context must wait even if a
         vGPU is idle, leaving headroom for other tenants."""
-        tenant = getattr(ctx, "tenant", None)
+        tenant = ctx.tenant
         if (
             not self.config.qos_enabled
             or tenant is None
@@ -209,11 +209,7 @@ class Scheduler:
         ):
             return False
         cap = max(1, int(tenant.vgpu_share * self.total_vgpus))
-        held = sum(
-            1
-            for c in self.bound_contexts()
-            if getattr(c, "tenant", None) is tenant
-        )
+        held = sum(1 for c in self.bound_contexts() if c.tenant is tenant)
         return held >= cap
 
     def request_binding(self, ctx: Context, front: bool = False) -> Generator:
@@ -255,7 +251,7 @@ class Scheduler:
         # A vGPU may be idle while waiters exist (policy reordering);
         # try a grant round before blocking.
         self._grant_waiting()
-        span = getattr(ctx, "span", None)
+        span = ctx.span
         if span is not None:
             span.push("bind_wait")
         try:
@@ -294,10 +290,9 @@ class Scheduler:
         keep active vGPU counts uniform across devices (the paper's load
         balancing), avoid devices that cannot hold the context's data
         right now, then favour faster devices."""
-        mem_needed = self.mem_needed_fn(ctx)
         active = self.active_per_device()
         if self.cost_model is not None:
-            scored = self.cost_model.score_candidates(ctx, idle, active, mem_needed)
+            scored = self.cost_model.score_candidates(ctx, idle, active)
             if scored:
                 chosen, _cost = min(
                     scored,
@@ -306,6 +301,7 @@ class Scheduler:
                 if self.obs.enabled:
                     self.obs.binding_decision(ctx, chosen, scored)
                 return chosen
+        mem_needed = self.mem_needed_fn(ctx)
 
         def key(vgpu: VirtualGPU):
             device = vgpu.device

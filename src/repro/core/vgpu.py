@@ -50,6 +50,9 @@ class VirtualGPU:
         self.total_bound_seconds = 0.0
         self._bound_at: Optional[float] = None
         self.retired = False
+        #: Held for an in-flight migration (repro.core.migration): idle
+        #: but not grantable to waiters.
+        self.reserved = False
         #: Tracing bus (repro.obs), injected by the scheduler at spawn so
         #: every bind/unbind — scheduler grant, migration, recovery — is
         #: observed at this single choke point.

@@ -67,7 +67,7 @@ def _restore_and_replay(swap_chunk_bytes):
         # The dispatcher would do this on the restored connection's first
         # call: bind, then replay the journal.
         yield from runtime.scheduler.request_binding(ctx)
-        yield from runtime.memory.replay(ctx)
+        yield from runtime.dispatcher.replay_journal(ctx)
 
     p = env.process(resume())
     env.run(until=p)
@@ -111,7 +111,7 @@ def test_restart_then_continue_and_exit_cleanly():
 
     def resume_and_finish():
         yield from runtime.scheduler.request_binding(ctx)
-        yield from runtime.memory.replay(ctx)
+        yield from runtime.dispatcher.replay_journal(ctx)
         # ...and the application continues past the checkpoint.
         yield from runtime.memory.prepare_and_launch(ctx, k, new_ptrs)
         yield from runtime.memory.copy_d2h(ctx, new_ptrs[0], 16 * MIB)

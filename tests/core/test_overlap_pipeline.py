@@ -177,14 +177,6 @@ def test_copy_d2h_write_back_accounts_bytes_histogram_and_event():
 
 
 # ----------------------------------------------------------------------
-# bugfix: one replay implementation
-# ----------------------------------------------------------------------
-def test_memory_replay_delegates_to_dispatcher_loop():
-    h = Harness()
-    assert h.memory.replay_fn == h.runtime.dispatcher.replay_journal
-
-
-# ----------------------------------------------------------------------
 # bugfix: device retirement must not strand waiting contexts
 # ----------------------------------------------------------------------
 def test_retiring_last_device_fails_waiters_instead_of_hanging():

@@ -53,6 +53,23 @@ def test_run_rejects_bad_job_count(capsys):
     assert "bad job count 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [["--jobs", "2"], ["trace", "--synthetic", "5"]])
+@pytest.mark.parametrize("flags, message", [
+    (["--vgpus", "0"], "vgpus_per_device must be >= 1"),
+    (["--swap-chunk-mib", "-1"], "swap_chunk_bytes must be >= 0"),
+    (["--batch-max-calls", "0"], "batch_max_calls must be >= 1"),
+    (["--vgpu-quantum-s", "0"], "vgpu_quantum_s must be positive"),
+])
+def test_run_rejects_invalid_runtime_config(capsys, tmp_path, mode, flags, message):
+    metrics = tmp_path / "m.txt"
+    rc = main(["run", *mode, *flags, "--metrics-out", str(metrics)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"repro run: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert not metrics.exists()  # rejected before any output is opened
+
+
 def test_run_with_policy_and_flags(capsys):
     rc = main([
         "run", "--jobs", "HS:2", "--policy", "sjf",
