@@ -66,8 +66,8 @@ def restore_context(
     relocates the application's saved pointers with it).
 
     The caller then binds the context and runs
-    :meth:`MemoryManager.replay` (with the translated journal installed
-    on ``ctx.replay_journal``) to regenerate device-only state.
+    :meth:`Dispatcher.replay_journal` (with the translated journal
+    installed on ``ctx.replay_journal``) to regenerate device-only state.
     """
     translation: Dict[int, int] = {}
     for old_vptr, (size, _has_data) in snap.entries.items():

@@ -210,7 +210,6 @@ class Dispatcher:
                 yield lock_acquire()
                 if span is not None:
                     span.pop()
-                begin_at = obs.call_begin(ctx, req.method) if obs.enabled else None
                 t0 = env.now
                 try:
                     # ``_dispatch`` charges the round-trip overhead inside
@@ -219,7 +218,7 @@ class Dispatcher:
                     result, error = yield from self._execute_call(
                         ctx, self._dispatch, req
                     )
-                    resp = self._finish_call(ctx, req, t0, begin_at, result, error)
+                    resp = self._finish_call(ctx, req, t0, result, error)
                 finally:
                     if span is not None:
                         # Everything from here until the response lands
@@ -272,16 +271,16 @@ class Dispatcher:
                 return None, exc
 
     def _finish_call(
-        self, ctx: Context, req: Request, t0: float, begin_at, result, error
+        self, ctx: Context, req: Request, t0: float, result, error
     ) -> Response:
         """Per-call bookkeeping once a call is served: latency and SLO
-        observation, the ``call_end`` event and ``calls_served``.
+        observation, the span's server interval and ``calls_served``.
         ``result`` is the body's ``(value, payload_bytes)`` or None."""
         elapsed = self.env.now - t0
         self._call_latency.observe(elapsed)
         self.runtime.slo.observe_call(ctx, elapsed)
-        if begin_at is not None:
-            self.obs.call_end(ctx, req.method, begin_at, error=_error_name(error))
+        if ctx.span is not None:
+            ctx.span.served(t0, ctx.vgpu)
         self.stats.calls_served += 1
         value, payload_bytes = result if result is not None else (None, 0)
         return Response(
@@ -377,7 +376,6 @@ class Dispatcher:
             if span is not None:
                 span.pop()  # its batch_queue wait ends; execution begins
                 ctx.span = span
-            begin_at = obs.call_begin(ctx, req.method) if obs.enabled else None
             t0 = env.now
             if first_error is not None:
                 result, error = None, RuntimeApiError(
@@ -393,7 +391,7 @@ class Dispatcher:
                     first_error, first_error_at = error, i
                 elif req.method == CallType.EXIT:
                     exited = True
-            responses.append(self._finish_call(ctx, req, t0, begin_at, result, error))
+            responses.append(self._finish_call(ctx, req, t0, result, error))
             if span is not None and i < last:
                 # Non-tail calls complete here; the reply wire leg is not
                 # theirs (it is charged once, to the tail call's span).
@@ -494,11 +492,9 @@ class Dispatcher:
         last = len(calls) - 1
         for i, req in enumerate(calls[:last]):
             span = spans[i]
-            if obs.enabled:
-                begin = obs.call_begin(ctx, req.method)
-                obs.call_end(ctx, req.method, begin)
             if span is not None:
                 span.pop()
+                span.served(env.now, ctx.vgpu)
                 obs.phase_breakdown(ctx, req.method, span)
             self.stats.calls_served += 1
         last_req = calls[last]
@@ -506,7 +502,6 @@ class Dispatcher:
         if last_span is not None:
             last_span.pop()
             ctx.span = last_span
-        begin_at = obs.call_begin(ctx, last_req.method) if obs.enabled else None
         t0 = env.now
         _, error = yield from self._execute_call(
             ctx, self._execute_graph, instance, launches
@@ -514,7 +509,7 @@ class Dispatcher:
         responses = [
             Response(request_id=req.request_id, error=error) for req in calls[:last]
         ]
-        responses.append(self._finish_call(ctx, last_req, t0, begin_at, None, error))
+        responses.append(self._finish_call(ctx, last_req, t0, None, error))
         return responses
 
     def _graph_valid(

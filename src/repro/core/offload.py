@@ -18,7 +18,7 @@ import dataclasses
 from typing import Generator, List, Optional, TYPE_CHECKING
 
 from repro.net.channel import LinkSpec, TCP_10GBE_LINK
-from repro.net.rpc import Request, Response
+from repro.net.rpc import BatchRequest, Request, Response
 from repro.net.socket import Socket, connect
 
 from repro.core.protocol import CallType
@@ -108,6 +108,8 @@ class OffloadManager:
             yield from remote.send(req, nbytes=req.wire_bytes)
             resp: Response = yield remote.recv()
             yield from app_sock.send(resp, nbytes=resp.wire_bytes)
-            if req.method == CallType.EXIT:
+            # A batch frame ends the connection when its tail call does.
+            tail = req.calls[-1] if isinstance(req, BatchRequest) else req
+            if tail.method == CallType.EXIT:
                 remote.close()
                 return

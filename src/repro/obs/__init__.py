@@ -16,8 +16,6 @@ from repro.obs.events import (
     BatchSubmit,
     Bind,
     BindingDecision,
-    CallBegin,
-    CallEnd,
     CheckpointTaken,
     EngineSpan,
     EVENT_TYPES,
@@ -72,8 +70,6 @@ __all__ = [
     "BatchSubmit",
     "Bind",
     "BindingDecision",
-    "CallBegin",
-    "CallEnd",
     "CheckpointTaken",
     "EngineSpan",
     "EVENT_TYPES",

@@ -20,8 +20,6 @@ import dataclasses
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 __all__ = [
-    "CallBegin",
-    "CallEnd",
     "EngineSpan",
     "SwapOut",
     "SwapIn",
@@ -44,39 +42,6 @@ __all__ = [
     "Tracer",
     "event_to_dict",
 ]
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class CallBegin:
-    """An intercepted call entered the dispatcher."""
-
-    kind: ClassVar[str] = "CallBegin"
-    at: float
-    context: str
-    method: str
-    device_id: Optional[int] = None
-    vgpu: Optional[str] = None
-    node: str = ""
-    tenant: str = ""
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class CallEnd:
-    """The call completed.  Carries its own begin time and duration so a
-    span can be reconstructed from this event alone (binding may have
-    happened mid-call, so the vGPU here is the one that served it)."""
-
-    kind: ClassVar[str] = "CallEnd"
-    at: float
-    context: str
-    method: str
-    begin_at: float = 0.0
-    duration: float = 0.0
-    device_id: Optional[int] = None
-    vgpu: Optional[str] = None
-    error: Optional[str] = None
-    node: str = ""
-    tenant: str = ""
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -282,7 +247,7 @@ class QueueDepthChanged:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class PhaseBreakdown:
-    """Causal latency attribution for one completed call.
+    """One completed call: the only per-call record.
 
     Emitted by the dispatcher when the response hits the wire, from the
     :class:`repro.obs.span.CallSpan` that travelled with the call.  The
@@ -290,6 +255,10 @@ class PhaseBreakdown:
     experiences it: wire out, queueing, memory work, execution, wire
     back) into named buckets that sum to it exactly; ``trace_id`` groups
     all calls of one connection and ``span_id`` is the RPC request id.
+    ``served_at``/``served_s`` are the server-side interval (lock
+    acquired to the call's bookkeeping) and ``device_id``/``vgpu`` the
+    vGPU that served it — binding may happen mid-call, and the context
+    may sit elsewhere once the reply lands.
     """
 
     kind: ClassVar[str] = "PhaseBreakdown"
@@ -300,6 +269,8 @@ class PhaseBreakdown:
     span_id: Optional[int] = None
     begin_at: float = 0.0
     wall: float = 0.0
+    served_at: float = 0.0
+    served_s: float = 0.0
     phases: Tuple[Tuple[str, float], ...] = ()
     tenant: str = ""
     error: Optional[str] = None
@@ -355,8 +326,6 @@ class GraphReplay:
 
 
 EVENT_TYPES: Tuple[type, ...] = (
-    CallBegin,
-    CallEnd,
     EngineSpan,
     SwapOut,
     SwapIn,
@@ -433,51 +402,10 @@ class Tracer:
     # ------------------------------------------------------------------
     # emission helpers (each is a no-op while disabled)
     # ------------------------------------------------------------------
-    def call_begin(self, ctx, method) -> Optional[float]:
-        if not self.enabled:
-            return None
-        at = self.env.now
-        device_id, vgpu = _ctx_location(ctx)
-        self.emit(
-            CallBegin(
-                at=at,
-                context=ctx.owner,
-                method=getattr(method, "value", str(method)),
-                device_id=device_id,
-                vgpu=vgpu,
-                node=self.node,
-                tenant=_ctx_tenant(ctx),
-            )
-        )
-        return at
-
-    def call_end(
-        self, ctx, method, begin_at: Optional[float], error: Optional[str] = None
-    ) -> None:
-        if not self.enabled or begin_at is None:
-            return
-        at = self.env.now
-        device_id, vgpu = _ctx_location(ctx)
-        self.emit(
-            CallEnd(
-                at=at,
-                context=ctx.owner,
-                method=getattr(method, "value", str(method)),
-                begin_at=begin_at,
-                duration=at - begin_at,
-                device_id=device_id,
-                vgpu=vgpu,
-                error=error,
-                node=self.node,
-                tenant=_ctx_tenant(ctx),
-            )
-        )
-
     def phase_breakdown(self, ctx, method, span, error: Optional[str] = None) -> None:
         """Emit the call's phase decomposition from its finished span."""
         if not self.enabled or span is None:
             return
-        device_id, vgpu = _ctx_location(ctx)
         phases = span.finish()
         self.emit(
             PhaseBreakdown(
@@ -488,11 +416,13 @@ class Tracer:
                 span_id=span.span_id,
                 begin_at=span.begin_at,
                 wall=span.wall,
+                served_at=span.served_at,
+                served_s=span.served_s,
                 phases=tuple(sorted(phases.items())),
                 tenant=_ctx_tenant(ctx),
                 error=error,
-                device_id=device_id,
-                vgpu=vgpu,
+                device_id=span.device_id,
+                vgpu=span.vgpu,
                 node=self.node,
             )
         )

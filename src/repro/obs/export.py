@@ -20,7 +20,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.obs.events import (
     Bind,
     BindingDecision,
-    CallEnd,
     CheckpointTaken,
     EngineSpan,
     Eviction,
@@ -63,7 +62,6 @@ _INSTANT_KINDS = (
     Preemption,
     BindingDecision,
     QueueDepthChanged,
-    PhaseBreakdown,
 )
 
 _US = 1e6  # seconds → trace-event microseconds
@@ -120,9 +118,10 @@ def _args(event: Any) -> Dict[str, Any]:
 def chrome_trace(events: Iterable[Any]) -> Dict[str, Any]:
     """Build a ``chrome://tracing`` / Perfetto JSON object.
 
-    ``CallEnd`` events become complete ("X") spans — they carry their own
-    begin time — and every other event kind becomes a thread-scoped
-    instant ("i") marker.
+    Each ``PhaseBreakdown`` becomes the call's complete ("X") span over
+    its server interval (``served_at``/``served_s``) on the serving vGPU's
+    row; ``EngineSpan`` events become "X" spans on per-engine rows; every
+    other event kind becomes a thread-scoped instant ("i") marker.
     """
     maps = _IdMaps()
     trace_events: List[Dict[str, Any]] = []
@@ -144,15 +143,15 @@ def chrome_trace(events: Iterable[Any]) -> Dict[str, Any]:
                     "args": _args(event),
                 }
             )
-        elif isinstance(event, CallEnd):
+        elif isinstance(event, PhaseBreakdown):
             pid, tid = _row(maps, event)
             trace_events.append(
                 {
                     "name": event.method,
                     "cat": "call",
                     "ph": "X",
-                    "ts": event.begin_at * _US,
-                    "dur": event.duration * _US,
+                    "ts": event.served_at * _US,
+                    "dur": event.served_s * _US,
                     "pid": pid,
                     "tid": tid,
                     "args": _args(event),
@@ -172,8 +171,6 @@ def chrome_trace(events: Iterable[Any]) -> Dict[str, Any]:
                     "args": _args(event),
                 }
             )
-        # CallBegin carries no information its CallEnd lacks; skipped to
-        # keep traces half the size.
     metadata: List[Dict[str, Any]] = []
     for pid, name in sorted(maps.process_names.items()):
         metadata.append(

@@ -75,9 +75,17 @@ class CallSpan:
         (``batch_queue``), ``wire_at`` to now on the wire (``rpc``).
         The frame's request wire leg is the *first* call's; later calls
         pass ``wire_at == arrival`` so their whole wait is queue time.
+
+    The dispatcher marks the server side of the call with
+    :meth:`served`: ``served_at``/``served_s`` are the interval from
+    lock acquired to the call's bookkeeping, and ``device_id``/``vgpu``
+    name the vGPU that served it (None while unbound).
     """
 
-    __slots__ = ("env", "trace_id", "span_id", "begin_at", "phases", "_stack", "_since")
+    __slots__ = (
+        "env", "trace_id", "span_id", "begin_at", "phases", "_stack", "_since",
+        "served_at", "served_s", "device_id", "vgpu",
+    )
 
     def __init__(
         self,
@@ -94,6 +102,10 @@ class CallSpan:
         self.phases: Dict[str, float] = {}
         self._stack: List[str] = []
         self._since = env.now
+        self.served_at = self._since
+        self.served_s = 0.0
+        self.device_id: Optional[int] = None
+        self.vgpu: Optional[str] = None
         if self.begin_at < self._since:
             # Time before the server saw the request: all wire on the
             # plain path; journaled-then-wire when the call was batched.
@@ -125,6 +137,15 @@ class CallSpan:
         self._settle()
         if self._stack:
             self._stack.pop()
+
+    def served(self, since: float, vgpu) -> None:
+        """Record the server interval ``[since, now]`` and the vGPU that
+        served the call (None when it ran unbound)."""
+        self.served_at = since
+        self.served_s = self.env.now - since
+        if vgpu is not None:
+            self.device_id = vgpu.device.device_id
+            self.vgpu = vgpu.name
 
     # ------------------------------------------------------------------
     @property

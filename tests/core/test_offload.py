@@ -1,6 +1,9 @@
 """Inter-node offloading tests (paper §4.7)."""
 
+import pytest
+
 from repro.core import Frontend, NodeRuntime, RuntimeConfig
+from repro.obs import PhaseBreakdown
 from repro.simcuda import CudaDriver, KernelDescriptor, TESLA_C1060, TESLA_C2050
 from repro.sim import Environment
 
@@ -10,10 +13,13 @@ MIB = 1024**2
 class TwoNodeHarness:
     """Node A (3 GPUs) and node B (1 GPU) with mutual offload peering."""
 
-    def __init__(self, vgpus=4, offload=True, margin=0.5):
+    def __init__(self, vgpus=4, offload=True, margin=0.5, **config):
         self.env = Environment()
         cfg = RuntimeConfig(
-            vgpus_per_device=vgpus, offload_enabled=offload, offload_load_margin=margin
+            vgpus_per_device=vgpus,
+            offload_enabled=offload,
+            offload_load_margin=margin,
+            **config,
         )
         self.driver_a = CudaDriver(self.env, [TESLA_C2050, TESLA_C2050, TESLA_C1060])
         self.driver_b = CudaDriver(self.env, [TESLA_C1060])
@@ -24,10 +30,15 @@ class TwoNodeHarness:
         self.env.process(self.node_a.start())
         self.env.process(self.node_b.start())
 
-    def job(self, node, name, results, kernels=3, kernel_s=0.5, cpu_s=0.1):
+    def job(self, node, name, results, kernels=3, kernel_s=0.5, cpu_s=0.1,
+            batch_max_calls=1, trace_ids=None):
         def app():
-            fe = Frontend(self.env, node.listener, name=name)
+            fe = Frontend(
+                self.env, node.listener, name=name, batch_max_calls=batch_max_calls
+            )
             yield from fe.open()
+            if trace_ids is not None:
+                trace_ids[name] = fe.trace_id
             k = KernelDescriptor(
                 name=f"{name}-k",
                 flops=kernel_s * TESLA_C2050.effective_gflops * 1e9,
@@ -102,6 +113,28 @@ def test_offloaded_connection_is_transparent():
         h.job(h.node_b, f"j{i}", results)
     h.env.run()
     assert len(results) == 3  # every app completed normally
+
+
+@pytest.mark.parametrize("batch_max_calls", [1, 4], ids=["plain", "batched"])
+def test_offloaded_calls_keep_origin_trace_id(batch_max_calls):
+    """Offloaded connections complete, batched frames included, and the
+    peer's call records carry the origin frontend's trace id and name."""
+    h = TwoNodeHarness(vgpus=1, tracing=True, batch_max_calls=batch_max_calls)
+    results, trace_ids = {}, {}
+    for i in range(6):
+        h.job(h.node_b, f"j{i}", results, batch_max_calls=batch_max_calls,
+              trace_ids=trace_ids)
+    h.env.run()
+    assert len(results) == 6
+    assert h.node_b.stats.offloads_out >= 1
+    if batch_max_calls > 1:
+        assert h.node_a.stats.batches_submitted > 0
+    records = h.node_a.obs.events_of(PhaseBreakdown)
+    assert len(records) == h.node_a.stats.calls_served > 0
+    offloaded = {r.context for r in records}
+    assert offloaded and offloaded <= set(trace_ids)
+    for r in records:
+        assert r.trace_id == trace_ids[r.context]
 
 
 def test_cannot_peer_with_self():

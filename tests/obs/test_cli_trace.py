@@ -42,8 +42,9 @@ def test_cli_trace_validates_against_trace_event_schema(tmp_path):
     gpu_pids = [p for p, n in process_names.items() if "/GPU" in n]
     assert len(gpu_pids) == 1  # single C2050
 
-    # CallBegin/CallEnd spans appear on every one of the 4 vGPU rows;
-    # the device's copy/exec engine-occupancy rows sit beside them.
+    # Call spans (one per PhaseBreakdown) appear on every one of the 4
+    # vGPU rows; the device's copy/exec engine-occupancy rows sit beside
+    # them.
     (gpu_pid,) = gpu_pids
     span_tids = {
         e["tid"] for e in events if e["ph"] == "X" and e["pid"] == gpu_pid

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 
 from repro.obs import (
     Bind,
-    CallBegin,
-    CallEnd,
+    CallSpan,
     EVENT_TYPES,
+    PhaseBreakdown,
     QueueDepthChanged,
     SwapOut,
     Tracer,
@@ -26,8 +26,7 @@ def vgpu(name="vGPU0-1", device_id=0):
 def test_disabled_tracer_records_nothing():
     tracer = Tracer(Environment())
     assert not tracer.enabled
-    assert tracer.call_begin(ctx(), "launch_kernel") is None
-    tracer.call_end(ctx(), "launch_kernel", begin_at=None)
+    tracer.phase_breakdown(ctx(), "launch_kernel", CallSpan(tracer.env))
     tracer.swap_out(ctx(), 1024)
     tracer.swap_in(ctx(), 1024)
     tracer.bind(ctx(), vgpu())
@@ -40,26 +39,37 @@ def test_disabled_tracer_records_nothing():
 
 
 def test_call_span_emission():
+    """One record per call: the finished span carries the server
+    interval and the serving vGPU, wherever the context sits now."""
     env = Environment()
     tracer = Tracer(env, enabled=True, node="n0")
-    v = vgpu()
-    begin_at = tracer.call_begin(ctx(vgpu=v), "launch_kernel")
-    assert begin_at == env.now
-    tracer.call_end(ctx(vgpu=v), "launch_kernel", begin_at)
-    begin, end = tracer.events
-    assert isinstance(begin, CallBegin) and isinstance(end, CallEnd)
-    assert begin.method == end.method == "launch_kernel"
-    assert begin.vgpu == end.vgpu == "vGPU0-1"
-    assert end.begin_at == begin_at
-    assert end.duration == end.at - begin_at
-    assert end.error is None
-    assert end.node == "n0"
+
+    def driver():
+        span = CallSpan(env)
+        yield env.timeout(1.0)
+        t0 = env.now
+        yield env.timeout(2.0)
+        span.served(t0, vgpu())
+        yield env.timeout(0.5)  # the reply's wire leg
+        tracer.phase_breakdown(ctx(vgpu=None), "launch_kernel", span)
+
+    env.process(driver())
+    env.run()
+    (record,) = tracer.events
+    assert isinstance(record, PhaseBreakdown)
+    assert record.method == "launch_kernel"
+    assert record.vgpu == "vGPU0-1" and record.device_id == 0
+    assert record.served_at == 1.0 and record.served_s == 2.0
+    assert record.begin_at == 0.0 and record.wall == record.at == 3.5
+    assert record.error is None
+    assert record.node == "n0"
 
 
-def test_call_end_without_begin_is_noop():
-    """A span started while disabled must not produce a dangling end."""
+def test_phase_breakdown_without_span_is_noop():
+    """A call that started while tracing was off has no span and must
+    not produce a record."""
     tracer = Tracer(Environment(), enabled=True)
-    tracer.call_end(ctx(), "launch_kernel", begin_at=None)
+    tracer.phase_breakdown(ctx(), "launch_kernel", None)
     assert tracer.events == []
 
 
@@ -106,7 +116,8 @@ def test_event_to_dict_folds_kind_in():
 def test_method_enum_is_stringified():
     from repro.core.protocol import CallType
 
-    tracer = Tracer(Environment(), enabled=True)
-    begin_at = tracer.call_begin(ctx(), CallType.LAUNCH)
-    tracer.call_end(ctx(), CallType.LAUNCH, begin_at)
-    assert all(e.method == CallType.LAUNCH.value for e in tracer.events)
+    env = Environment()
+    tracer = Tracer(env, enabled=True)
+    tracer.phase_breakdown(ctx(), CallType.LAUNCH, CallSpan(env))
+    (record,) = tracer.events
+    assert record.method == CallType.LAUNCH.value

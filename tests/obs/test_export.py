@@ -6,9 +6,9 @@ import re
 from repro.core.stats import RuntimeStats
 from repro.obs import (
     Bind,
-    CallEnd,
     Migration,
     MetricsRegistry,
+    PhaseBreakdown,
     QueueDepthChanged,
     SwapOut,
     chrome_trace,
@@ -20,8 +20,10 @@ from repro.obs import (
 
 EVENTS = [
     Bind(at=1.0, context="app0", vgpu="vGPU0-1", device_id=0, node="n0"),
-    CallEnd(at=2.0, context="app0", method="cudaLaunch", begin_at=1.5,
-            duration=0.5, device_id=0, vgpu="vGPU0-1", node="n0"),
+    PhaseBreakdown(at=2.2, context="app0", method="cudaLaunch", begin_at=1.2,
+                   wall=1.0, served_at=1.5, served_s=0.5,
+                   phases=(("exec", 0.5), ("rpc", 0.5)), device_id=0,
+                   vgpu="vGPU0-1", node="n0"),
     SwapOut(at=2.5, context="app0", nbytes=4096, device_id=0,
             vgpu="vGPU0-1", node="n0"),
     Migration(at=3.0, context="app0", src_device=0, dst_device=1, node="n0"),
@@ -75,7 +77,8 @@ def test_json_lines_round_trip():
     lines = text.strip().split("\n")
     assert len(lines) == len(EVENTS)
     decoded = [json.loads(line) for line in lines]
-    assert decoded == [event_to_dict(e) for e in EVENTS]
+    # JSON has no tuples: compare against the JSON-normalised dicts
+    assert decoded == [json.loads(json.dumps(event_to_dict(e))) for e in EVENTS]
 
 
 PROM_LINE = re.compile(

@@ -3,8 +3,8 @@
 from repro.core import RuntimeConfig
 from repro.obs import (
     Bind,
-    CallEnd,
     Migration,
+    PhaseBreakdown,
     QueueDepthChanged,
     SwapIn,
     SwapOut,
@@ -28,10 +28,10 @@ def test_call_spans_and_binding_events():
     h.spawn(h.simple_app("app0", kernel_seconds=0.5))
     h.run()
     obs = h.runtime.obs
-    ends = obs.events_of(CallEnd)
-    assert len(ends) == h.stats.calls_served
-    launches = [e for e in ends if e.method == "cudaLaunch"]
-    assert launches and all(e.duration > 0 and e.vgpu for e in launches)
+    records = obs.events_of(PhaseBreakdown)
+    assert len(records) == h.stats.calls_served
+    launches = [e for e in records if e.method == "cudaLaunch"]
+    assert launches and all(e.served_s > 0 and e.vgpu for e in launches)
     binds = obs.events_of(Bind)
     unbinds = obs.events_of(Unbind)
     assert len(binds) == h.stats.bindings

@@ -43,7 +43,7 @@ def _jsonl(records):
 # ----------------------------------------------------------------------
 def test_load_skips_other_kinds_and_junk():
     lines = _jsonl([_record()]) + [
-        json.dumps({"kind": "CallEnd", "at": 1.0}),
+        json.dumps({"kind": "SwapOut", "at": 1.0}),
         "not json at all {",
         "",
     ]
@@ -116,7 +116,7 @@ def test_obs_report_cli_missing_file(tmp_path, capsys):
 
 def test_obs_report_cli_no_breakdowns(tmp_path, capsys):
     trace = tmp_path / "events.jsonl"
-    trace.write_text(json.dumps({"kind": "CallEnd", "at": 1.0}) + "\n")
+    trace.write_text(json.dumps({"kind": "SwapOut", "at": 1.0}) + "\n")
     rc = main(["obs", "report", str(trace)])
     assert rc == 1
     assert "no PhaseBreakdown events" in capsys.readouterr().err

@@ -6,7 +6,7 @@ preemption."""
 import pytest
 
 from repro.core import Frontend, RuntimeConfig
-from repro.obs import CallBegin, CallEnd, CallSpan, PHASES, PhaseBreakdown
+from repro.obs import CallSpan, PHASES, PhaseBreakdown
 from repro.sim import Environment
 
 from tests.core.conftest import Harness, MIB
@@ -89,10 +89,11 @@ def test_span_ids_are_unique():
 # ----------------------------------------------------------------------
 # the invariant, end to end
 # ----------------------------------------------------------------------
-def _assert_breakdowns_consistent(obs):
-    ends = obs.events_of(CallEnd)
-    breakdowns = obs.events_of(PhaseBreakdown)
-    assert len(breakdowns) == len(ends) > 0
+def _assert_breakdowns_consistent(runtime):
+    """One record per served call; phases sum to wall; the server
+    interval lies inside the call's span."""
+    breakdowns = runtime.obs.events_of(PhaseBreakdown)
+    assert len(breakdowns) == runtime.stats.calls_served > 0
     for pb in breakdowns:
         assert pb.phases, f"empty phase list for {pb.method} of {pb.context}"
         total = sum(dt for _, dt in pb.phases)
@@ -100,6 +101,9 @@ def _assert_breakdowns_consistent(obs):
             f"{pb.context} {pb.method}: phases sum {total} != wall {pb.wall}"
         )
         assert pb.wall == pytest.approx(pb.at - pb.begin_at, abs=TICK)
+        assert pb.begin_at <= pb.served_at + TICK
+        assert pb.served_s >= 0
+        assert pb.served_at + pb.served_s <= pb.at + TICK
         assert all(name in PHASES for name, _ in pb.phases)
         assert pb.trace_id is not None and pb.span_id is not None
     # spans of one connection share the client's trace id
@@ -114,7 +118,7 @@ def test_phase_sum_equals_wall_time_plain_runtime():
     for i in range(3):
         h.spawn(h.simple_app(f"app{i}", kernel_seconds=0.3, kernel_count=2))
     h.run()
-    _assert_breakdowns_consistent(h.runtime.obs)
+    _assert_breakdowns_consistent(h.runtime)
 
 
 def test_phase_sum_under_overcommit_swap_and_contention():
@@ -126,7 +130,7 @@ def test_phase_sum_under_overcommit_swap_and_contention():
                              kernel_count=3, cpu_phase_s=0.2))
     h.run()
     obs = h.runtime.obs
-    _assert_breakdowns_consistent(obs)
+    _assert_breakdowns_consistent(h.runtime)
     seen = {name for pb in obs.events_of(PhaseBreakdown) for name, _ in pb.phases}
     assert "exec" in seen and "bind_wait" in seen and "fault_in" in seen
 
@@ -144,7 +148,7 @@ def test_phase_sum_under_overlap_chunking_and_preemption():
         h.spawn(h.simple_app(f"hog{i}", alloc_mib=1500, kernel_seconds=0.4,
                              kernel_count=4, cpu_phase_s=0.1))
     h.run()
-    _assert_breakdowns_consistent(h.runtime.obs)
+    _assert_breakdowns_consistent(h.runtime)
 
 
 def test_phase_sum_holds_under_batching():
@@ -178,7 +182,7 @@ def test_phase_sum_holds_under_batching():
     h.run()
     obs = h.runtime.obs
     assert h.runtime.stats.batches_submitted > 0
-    _assert_breakdowns_consistent(obs)
+    _assert_breakdowns_consistent(h.runtime)
     seen = {name for pb in obs.events_of(PhaseBreakdown) for name, _ in pb.phases}
     # journaled calls show client-side batch-queue time
     assert "batch_queue" in seen
@@ -228,7 +232,7 @@ def test_graph_replay_phase_and_events_appear():
     h.spawn(app())
     h.run()
     obs = h.runtime.obs
-    _assert_breakdowns_consistent(obs)
+    _assert_breakdowns_consistent(h.runtime)
     from repro.obs import GraphInstantiate, GraphReplay
 
     inst = obs.events_of(GraphInstantiate)
@@ -249,6 +253,45 @@ def test_graph_replay_phase_and_events_appear():
     assert all(any(n == "exec" for n, _ in pb.phases) for pb in graph_pbs)
 
 
+def test_one_record_per_call_on_graph_frames():
+    """Auto-detected graph replay of batch frames: every call of a
+    replayed frame still gets exactly one record, and phases sum to
+    wall on the non-tail calls as on the tail call."""
+    h = traced(batch_max_calls=8, graph_replay_enabled=True,
+               graph_min_repeats=2, launch_control_plane_s=40e-6)
+
+    def app():
+        fe = h.frontend("looper", batch_max_calls=8)
+        yield from fe.open()
+        from repro.simcuda import FatBinary, KernelDescriptor, TESLA_C2050
+
+        kernel = KernelDescriptor(
+            name="loop-k", flops=0.05 * TESLA_C2050.effective_gflops * 1e9
+        )
+        handle = yield from fe.register_fat_binary(FatBinary())
+        yield from fe.register_function(handle, kernel)
+        ptr = yield from fe.cuda_malloc(8 * MIB)
+        yield from fe.cuda_memcpy_h2d(ptr, 8 * MIB)
+        yield from fe.flush()
+        for _ in range(6 * 4):  # 6 identical frames of 4 cfg/launch pairs
+            yield from fe.launch_kernel(kernel, [ptr])
+        yield from fe.cuda_memcpy_d2h(ptr, 8 * MIB)
+        yield from fe.cuda_thread_exit()
+
+    h.spawn(app())
+    h.run()
+    assert h.runtime.stats.graph_replays > 0
+    _assert_breakdowns_consistent(h.runtime)
+    # every launch record names the vGPU that served it, replayed
+    # non-tail calls included
+    launches = [
+        pb for pb in h.runtime.obs.events_of(PhaseBreakdown)
+        if pb.method == "cudaLaunch"
+    ]
+    assert len(launches) == 24
+    assert all(pb.vgpu is not None for pb in launches)
+
+
 def test_call_events_carry_tenant_label():
     h = traced(vgpus_per_device=2)
 
@@ -260,12 +303,11 @@ def test_call_events_carry_tenant_label():
     h.spawn(app())
     h.run()
     obs = h.runtime.obs
-    for cls in (CallBegin, CallEnd, PhaseBreakdown):
-        events = [e for e in obs.events_of(cls) if e.context == "tapp"]
-        assert events
-        # the handshake itself runs before the tenant is known; every
-        # call after it carries the label
-        assert all(e.tenant == "acme" for e in events[1:])
+    records = [e for e in obs.events_of(PhaseBreakdown) if e.context == "tapp"]
+    assert len(records) == h.runtime.stats.calls_served
+    # the handshake names the tenant mid-call, so its record (emitted
+    # once the reply lands) carries the label like every later call
+    assert all(e.tenant == "acme" for e in records)
 
 
 def test_frontend_exposes_trace_id():
