@@ -7,7 +7,6 @@ Subcommands::
     python -m repro.cli run --jobs MM-L:6 ...   # run a batch on one node
     python -m repro.cli reproduce [figN ...]    # regenerate paper figures
     python -m repro.cli obs report TRACE.jsonl  # analyze a JSON-lines trace
-    python -m repro.cli bench simspeed          # simulator throughput scorecard
 
 ``run`` builds a single simulated node, executes the requested job mix
 through the runtime (or the bare CUDA runtime with ``--bare``) and prints
@@ -17,7 +16,6 @@ the batch metrics plus the runtime statistics.
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
 from typing import Dict, List
 
@@ -339,30 +337,6 @@ def cmd_reproduce(args) -> int:
     return reproduce_main(argv)
 
 
-def cmd_bench_simspeed(args) -> int:
-    from repro.experiments import simspeed
-
-    measurement = simspeed.measure(repeats=args.repeats)
-    baseline_path = (
-        None if args.baseline is None else pathlib.Path(args.baseline)
-    )
-    try:
-        baseline = simspeed.load_baseline(baseline_path)
-    except (OSError, ValueError):
-        baseline = None
-    print("== simulator speed: "
-          f"{simspeed.JOB_COUNT}-job overcommit mix, "
-          f"{simspeed.VGPUS} vGPUs (best of {args.repeats}) ==")
-    print(simspeed.scorecard(measurement, baseline))
-    if args.pin_baseline:
-        pinned = simspeed.pin_baseline(measurement, baseline_path)
-        path = baseline_path or simspeed.BASELINE_PATH
-        print(f"\npinned baseline -> {path}")
-        print(f"  events_per_second: {pinned['events_per_second']:.0f} "
-              f"(ratchet {pinned['min_speedup']}x)")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -492,29 +466,6 @@ def main(argv=None) -> int:
     rep.add_argument("--quick", action="store_true")
     rep.add_argument("--seed", type=int, default=0)
     rep.set_defaults(func=cmd_reproduce)
-
-    bench = sub.add_parser("bench", help="simulator self-benchmarks")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    sspeed = bench_sub.add_parser(
-        "simspeed",
-        help="measure simulator throughput (tracing off/on) against "
-             "the pinned baseline",
-    )
-    sspeed.add_argument(
-        "--pin-baseline", action="store_true",
-        help="rewrite benchmarks/simspeed_baseline.json from this "
-             "run's figures (gate sizes are preserved)",
-    )
-    sspeed.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="wall-clock figures take the best of N runs (default 3)",
-    )
-    sspeed.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="baseline JSON to compare against / pin "
-             "(default: the checked-in benchmarks/simspeed_baseline.json)",
-    )
-    sspeed.set_defaults(func=cmd_bench_simspeed)
 
     args = parser.parse_args(argv)
     return args.func(args)

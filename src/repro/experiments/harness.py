@@ -100,8 +100,8 @@ def run_node_batch(
     Passing an :class:`ObsCollector` enables tracing on the node's
     runtime and leaves the collector holding the run's events/metrics.
     Passing a :class:`~repro.sim.SimProfiler` attaches it to the
-    environment for the whole run (simulator self-profiling: events/sec,
-    queue depth, per-handler hotspots).
+    environment for the whole run (simulator self-profiling: event
+    count, events/sec, named counters).
     """
     env = Environment()
     if profiler is not None:

@@ -347,7 +347,7 @@ class Process(Event):
     an uncaught exception fails it.
     """
 
-    __slots__ = ("_generator", "name", "_target", "_resume_cb", "_profile_key")
+    __slots__ = ("_generator", "name", "_target", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator, name: Optional[str] = None):
         if not hasattr(generator, "throw"):
@@ -361,9 +361,6 @@ class Process(Event):
         #: The one bound-method object used for all callback registration,
         #: so detaching compares identically and allocates nothing.
         self._resume_cb = self._resume
-        #: Hotspot family for the self-profiler, computed once instead of
-        #: per event ("serve-app#3" -> "serve-app#").
-        self._profile_key = self.name.rstrip("0123456789")
         Initialize(env, self)
 
     @property
@@ -671,7 +668,7 @@ class Environment:
         if event is None:
             raise SimulationError("no scheduled events")
         if self.profiler is not None:
-            self.profiler.on_event(event, len(self._queue))
+            self.profiler.on_event(event)
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -715,7 +712,7 @@ class Environment:
                     event._value = event._pending_value
                 profiler = self.profiler
                 if profiler is not None:
-                    profiler.on_event(event, len(queue))
+                    profiler.on_event(event)
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
@@ -765,7 +762,7 @@ class Environment:
                 event._value = event._pending_value
             profiler = self.profiler
             if profiler is not None:
-                profiler.on_event(event, len(queue))
+                profiler.on_event(event)
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)

@@ -2,25 +2,16 @@
 
 The simulator's correctness story is that nothing consults wall-clock
 time — so the profiler lives outside the model.  It hooks
-:meth:`Environment.step` (via ``env.profiler``) and counts events,
-queue depth and per-handler hotspots, and measures elapsed
-``time.perf_counter`` between :meth:`attach` and :meth:`report`.  The
-resulting events/sec and sim-seconds-per-wall-second figures are the
-baseline the simulator-throughput work is measured against
-(``BENCH_simspeed.json``).
-
-Hotspots are keyed by *process family*: the callback of most events is
-a bound ``Process._resume``, whose process name ("serve-app#3",
-"reaper-0") collapses to its family ("serve-app#", "reaper-") by
-stripping trailing digits — so a thousand per-connection processes
-roll up into one row.  Events with no process callback (pure
-condition/trigger plumbing) are keyed by their event type.
+:meth:`Environment.step` (via ``env.profiler``) and counts processed
+events, and measures elapsed ``time.perf_counter`` between
+:meth:`attach` and :meth:`report`.  Model code may bump named
+:attr:`~SimProfiler.counters` while it is attached.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["SimProfiler"]
 
@@ -38,9 +29,6 @@ class SimProfiler:
 
     def __init__(self) -> None:
         self.events_processed = 0
-        self.queue_depth_sum = 0
-        self.queue_depth_peak = 0
-        self.hotspots: Dict[str, int] = {}
         #: Free-form named counters bumped by instrumented model code via
         #: :meth:`count` (e.g. gauge recompute vs. memo-hit tallies).
         #: Purely observational — never consulted by the model.
@@ -80,31 +68,9 @@ class SimProfiler:
         self._env = None
 
     # ------------------------------------------------------------------
-    def on_event(self, event: Any, queue_depth: int) -> None:
-        """Called by the run loop for every popped event.
-
-        This runs once per event while tracing, so it must stay cheap:
-        Process precomputes its hotspot family key (``_profile_key``);
-        everything else falls back to the event type name.
-        """
+    def on_event(self, event: Any) -> None:
+        """Called by the run loop for every popped event."""
         self.events_processed += 1
-        self.queue_depth_sum += queue_depth
-        if queue_depth > self.queue_depth_peak:
-            self.queue_depth_peak = queue_depth
-        callbacks = event.callbacks
-        if callbacks:
-            key = getattr(
-                getattr(callbacks[0], "__self__", None), "_profile_key", None
-            )
-            if key is None:
-                key = type(event).__name__
-        else:
-            key = type(event).__name__
-        hot = self.hotspots
-        try:
-            hot[key] += 1
-        except KeyError:
-            hot[key] = 1
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump a named counter (cheap; for model-side instrumentation)."""
@@ -123,22 +89,16 @@ class SimProfiler:
             sim += self._env.now - self._sim_start
         return wall, sim
 
-    def report(self, top: int = 10) -> Dict[str, Any]:
+    def report(self) -> Dict[str, Any]:
         """Summary dict (JSON-serializable) of the profiled run."""
         wall, sim = self._elapsed()
         events = self.events_processed
-        hot: List[Tuple[str, int]] = sorted(
-            self.hotspots.items(), key=lambda kv: (-kv[1], kv[0])
-        )[:top]
         return {
             "events": events,
             "wall_seconds": wall,
             "sim_seconds": sim,
             "events_per_second": events / wall if wall > 0 else 0.0,
             "sim_seconds_per_wall_second": sim / wall if wall > 0 else 0.0,
-            "queue_depth_mean": self.queue_depth_sum / events if events else 0.0,
-            "queue_depth_peak": self.queue_depth_peak,
-            "hotspots": [{"handler": k, "events": v} for k, v in hot],
             "counters": dict(sorted(self.counters.items())),
         }
 

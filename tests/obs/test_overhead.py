@@ -4,12 +4,23 @@ The instrumentation emits events from the host side of the simulation;
 it costs wall-clock only.  These tests pin that down: the same batch run
 with tracing off and with tracing on reports *identical* simulated
 times, and a default (tracing-off) runtime records zero events.
+
+The CLI's default mix also carries the simulator's deterministic speed
+gates: a budget of Python function calls per pass, and a bound on what
+tracing adds to it.  On one Python version a call count repeats
+exactly from run to run, where a wall-clock reading of a 0.2 s pass
+does not; wall-clock speed is judged by perfbench on longer, repeated
+passes.
 """
+
+import gc
+import sys
 
 from repro.cli import _parse_jobs
 from repro.core.config import RuntimeConfig
 from repro.experiments.harness import run_node_batch
 from repro.obs import ObsCollector
+from repro.sim import SimProfiler
 from repro.simcuda.device import TESLA_C2050
 from repro.workloads import make_job
 from repro.workloads.catalog import SHORT_RUNNING
@@ -42,23 +53,98 @@ def test_fig5_sized_run_times_unchanged_by_tracing():
     assert collector.events  # the traced run did record something
 
 
-def test_cli_default_mix_times_unchanged_by_tracing():
-    """The acceptance run (`repro-sim run --vgpus 4 --jobs 8`) with and
-    without tracing: identical simulated total time."""
-    def run(tracing):
-        collector = ObsCollector() if tracing else None
-        result = run_node_batch(
-            _parse_jobs(["8"], 0.0), [TESLA_C2050],
-            RuntimeConfig(vgpus_per_device=4, tracing=tracing),
-            collector=collector,
-        )
-        return result, collector
+#: The default mix's simulated results, bit for bit: total time and the
+#: per-job times in completion order.
+PINNED_TOTAL_TIME = 225.30173497999996
+PINNED_JOB_TIMES = [
+    144.52653419600037,
+    144.66717419600036,
+    144.80781419600035,
+    144.94845419600034,
+    183.30141998000016,
+    185.30143498000015,
+    223.30171997999997,
+    225.30173497999996,
+]
 
-    off, _ = run(False)
-    on, collector = run(True)
+#: Python function calls (``sys.setprofile`` "call" events, generator
+#: resumptions included) in one untraced pass of the default mix, with
+#: the garbage collector off and no SimProfiler attached.  Recorded on
+#: CPython 3.11; 2,240 intercepted calls, so about 169 per call.
+PINNED_CALLS = 378_661
+#: A pass may make at most ``PINNED_CALLS / MIN_SPEEDUP`` calls.
+MIN_SPEEDUP = 0.7
+#: Traced calls / untraced calls per pass (recorded at 1.355).
+MAX_TRACING_OVERHEAD = 1.6
+
+
+def _default_mix(tracing):
+    """The acceptance run (`repro-sim run --vgpus 4 --jobs 8`): jobs,
+    config and collector for one pass."""
+    return (
+        _parse_jobs(["8"], 0.0),
+        RuntimeConfig(vgpus_per_device=4, tracing=tracing),
+        ObsCollector() if tracing else None,
+    )
+
+
+def _count_calls(tracing):
+    """Python function calls made by one pass of the default mix.
+
+    The garbage collector runs first and stays off during the pass:
+    finalizers it would run add calls to some passes and not others.
+    """
+    jobs, config, collector = _default_mix(tracing)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run_node_batch(jobs, [TESLA_C2050], config, collector=collector)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+def test_cli_default_mix_times_unchanged_by_tracing():
+    """The default mix with and without tracing: pinned simulated
+    results, identical between the two, and within the call budget."""
+    def run(tracing):
+        jobs, config, collector = _default_mix(tracing)
+        profiler = SimProfiler()
+        result = run_node_batch(jobs, [TESLA_C2050], config,
+                                collector=collector, profiler=profiler)
+        return result, profiler, collector
+
+    off, off_profiler, _ = run(False)
+    on, on_profiler, collector = run(True)
+    assert off.total_time == PINNED_TOTAL_TIME
+    assert list(off.job_times) == PINNED_JOB_TIMES
     assert on.total_time == off.total_time
-    assert sorted(on.job_times) == sorted(off.job_times)
+    assert on.job_times == off.job_times
+    assert on.stats == off.stats
+    assert on_profiler.events_processed == off_profiler.events_processed
     assert collector.events
+
+    calls_off = _count_calls(False)
+    calls_on = _count_calls(True)
+    assert calls_off <= PINNED_CALLS / MIN_SPEEDUP, (
+        f"Python calls per untraced pass: pinned {PINNED_CALLS} -> "
+        f"measured {calls_off} ({calls_off / PINNED_CALLS:.3f}x, "
+        f"budget {1 / MIN_SPEEDUP:.3f}x)"
+    )
+    overhead = calls_on / calls_off
+    assert overhead <= MAX_TRACING_OVERHEAD, (
+        f"tracing costs {overhead:.3f}x in Python calls per pass "
+        f"({calls_off} -> {calls_on}, bound {MAX_TRACING_OVERHEAD}x)"
+    )
 
 
 def test_disabled_runtime_records_no_events():
