@@ -16,13 +16,13 @@ the batch metrics plus the runtime statistics.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, List
 
 from repro.core.config import RuntimeConfig
 from repro.core.memory.eviction import EVICTION_POLICY_NAMES
 from repro.core.policies import POLICY_NAMES
-from repro.simcuda.allocator import PLACEMENT_MODES
 from repro.experiments.harness import run_node_batch
 from repro.obs import ObsCollector
 from repro.experiments.report import format_table
@@ -61,6 +61,35 @@ def _parse_gpus(text: str) -> List[GPUSpec]:
             )
         specs.append(GPU_PRESETS[token])
     return specs
+
+
+def _number(convert, allow_zero: bool):
+    """An argparse ``type=`` that parses with ``convert`` and accepts only
+    finite values above zero (or at or above it, with ``allow_zero``), so
+    a bad count or rate is a usage error rather than a traceback or a
+    nonsense run."""
+    bound = "non-negative" if allow_zero else "positive"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or value < 0 or (
+            value == 0 and not allow_zero
+        ):
+            raise argparse.ArgumentTypeError(
+                f"expected a {bound} {convert.__name__}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _number(int, allow_zero=False)
+_non_negative_int = _number(int, allow_zero=True)
+_positive_float = _number(float, allow_zero=False)
+_non_negative_float = _number(float, allow_zero=True)
 
 
 #: Workload mix cycled by bare-integer ``--jobs N`` tokens; deliberately
@@ -173,11 +202,8 @@ def _run_config(args, tracing: bool) -> RuntimeConfig:
         qos_enabled=args.qos,
         vgpu_quantum_s=args.vgpu_quantum_s,
         locality_binding=args.locality,
-        migration_penalty_s=args.migration_penalty_s,
-        allocator_placement=args.allocator,
         launch_control_plane_s=args.launch_control_plane_s,
         batch_max_calls=args.batch_max_calls,
-        batch_max_delay_s=args.batch_max_delay_s,
         graph_replay_enabled=args.graph_replay,
     )
 
@@ -187,6 +213,7 @@ def cmd_run_trace(args) -> int:
     import json as _json
 
     from repro.workloads.trace_replay import (
+        REPLAY_SWAP_CAPACITY_BYTES,
         load_trace,
         replay_trace,
         synthetic_trace,
@@ -224,7 +251,9 @@ def cmd_run_trace(args) -> int:
     # Trace backlogs park hundreds of queued jobs' allocations in host
     # swap; size it like the replay harness's default, not like a
     # single-node batch box.
-    config = _dc.replace(config, host_swap_capacity_bytes=256 * 1024**3)
+    config = _dc.replace(
+        config, host_swap_capacity_bytes=REPLAY_SWAP_CAPACITY_BYTES
+    )
     result = replay_trace(
         trace,
         nodes=args.nodes,
@@ -364,7 +393,7 @@ def main(argv=None) -> int:
                      help="comma list of presets (default: c2050)")
     run.add_argument("--vgpus", type=int, default=4)
     run.add_argument("--policy", default="fcfs", choices=POLICY_NAMES)
-    run.add_argument("--cpu-fraction", type=float, default=0.0,
+    run.add_argument("--cpu-fraction", type=_non_negative_float, default=0.0,
                      help="injected CPU fraction for MM-S/MM-L")
     run.add_argument("--bare", action="store_true",
                      help="bare CUDA runtime instead of the paper's runtime")
@@ -396,13 +425,6 @@ def main(argv=None) -> int:
                      help="locality-aware dynamic binding: retain device "
                           "working sets across unbinds and place/migrate/"
                           "evict by the transfer-cost model")
-    run.add_argument("--migration-penalty-s", type=float, default=0.02,
-                     metavar="S",
-                     help="sticky-affinity hysteresis: modeled penalty "
-                          "charged for moving off the affinity device")
-    run.add_argument("--allocator", default="first_fit",
-                     choices=PLACEMENT_MODES,
-                     help="device-memory placement: first_fit or best_fit")
     run.add_argument("--launch-control-plane-s", type=float, default=0.0,
                      metavar="S",
                      help="per-launch driver control-plane cost to model "
@@ -410,9 +432,6 @@ def main(argv=None) -> int:
     run.add_argument("--batch-max-calls", type=int, default=1, metavar="N",
                      help="frontend ships up to N journaled calls per RPC "
                           "(1 = per-call dispatch)")
-    run.add_argument("--batch-max-delay-s", type=float, default=None,
-                     metavar="S",
-                     help="flush a partial batch after S simulated seconds")
     run.add_argument("--graph-replay", action="store_true",
                      help="detect repeated launch sequences and replay them "
                           "as instantiated graphs")
@@ -421,16 +440,16 @@ def main(argv=None) -> int:
                           "during CPU phases (needs --overlap)")
     run.add_argument("--trace", metavar="FILE",
                      help="[trace mode] replay this CSV/JSON-lines trace file")
-    run.add_argument("--synthetic", type=int, default=0, metavar="N",
+    run.add_argument("--synthetic", type=_non_negative_int, default=0, metavar="N",
                      help="[trace mode] generate an N-job synthetic "
                           "trace-shaped workload instead of loading a file")
-    run.add_argument("--nodes", type=int, default=8, metavar="K",
+    run.add_argument("--nodes", type=_positive_int, default=8, metavar="K",
                      help="[trace mode] cluster size (default 8)")
-    run.add_argument("--gpus-per-node", type=int, default=2, metavar="G",
+    run.add_argument("--gpus-per-node", type=_positive_int, default=2, metavar="G",
                      help="[trace mode] GPUs per node (default 2)")
     run.add_argument("--seed", type=int, default=0, metavar="S",
                      help="[trace mode] synthetic generator seed")
-    run.add_argument("--arrival-rate", type=float, default=10.0,
+    run.add_argument("--arrival-rate", type=_positive_float, default=10.0,
                      metavar="JOBS_PER_S",
                      help="[trace mode] synthetic mean arrival rate")
     run.add_argument("--bench-out", metavar="FILE",

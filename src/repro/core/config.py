@@ -83,9 +83,6 @@ class RuntimeConfig:
     migration_enabled:
         Dynamic binding from slower to faster GPUs when the latter become
         idle and no pending jobs exist (§5.3.4).
-    migration_min_speedup:
-        Only migrate when the destination device is at least this many
-        times faster than the source.
     offload_enabled:
         Allow redirecting pending connections to peer nodes (§4.7).
     offload_load_margin:
@@ -110,10 +107,6 @@ class RuntimeConfig:
         to the same device (they share data on the GPU), and dynamic
         binding uses direct GPU-to-GPU transfers instead of staging
         through host memory.
-    dispatcher_overhead_s:
-        Per-call software cost of interception/dispatch inside the
-        runtime daemon.  A batched submission pays it once per *batch*
-        (one scheduler round-trip), not once per call.
     launch_control_plane_s:
         Per-launch control-plane cost charged by the simulated driver
         (CPU-side submission work before the launch contends for an
@@ -130,19 +123,12 @@ class RuntimeConfig:
         its own RPC, behavior-identical to previous releases.
         Synchronizing calls (memcpy-back, sync, free, exit, …) act as
         flush barriers: they ride as the last call of the pending batch.
-    batch_max_delay_s:
-        Optional client-side flush timer: a non-empty batch older than
-        this is shipped even if under ``batch_max_calls``.  ``None``
-        (default) flushes only on a full batch or a barrier call.
     graph_replay_enabled:
         CUDA-Graph-style replay: the dispatcher recognizes a repeated
         launch-only batch signature (or an explicit frontend capture),
         instantiates it once, and re-issues the whole graph for a single
         control-plane charge with only parameter patching.  Off by
         default.
-    graph_min_repeats:
-        How many times an identical launch-only batch signature must be
-        seen before the dispatcher instantiates a graph for it.
     tracing:
         Structured tracing (:mod:`repro.obs`): emit typed events (call
         spans, swaps, bindings, migrations, queue depths) on the node's
@@ -155,19 +141,11 @@ class RuntimeConfig:
         tenant registry still exists (connections may name a tenant for
         accounting) but nothing is enforced, so behavior is identical to
         a QoS-less runtime.
-    slo_window_s:
-        Width of the sliding window over which the per-tenant SLO monitor
-        computes turnaround/queue-wait percentiles and burn rates.
     slo_turnaround_p99_s / slo_queue_wait_p99_s:
         Per-call latency targets for the SLO monitor.  A call (or queue
         wait) slower than the target consumes error budget; ``None``
         (default) disables the corresponding burn-rate gauge (it reads
         0.0).  Targets are monitoring-only — nothing is throttled.
-    slo_error_budget:
-        Fraction of calls in the window allowed to breach the target
-        before the burn rate reaches 1.0.  Burn rate is the breaching
-        fraction divided by this budget, the standard multi-window
-        burn-rate alerting quantity.
     vgpu_quantum_s:
         Preemptive time-slicing: a bound context that has accumulated
         this many GPU seconds since binding is unbound at its next call
@@ -202,19 +180,14 @@ class RuntimeConfig:
         migration, and ``cost_aware`` partial eviction all consult the
         modeled transfer cost.  Off by default — behavior (and simulated
         times) are identical to a cache-less runtime.
-    migration_penalty_s:
-        Sticky-affinity hysteresis for the cost model: the modeled extra
-        cost charged to binding or migrating a context away from the
-        device holding its residency cache.  Prevents ping-pong when two
-        devices score nearly equal.
-    allocator_placement:
-        Device-memory placement strategy, applied to every device's
-        :class:`~repro.simcuda.allocator.DeviceAllocator`: ``first_fit``
-        (default, the historic behavior) or ``best_fit`` (smallest block
-        that fits; reduces fragmentation on mixed-size churn).
     max_failed_rebind_attempts:
         How many times a failed context is rebound to another device
         before the error is propagated to the application.
+    host_swap_capacity_bytes:
+        Size of the host swap area (§4.5).  The paper's nodes have 48 GB
+        of host memory (§5.1); the swap area may use essentially all of
+        it.  Exhausting it is the Table 1 "Swap memory cannot be
+        allocated" error.
     """
 
     vgpus_per_device: int = 4
@@ -229,38 +202,27 @@ class RuntimeConfig:
     eviction_policy: str = "lru"
     swap_retry_backoff_s: float = 2e-3
     migration_enabled: bool = False
-    migration_min_speedup: float = 1.25
     offload_enabled: bool = False
     offload_load_margin: float = 0.5
     checkpoint_kernel_seconds: Optional[float] = None
     unbind_on_cpu_phase_s: Optional[float] = None
     cuda4_semantics: bool = False
     kernel_consolidation: bool = False
-    dispatcher_overhead_s: float = 30e-6
     launch_control_plane_s: float = 0.0
     batch_max_calls: int = 1
-    batch_max_delay_s: Optional[float] = None
     graph_replay_enabled: bool = False
-    graph_min_repeats: int = 2
     tracing: bool = False
     qos_enabled: bool = False
-    slo_window_s: float = 60.0
     slo_turnaround_p99_s: Optional[float] = None
     slo_queue_wait_p99_s: Optional[float] = None
-    slo_error_budget: float = 0.01
     vgpu_quantum_s: Optional[float] = None
     admission_mode: str = "queue"
     admission_max_contexts: Optional[int] = None
     admission_max_footprint_bytes: Optional[int] = None
     listener_backlog: Optional[int] = None
     locality_binding: bool = False
-    migration_penalty_s: float = 0.02
-    allocator_placement: str = "first_fit"
     max_failed_rebind_attempts: int = 3
-    #: The paper's nodes have 48 GB of host memory (§5.1); the swap area
-    #: may use essentially all of it.
     host_swap_capacity_bytes: int = 46 * 1024**3
-    host_memcpy_bps: float = 8e9
 
     def __post_init__(self) -> None:
         # Validate policy names against the live registries (imported
@@ -289,27 +251,10 @@ class RuntimeConfig:
             raise ValueError("launch_control_plane_s must be >= 0")
         if self.batch_max_calls < 1:
             raise ValueError("batch_max_calls must be >= 1")
-        if self.batch_max_delay_s is not None and self.batch_max_delay_s <= 0:
-            raise ValueError("batch_max_delay_s must be positive (or None)")
-        if self.graph_min_repeats < 1:
-            raise ValueError("graph_min_repeats must be >= 1")
         if self.admission_mode not in ("queue", "reject"):
             raise ValueError(f"unknown admission_mode {self.admission_mode!r}")
         if self.listener_backlog is not None and self.listener_backlog < 1:
             raise ValueError("listener_backlog must be >= 1 (or None)")
-        if self.migration_penalty_s < 0:
-            raise ValueError("migration_penalty_s must be >= 0")
-        if self.slo_window_s <= 0:
-            raise ValueError("slo_window_s must be positive")
-        if not 0 < self.slo_error_budget <= 1:
-            raise ValueError("slo_error_budget must be in (0, 1]")
-        from repro.simcuda.allocator import PLACEMENT_MODES
-
-        if self.allocator_placement not in PLACEMENT_MODES:
-            raise ValueError(
-                f"unknown allocator_placement {self.allocator_placement!r}; "
-                f"choose from {PLACEMENT_MODES}"
-            )
 
     def serialized(self) -> "RuntimeConfig":
         """A copy configured for serialized execution (1 vGPU/device)."""

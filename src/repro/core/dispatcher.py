@@ -55,6 +55,15 @@ HELLO_METHOD = "reproHello"
 #: earlier.
 SWAP_RETRY_MAX_BACKOFF_S = 1.0
 
+#: Per-call software cost of interception/dispatch inside the runtime
+#: daemon.  A batched submission pays it once per *batch* (one scheduler
+#: round-trip), not once per call.
+DISPATCHER_OVERHEAD_S = 30e-6
+
+#: How many times an identical launch-only batch signature must be seen
+#: before the dispatcher instantiates a graph for it.
+GRAPH_MIN_REPEATS = 2
+
 _graph_ids = itertools.count(1)
 
 
@@ -295,7 +304,7 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def _serve_batch(self, sock: Socket, ctx: Context, batch: BatchRequest) -> Generator:
         """Execute one batch frame under a single lock hold and a single
-        ``dispatcher_overhead_s`` charge (one scheduler round-trip).
+        ``DISPATCHER_OVERHEAD_S`` charge (one scheduler round-trip).
 
         Per-call results/errors come back in one :class:`BatchResponse`;
         a mid-batch failure aborts the remaining calls with typed
@@ -331,7 +340,7 @@ class Dispatcher:
         last_span = spans[-1] if spans else None
         yield ctx.lock.acquire()
         try:
-            yield env.timeout(self.config.dispatcher_overhead_s)
+            yield env.timeout(DISPATCHER_OVERHEAD_S)
             instance = self._match_graph(ctx, calls)
             if instance is not None:
                 # A graph frame holds only configure/launch calls.
@@ -447,7 +456,7 @@ class Dispatcher:
         return ctx.graph_by_signature.get(sig)
 
     def _note_graph_candidate(self, ctx: Context, calls: List[Request]) -> None:
-        """Journal-based detection: after ``graph_min_repeats`` identical
+        """Journal-based detection: after ``GRAPH_MIN_REPEATS`` identical
         launch-only frames, instantiate a graph so the next match
         replays."""
         if not self.config.graph_replay_enabled:
@@ -456,7 +465,7 @@ class Dispatcher:
         if sig is None or sig in ctx.graph_by_signature:
             return
         seen = ctx.graph_candidates.get(sig, 0) + 1
-        if seen < self.config.graph_min_repeats:
+        if seen < GRAPH_MIN_REPEATS:
             ctx.graph_candidates[sig] = seen
             return
         ctx.graph_candidates.pop(sig, None)
@@ -665,7 +674,7 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def _dispatch(self, ctx: Context, req: Request) -> Generator:
         """Returns (value, response_payload_bytes)."""
-        yield self.env.timeout(self.config.dispatcher_overhead_s)
+        yield self.env.timeout(DISPATCHER_OVERHEAD_S)
         return (yield from self._dispatch_body(ctx, req))
 
     def _dispatch_body(self, ctx: Context, req: Request) -> Generator:

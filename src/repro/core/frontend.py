@@ -17,7 +17,6 @@ from typing import Generator, List, Optional, Sequence, Tuple
 from repro.net.channel import LinkSpec, AFUNIX_LINK
 from repro.net.rpc import Request, RpcClient
 from repro.net.socket import Listener, connect
-from repro.sim import Lock
 
 from repro.core.protocol import BATCHABLE_CALLS, CallType
 from repro.simcuda.fatbin import FatBinary
@@ -53,7 +52,6 @@ class Frontend:
         tenant: Optional[str] = None,
         estimated_bytes: Optional[int] = None,
         batch_max_calls: int = 1,
-        batch_max_delay_s: Optional[float] = None,
     ):
         self.env = env
         self._listener = listener
@@ -71,21 +69,11 @@ class Frontend:
         #: Admission hint: expected peak allocation footprint in bytes.
         self.estimated_bytes = estimated_bytes
         self._rpc: Optional[RpcClient] = None
-        #: Batching knobs (``RuntimeConfig.batch_max_calls`` /
-        #: ``batch_max_delay_s``); 1 = every call is its own RPC, the
-        #: historic behavior down to identical simulated times.
+        #: Batching knob (``RuntimeConfig.batch_max_calls``); 1 = every
+        #: call is its own RPC, the historic behavior down to identical
+        #: simulated times.
         self.batch_max_calls = batch_max_calls
-        self.batch_max_delay_s = batch_max_delay_s
         self._batch: List[Request] = []
-        #: Bumped on every flush; lets a pending delay-timer recognize
-        #: that "its" batch is already gone.
-        self._batch_generation = 0
-        #: Serializes flushes against barrier calls — only one RPC may be
-        #: in flight on the connection.  Touched only when batching.
-        self._flush_lock = Lock(env)
-        #: Error raised by a timer-driven flush, surfaced to the
-        #: application at its next call (deferred error reporting).
-        self._deferred_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     def open(self) -> Generator:
@@ -127,7 +115,7 @@ class Frontend:
                 if len(self._batch) >= self.batch_max_calls:
                     yield from self._flush_batch()
                 return None
-            if self._batch or self._deferred_error is not None:
+            if self._batch:
                 # Flush barrier: ship the pending batch with this call as
                 # its tail and return this call's own result.
                 self._enqueue(method, payload_bytes, args)
@@ -147,11 +135,6 @@ class Frontend:
         req.span_id = req.request_id
         req.sent_at = self.env.now
         self._batch.append(req)
-        if len(self._batch) == 1 and self.batch_max_delay_s is not None:
-            self.env.process(
-                self._delayed_flush(self._batch_generation),
-                name=f"batch-timer-{self.name}",
-            )
 
     def _flush_batch(self) -> Generator:
         """Ship the pending batch; returns the per-call responses.
@@ -160,40 +143,16 @@ class Frontend:
         semantics) — calls after the failing one carry ``BATCH_ABORTED``
         and the application sees the root cause.
         """
-        yield self._flush_lock.acquire()
-        try:
-            if self._deferred_error is not None:
-                error, self._deferred_error = self._deferred_error, None
-                raise error
-            if not self._batch:
-                return []
-            batch, self._batch = self._batch, []
-            self._batch_generation += 1
-            responses = yield from self._rpc.call_batch(batch)
-            for resp in responses:
-                if resp.error is not None:
-                    raise resp.error
-            return responses
-        finally:
-            self._flush_lock.release()
-
-    def _delayed_flush(self, generation: int) -> Generator:
-        """``batch_max_delay_s`` timer: flush a batch that went stale."""
-        yield self.env.timeout(self.batch_max_delay_s)
-        if (
-            generation != self._batch_generation
-            or not self._batch
-            or self._rpc is None
-        ):
-            return
-        try:
-            yield from self._flush_batch()
-        except Exception as exc:  # noqa: BLE001 - deferred to the app's next call
-            self._deferred_error = exc
+        batch, self._batch = self._batch, []
+        responses = yield from self._rpc.call_batch(batch)
+        for resp in responses:
+            if resp.error is not None:
+                raise resp.error
+        return responses
 
     def flush(self) -> Generator:
         """Explicitly ship any journaled calls (and surface their errors)."""
-        if self._batching and (self._batch or self._deferred_error is not None):
+        if self._batching and self._batch:
             yield from self._flush_batch()
 
     # ------------------------------------------------------------------

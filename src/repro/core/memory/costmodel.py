@@ -14,7 +14,7 @@ area.  :class:`TransferCostModel` makes that cost explicit: for any
   device (an EWMA of observed kernel work stands in for a profile);
 - the write-back cost of evicting victims when the candidate device
   lacks free memory, weighted by how dirty its resident data is;
-- a configurable sticky-affinity hysteresis (``migration_penalty_s``)
+- a fixed sticky-affinity hysteresis (``MIGRATION_PENALTY_S``)
   charged to any candidate off the context's affinity device, so two
   near-equal devices do not ping-pong the context (and its cache).
 
@@ -35,6 +35,11 @@ __all__ = ["TransferCostModel"]
 #: Weight of the newest observation in the kernel-work EWMA.
 _EWMA_ALPHA = 0.25
 
+#: Sticky-affinity hysteresis: the modeled extra cost charged to binding
+#: or migrating a context away from the device holding its residency
+#: cache.  Prevents ping-pong when two devices score nearly equal.
+MIGRATION_PENALTY_S = 0.02
+
 
 class TransferCostModel:
     """Estimates data-movement and queueing costs for binding decisions.
@@ -44,8 +49,7 @@ class TransferCostModel:
     advances the clock or mutates an entry.
     """
 
-    def __init__(self, config: Any, page_table: Any, swap: Any, scheduler: Any):
-        self.config = config
+    def __init__(self, page_table: Any, swap: Any, scheduler: Any):
         self.page_table = page_table
         self.swap = swap
         self.scheduler = scheduler
@@ -211,7 +215,7 @@ class TransferCostModel:
         # Sticky-affinity hysteresis against ping-pong.
         affinity = self._affinity_device(ctx)
         if affinity is not None and device is not affinity:
-            cost += self.config.migration_penalty_s
+            cost += MIGRATION_PENALTY_S
         return cost
 
     def score_candidates(
@@ -257,7 +261,7 @@ class TransferCostModel:
             if p.is_allocated:
                 dirty += p.dirty_bytes()
                 valid += p.valid_bytes()
-        cost = self.config.migration_penalty_s
+        cost = MIGRATION_PENALTY_S
         if dirty and src_device is not None:
             cost += (
                 timing.COPY_LATENCY_SECONDS

@@ -105,7 +105,7 @@ class MemoryManager:
             buckets=BYTES_BUCKETS,
         )
         self.page_table = PageTable()
-        self.swap = SwapArea(config.host_swap_capacity_bytes, config.host_memcpy_bps)
+        self.swap = SwapArea(config.host_swap_capacity_bytes)
         #: Victim ordering for partial (device-wide) eviction.
         #: ``quota_aware`` makes over-quota tenants' entries everyone's
         #: preferred victims (repro.qos); ``cost_aware`` under

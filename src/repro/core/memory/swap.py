@@ -22,11 +22,13 @@ _SWAP_ALIGN = 0x1_0000
 class SwapArea:
     """Accounting for the host swap region."""
 
-    def __init__(self, capacity_bytes: int, host_memcpy_bps: float = 8e9):
+    #: Host memcpy bandwidth of staging data into or out of the area.
+    host_memcpy_bps = 8e9
+
+    def __init__(self, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ValueError("swap capacity must be positive")
         self.capacity_bytes = int(capacity_bytes)
-        self.host_memcpy_bps = float(host_memcpy_bps)
         self._used = 0
         self._allocs: Dict[int, int] = {}
         self._next_ptr = _SWAP_BASE

@@ -23,6 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["MigrationManager"]
 
+#: Only migrate when the destination device is at least this many times
+#: faster than the source.
+MIN_SPEEDUP = 1.25
+
 
 class MigrationManager:
     """Slow→fast job migration on vGPU idleness."""
@@ -79,7 +83,7 @@ class MigrationManager:
         for vgpu in self.scheduler.idle_vgpus():
             speedup = vgpu.device.spec.effective_gflops / src_speed
             if (
-                speedup >= self.config.migration_min_speedup
+                speedup >= MIN_SPEEDUP
                 and self._worthwhile(ctx, vgpu)
                 and (
                     best is None
@@ -98,7 +102,7 @@ class MigrationManager:
         dynamic scheduling."""
         dst_speed = dst.device.spec.effective_gflops
         best: Optional[Context] = None
-        best_speedup = self.config.migration_min_speedup
+        best_speedup = MIN_SPEEDUP
         for ctx in self.scheduler.bound_contexts():
             if ctx.excluded_from_sharing or ctx.state is not ContextState.ASSIGNED:
                 continue

@@ -137,7 +137,7 @@ class NodeRuntime:
         # happens under ``locality_binding`` or the ``locality`` policy,
         # keeping the default configuration behavior-identical.
         self.cost_model = TransferCostModel(
-            self.config, self.memory.page_table, self.memory.swap, self.scheduler
+            self.memory.page_table, self.memory.swap, self.scheduler
         )
         self.memory.cost_model = self.cost_model
         if self.config.locality_binding or self.config.policy == "locality":
@@ -167,8 +167,6 @@ class NodeRuntime:
         self._started = True
         self.driver.concurrent_kernels = self.config.kernel_consolidation
         self.driver.launch_control_plane_s = self.config.launch_control_plane_s
-        for device in self.driver.devices:
-            device.allocator.mode = self.config.allocator_placement
         yield from self.scheduler.start()
         self.connections.start()
         self.dispatcher.start()
@@ -200,7 +198,6 @@ class NodeRuntime:
     def add_device(self, spec: GPUSpec) -> Generator:
         """Dynamic upgrade: install a GPU and spawn vGPUs on it."""
         device = self.driver.add_device(spec)
-        device.allocator.mode = self.config.allocator_placement
         yield from self.scheduler.add_device(device)
         return device
 

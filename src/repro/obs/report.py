@@ -19,6 +19,7 @@ the fraction of turnaround covered by named (non-``other``) phases.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.span import PHASES
@@ -31,6 +32,7 @@ __all__ = [
     "per_user_jct",
     "render_report",
     "render_jobs_report",
+    "nearest_rank_percentile",
 ]
 
 #: Column order for phase tables: every named phase, residual last.
@@ -141,12 +143,12 @@ def job_completion(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return sorted(out, key=lambda j: (-j["jct"], j["job"]))
 
 
-def _percentile(values: List[float], q: float) -> float:
-    if not values:
-        return 0.0
+def nearest_rank_percentile(values: Iterable[float], q: float) -> float:
+    """Nearest-rank q-th percentile (0..100): deterministic, always one of
+    the samples, no interpolation; 0.0 if empty."""
     ordered = sorted(values)
-    import math
-
+    if not ordered:
+        return 0.0
     rank = min(len(ordered) - 1, max(0, math.ceil(q / 100.0 * len(ordered)) - 1))
     return ordered[rank]
 
@@ -164,8 +166,8 @@ def per_user_jct(jobs: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
         out[tenant] = {
             "jobs": len(js),
             "mean_jct": sum(jcts) / len(jcts),
-            "p50_jct": _percentile(jcts, 50.0),
-            "p99_jct": _percentile(jcts, 99.0),
+            "p50_jct": nearest_rank_percentile(jcts, 50.0),
+            "p99_jct": nearest_rank_percentile(jcts, 99.0),
             "queue_share": queue / total if total > 0 else 0.0,
         }
     return out

@@ -2,13 +2,13 @@
 
 The QoS layer (:mod:`repro.qos`) *makes* isolation decisions; this
 module makes them *auditable*.  An :class:`SLOMonitor` keeps a sliding
-window (``config.slo_window_s`` simulated seconds) of per-tenant call
+window (``WINDOW_S`` simulated seconds) of per-tenant call
 turnaround and scheduler queue-wait samples, computes p50/p99 rollups
 on demand, and — when the operator configures SLO targets — tracks the
 fraction of samples breaching each target as an error-budget *burn
 rate*:
 
-    burn_rate = (breaching fraction in window) / slo_error_budget
+    burn_rate = (breaching fraction in window) / ERROR_BUDGET
 
 A burn rate of 1.0 means the tenant is consuming its error budget
 exactly as fast as allowed; above 1.0 the budget is burning down and
@@ -29,6 +29,14 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
 __all__ = ["SLOMonitor", "percentile"]
+
+#: Width of the sliding window over which the monitor computes
+#: turnaround/queue-wait percentiles and burn rates (simulated seconds).
+WINDOW_S = 60.0
+
+#: Fraction of calls in the window allowed to breach a target before the
+#: burn rate reaches 1.0 (the standard multi-window burn-rate quantity).
+ERROR_BUDGET = 0.01
 
 
 def percentile(values, q: float) -> float:
@@ -62,10 +70,8 @@ class SLOMonitor:
 
     def __init__(self, env, config) -> None:
         self.env = env
-        self.window_s = config.slo_window_s
         self.turnaround_p99_target = config.slo_turnaround_p99_s
         self.queue_wait_p99_target = config.slo_queue_wait_p99_s
-        self.error_budget = config.slo_error_budget
         self._windows: Dict[str, _Window] = {}
 
     # ------------------------------------------------------------------
@@ -80,7 +86,7 @@ class SLOMonitor:
         return getattr(getattr(ctx, "tenant", None), "name", "") or "-"
 
     def _prune(self, samples: Deque[Tuple[float, float]], now: float) -> None:
-        horizon = now - self.window_s
+        horizon = now - WINDOW_S
         while samples and samples[0][0] < horizon:
             samples.popleft()
 
@@ -105,7 +111,7 @@ class SLOMonitor:
         if target is None or not samples:
             return 0.0
         breaching = sum(1 for _, v in samples if v > target)
-        return (breaching / len(samples)) / self.error_budget
+        return (breaching / len(samples)) / ERROR_BUDGET
 
     def burn_rate(self, tenant_name: str, kind: str) -> float:
         """Current burn rate for ``kind`` in {"turnaround", "queue_wait"}."""
@@ -132,7 +138,7 @@ class SLOMonitor:
             turn = [v for _, v in w.turnaround]
             wait = [v for _, v in w.queue_wait]
             out[name] = {
-                "window_s": self.window_s,
+                "window_s": WINDOW_S,
                 "calls_total": w.calls_total,
                 "calls_in_window": len(turn),
                 "turnaround_p50_s": percentile(turn, 50),
@@ -151,4 +157,4 @@ class SLOMonitor:
         return out
 
     def __repr__(self) -> str:
-        return f"<SLOMonitor window={self.window_s}s tenants={len(self._windows)}>"
+        return f"<SLOMonitor window={WINDOW_S}s tenants={len(self._windows)}>"

@@ -13,8 +13,8 @@ generator-based process model in the style of SimPy:
   ``yield``\\ s events and is resumed when they fire.
 - :mod:`repro.sim.resources` provides capacity-limited resources, stores
   and containers.
-- :mod:`repro.sim.sync` provides locks, semaphores, condition variables
-  and FIFO queues built on events.
+- :mod:`repro.sim.sync` provides locks, condition variables and FIFO
+  queues built on events.
 
 Determinism: events scheduled for the same simulated time fire in strict
 FIFO order of scheduling (a monotonically increasing sequence number breaks
@@ -22,7 +22,6 @@ ties), so a given program produces an identical trace on every run.
 """
 
 from repro.sim.core import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
@@ -33,13 +32,12 @@ from repro.sim.core import (
     Waiter,
 )
 from repro.sim.profile import SimProfiler
-from repro.sim.resources import Container, PriorityResource, Resource, Store
-from repro.sim.sync import Condition, FifoQueue, Lock, Semaphore
+from repro.sim.resources import Container, Resource, Store
+from repro.sim.sync import Condition, FifoQueue, Lock
 from repro.sim.rng import RngStreams
 from repro.sim.timers import TimerHandle, TimerWheel
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Condition",
     "Container",
@@ -48,11 +46,9 @@ __all__ = [
     "FifoQueue",
     "Interrupt",
     "Lock",
-    "PriorityResource",
     "Process",
     "Resource",
     "RngStreams",
-    "Semaphore",
     "SimProfiler",
     "SimulationError",
     "Store",

@@ -50,7 +50,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "AnyOf",
-    "AllOf",
     "SimulationError",
     "PENDING",
     "complete_now",
@@ -236,9 +235,6 @@ class Event:
             self.cancel()
 
     # -- composition -----------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
     def __or__(self, other: "Event") -> "AnyOf":
         return AnyOf(self.env, [self, other])
 
@@ -272,7 +268,7 @@ def granted(env: "Environment") -> "Event":
 
     Yielding it continues synchronously; it is immutable once processed,
     so one shared instance per environment serves every valueless grant
-    (uncontended locks and semaphores) without an allocation.
+    (uncontended locks) without an allocation.
     """
     event = env._granted
     if event is None:
@@ -476,7 +472,7 @@ class Process(Event):
 
 
 class ConditionEvent(Event):
-    """Base for AnyOf/AllOf composite events.
+    """Base for composite events (:class:`AnyOf`).
 
     The composite's value is a dict mapping each *triggered* constituent
     event to its value, in trigger order.  When the composite resolves
@@ -549,16 +545,6 @@ class AnyOf(ConditionEvent):
         return done >= 1 or total == 0
 
 
-class AllOf(ConditionEvent):
-    """Fires when all constituent events have fired."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check(done: int, total: int) -> bool:
-        return done == total
-
-
 class Environment:
     """The simulated world: virtual clock plus event queue.
 
@@ -612,9 +598,6 @@ class Environment:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:

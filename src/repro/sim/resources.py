@@ -2,8 +2,7 @@
 
 Three families, mirroring what the cluster/GPU models need:
 
-- :class:`Resource` / :class:`PriorityResource` — ``k`` interchangeable
-  slots (CPU cores, PCIe engines, the single kernel-execution engine of a
+- :class:`Resource` — ``k`` interchangeable slots (CPU cores, PCIe engines, the single kernel-execution engine of a
   GPU).  Requests are events; ``with resource.request() as req: yield req``
   is the canonical usage inside a process.
 - :class:`Container` — a homogeneous amount of "stuff" (bytes of device
@@ -18,13 +17,12 @@ a slot/item is never granted to a dead claimant.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Deque, List, Optional
 
 from repro.sim.core import Environment, Event, SimulationError, complete_now
 
-__all__ = ["Resource", "PriorityResource", "Container", "Store"]
+__all__ = ["Resource", "Container", "Store"]
 
 
 class Request(Event):
@@ -34,14 +32,12 @@ class Request(Event):
     request if still queued, or frees the slot if acquired.
     """
 
-    __slots__ = ("resource", "priority", "_order")
+    __slots__ = ("resource",)
     _auto_cancel = True
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
-        self._order = next(resource._counter)
         self._on_cancel = resource._drop_queued
         resource._do_request(self)
 
@@ -50,9 +46,6 @@ class Request(Event):
 
     def __exit__(self, exc_type, exc_val, exc_tb) -> None:
         self.resource.release(self)
-
-    def sort_key(self):
-        return (self.priority, self._order)
 
 
 class Resource:
@@ -65,16 +58,15 @@ class Resource:
         self.capacity = capacity
         self.users: List[Request] = []
         self.queue: List[Request] = []
-        self._counter = itertools.count()
 
     @property
     def count(self) -> int:
         """Number of slots currently in use."""
         return len(self.users)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event fires when granted."""
-        return Request(self, priority)
+        return Request(self)
 
     def release(self, request: Request) -> None:
         """Free a slot (or cancel a still-queued request). Idempotent."""
@@ -106,10 +98,6 @@ class Resource:
                 request.succeed()
         else:
             self.queue.append(request)
-            self._sort_queue()
-
-    def _sort_queue(self) -> None:
-        pass  # plain Resource is strict FIFO
 
     def _grant_next(self) -> None:
         while self.queue and len(self.users) < self.capacity:
@@ -118,16 +106,6 @@ class Resource:
                 continue
             self.users.append(nxt)
             nxt.succeed()
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue orders by (priority, FIFO).
-
-    Lower priority values are served first.
-    """
-
-    def _sort_queue(self) -> None:
-        self.queue.sort(key=Request.sort_key)
 
 
 class ContainerEvent(Event):

@@ -7,20 +7,20 @@ read like the original C++ while staying deterministic.
 
 Every queued waiter is a :class:`~repro.sim.core.Waiter` event: if the
 waiting process is interrupted, or the waiter was the losing branch of an
-``any_of``, the event cancels itself and the primitive drops it.  Wake-ups,
-lock ownership, and semaphore permits therefore always reach a *live*
-waiter — a ghost can neither swallow a ``notify()`` nor deadlock a
-``Lock`` by receiving an ownership transfer it will never release.
+``any_of``, the event cancels itself and the primitive drops it.  Wake-ups
+and lock ownership therefore always reach a *live* waiter — a ghost can
+neither swallow a ``notify()`` nor deadlock a ``Lock`` by receiving an
+ownership transfer it will never release.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque
 
 from repro.sim.core import Environment, Event, SimulationError, Waiter, complete_now, granted
 
-__all__ = ["Lock", "Semaphore", "Condition", "FifoQueue"]
+__all__ = ["Lock", "Condition", "FifoQueue"]
 
 
 def _waiter(env: Environment, queue: Deque) -> Waiter:
@@ -76,43 +76,6 @@ class Lock:
             nxt.succeed()  # ownership transfers; stays locked
             return
         self._locked = False
-
-
-class Semaphore:
-    """Counting semaphore."""
-
-    def __init__(self, env: Environment, value: int = 1):
-        if value < 0:
-            raise SimulationError("semaphore value must be >= 0")
-        self.env = env
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Event:
-        if self._value > 0:
-            self._value -= 1
-            env = self.env
-            if env.peek() > env._now:
-                return granted(env)
-            ev = Event(env)
-            ev.succeed()
-        else:
-            ev = _waiter(self.env, self._waiters)
-        return ev
-
-    def release(self) -> None:
-        waiters = self._waiters
-        while waiters:
-            nxt = waiters.popleft()
-            if nxt._cancelled:
-                continue
-            nxt.succeed()  # permit transfers directly
-            return
-        self._value += 1
 
 
 class Condition:
@@ -187,11 +150,6 @@ class FifoQueue:
         if not self._wake_getter(item):
             self._items.append(item)
 
-    def put_front(self, item: Any) -> None:
-        """Re-queue at the head (used when a dequeued context must retry)."""
-        if not self._wake_getter(item):
-            self._items.appendleft(item)
-
     def get(self) -> Event:
         if self._items:
             env = self.env
@@ -202,12 +160,6 @@ class FifoQueue:
         else:
             ev = _waiter(self.env, self._getters)
         return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
 
     def remove(self, item: Any) -> bool:
         """Remove a specific queued item; True on success."""

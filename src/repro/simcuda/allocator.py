@@ -1,4 +1,4 @@
-"""Device-memory allocator with fragmentation (first-fit / best-fit).
+"""Device-memory allocator with fragmentation (first-fit placement).
 
 The paper notes that "because of possible memory fragmentation on GPU, the
 runtime may need to use the return code of the GPU memory allocation
@@ -21,10 +21,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["DeviceAllocator", "OutOfMemory", "PLACEMENT_MODES"]
-
-#: Supported placement strategies.
-PLACEMENT_MODES = ("first_fit", "best_fit")
+__all__ = ["DeviceAllocator", "OutOfMemory"]
 
 
 class OutOfMemory(Exception):
@@ -32,28 +29,18 @@ class OutOfMemory(Exception):
 
 
 class DeviceAllocator:
-    """Placement allocator over a contiguous device address space.
-
-    ``mode`` selects the placement strategy: ``first_fit`` (default)
-    takes the lowest-address block that fits; ``best_fit`` takes the
-    smallest block that fits (lowest address on ties), which keeps large
-    blocks intact and reduces fragmentation on mixed-size churn.
-    """
+    """First-fit placement allocator over a contiguous device address
+    space: a request takes the lowest-address free block that fits."""
 
     #: Allocation granularity (CUDA rounds allocations up; 256 B matches
     #: the alignment cudaMalloc guarantees).
     ALIGNMENT = 256
     BASE_ADDRESS = 0x0200_0000
 
-    def __init__(self, capacity: int, mode: str = "first_fit"):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if mode not in PLACEMENT_MODES:
-            raise ValueError(
-                f"unknown placement mode {mode!r}; choose from {PLACEMENT_MODES}"
-            )
         self.capacity = int(capacity)
-        self.mode = mode
         #: Sorted list of (address, size) free blocks.
         self._free: List[Tuple[int, int]] = [(self.BASE_ADDRESS, self.capacity)]
         #: address -> size for live allocations.
@@ -101,16 +88,7 @@ class DeviceAllocator:
         return self._round_up(size) <= self.largest_free_block
 
     def _find_block(self, need: int) -> Optional[int]:
-        """Index into ``_free`` of the block to carve, per ``mode``."""
-        if self.mode == "best_fit":
-            best = None
-            best_size = 0
-            for i, (_addr, blk) in enumerate(self._free):
-                if blk >= need and (best is None or blk < best_size):
-                    best, best_size = i, blk
-                    if blk == need:
-                        break
-            return best
+        """Index into ``_free`` of the lowest-address block that fits."""
         for i, (_addr, blk) in enumerate(self._free):
             if blk >= need:
                 return i
@@ -206,6 +184,6 @@ class DeviceAllocator:
 
     def __repr__(self) -> str:
         return (
-            f"<DeviceAllocator mode={self.mode} used={self.used_bytes} "
+            f"<DeviceAllocator used={self.used_bytes} "
             f"free={self.free_bytes} blocks={len(self._free)} live={len(self._live)}>"
         )

@@ -57,10 +57,9 @@ def make_job(
                     estimated_gpu_seconds=spec.gpu_seconds_c2050,
                     deadline_s=deadline_s,
                     # The intercept library reads the node's control-plane
-                    # batching knobs; batch_max_calls=1 is the historic
+                    # batching knob; batch_max_calls=1 is the historic
                     # per-call RPC path, bit for bit.
                     batch_max_calls=cfg.batch_max_calls,
-                    batch_max_delay_s=cfg.batch_max_delay_s,
                 )
             )
         else:

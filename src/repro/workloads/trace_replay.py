@@ -57,6 +57,7 @@ from repro.core.config import RuntimeConfig
 from repro.core.estimator import RuntimeEstimator
 from repro.core.frontend import Frontend
 from repro.obs import ObsCollector
+from repro.obs.report import nearest_rank_percentile as percentile
 from repro.sim import Environment
 from repro.simcuda.device import DEVICE_SPECS, device_spec
 from repro.simcuda.fatbin import FatBinary
@@ -73,10 +74,16 @@ __all__ = [
     "percentile",
     "TraceReplayResult",
     "replay_trace",
+    "REPLAY_SWAP_CAPACITY_BYTES",
 ]
 
 MIB = 1024**2
 GIB = 1024**3
+
+#: Host swap per replay node.  Trace backlogs hold hundreds of queued
+#: jobs' allocations per node, and the bake-off should measure
+#: scheduling, not host-DRAM sizing.
+REPLAY_SWAP_CAPACITY_BYTES = 256 * GIB
 
 #: Column order of the CSV form (the cluster-trace-gpu-v2020 shape).
 TRACE_FIELDS = (
@@ -306,15 +313,6 @@ def synthetic_trace(
 # ----------------------------------------------------------------------
 # metrics helpers
 # ----------------------------------------------------------------------
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, math.ceil(q / 100.0 * len(ordered)) - 1))
-    return ordered[rank]
-
-
 def jain_index(values: Sequence[float]) -> float:
     """Jain's fairness index ``(Σx)² / (n·Σx²)`` — 1.0 is perfectly
     fair, 1/n is maximally unfair."""
@@ -510,11 +508,11 @@ def replay_trace(
     trace = sorted(trace, key=lambda j: (j.submit_time, j.job_id))
     if not trace:
         raise ValueError("empty trace")
-    # Replay hosts get abundant swap by default: trace backlogs hold
-    # hundreds of queued jobs' allocations per node, and the bake-off
-    # should measure scheduling, not host-DRAM sizing.  An explicit
-    # ``config`` (e.g. the overload stress test) is honored verbatim.
-    base = config or RuntimeConfig(host_swap_capacity_bytes=256 * GIB)
+    # Replay hosts get abundant swap by default.  An explicit ``config``
+    # (e.g. the overload stress test) is honored verbatim.
+    base = config or RuntimeConfig(
+        host_swap_capacity_bytes=REPLAY_SWAP_CAPACITY_BYTES
+    )
     run_config = dataclasses.replace(base, policy=policy)
 
     env = Environment()
@@ -574,7 +572,6 @@ def replay_trace(
             tenant=tj.user,
             estimated_bytes=per_rank_bytes,
             batch_max_calls=runtime.config.batch_max_calls,
-            batch_max_delay_s=runtime.config.batch_max_delay_s,
         )
         yield from frontend.open()
         handle = yield from frontend.register_fat_binary(fatbin)

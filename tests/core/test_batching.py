@@ -165,48 +165,6 @@ def test_flush_raises_root_cause_not_batch_aborted():
     assert h.stats.kernels_launched == 0
 
 
-def test_delay_timer_flushes_stale_batch():
-    h = Harness()
-    kernel = make_kernel()
-
-    def app():
-        fe = h.frontend("timed", batch_max_calls=64, batch_max_delay_s=0.05)
-        yield from open_and_register(h, fe, kernel)
-        ptr = yield from fe.cuda_malloc(8 * MIB)
-        yield from fe.cuda_memcpy_h2d(ptr, 8 * MIB)
-        yield from fe.launch_kernel(kernel, [ptr])
-        # no barrier: only the delay timer can ship these 3 calls
-        yield h.env.timeout(1.0)
-        assert fe._batch == []
-        assert h.stats.kernels_launched == 1
-        yield from fe.cuda_thread_exit()
-
-    h.spawn(app())
-    h.run()
-    assert h.stats.batches_submitted >= 1
-
-
-def test_timer_flush_error_is_deferred_to_next_call():
-    h = Harness()
-    kernel = make_kernel()
-    caught = {}
-
-    def app():
-        fe = h.frontend("deferred", batch_max_calls=64, batch_max_delay_s=0.05)
-        yield from open_and_register(h, fe, kernel)
-        yield from fe.cuda_memcpy_h2d(0xBAD, MIB)  # journaled
-        yield h.env.timeout(1.0)  # timer flush fails in the background
-        try:
-            yield from fe.cuda_thread_synchronize()
-        except RuntimeApiError as exc:
-            caught["code"] = exc.code
-        yield from fe.cuda_thread_exit()
-
-    h.spawn(app())
-    h.run()
-    assert caught["code"] is RuntimeErrorCode.NO_VALID_PTE
-
-
 def test_batched_app_survives_device_failure():
     """Mid-batch device retirement: the recovery/rebind loop runs inside
     batch execution, the journal replays, and the app completes."""
@@ -294,8 +252,8 @@ def test_graph_launch_unknown_handle_is_typed_error():
 
 def test_repeated_batches_auto_instantiate_and_replay():
     """Journal-based detection: identical launch-only batch frames are
-    instantiated after graph_min_repeats and replayed thereafter."""
-    h = Harness(config=graph_config(batch_max_calls=8, graph_min_repeats=2))
+    instantiated after ``GRAPH_MIN_REPEATS`` and replayed thereafter."""
+    h = Harness(config=graph_config(batch_max_calls=8))
     kernel = make_kernel()
 
     def app():
@@ -422,8 +380,4 @@ def test_batch_config_validation():
     with pytest.raises(ValueError):
         RuntimeConfig(batch_max_calls=0)
     with pytest.raises(ValueError):
-        RuntimeConfig(batch_max_delay_s=0.0)
-    with pytest.raises(ValueError):
         RuntimeConfig(launch_control_plane_s=-1e-6)
-    with pytest.raises(ValueError):
-        RuntimeConfig(graph_min_repeats=0)

@@ -7,7 +7,7 @@ time and counters of the paths where those loops meet, so a refactor of
 the serving code cannot move a result silently.
 """
 
-from repro.core import RuntimeConfig
+from repro.core import RuntimeConfig, dispatcher
 from repro.obs import PhaseBreakdown
 from repro.simcuda import TESLA_C1060, TESLA_C2050
 
@@ -26,7 +26,6 @@ def test_device_failure_during_auto_detected_graph_replay_frame():
             graph_replay_enabled=True,
             launch_control_plane_s=40e-6,
             batch_max_calls=8,
-            graph_min_repeats=2,
         ),
     )
     kernel = make_kernel("looped", seconds=0.2)
@@ -136,14 +135,12 @@ def test_graph_replay_backs_off_under_memory_pressure():
     assert abs(sum(phases.values()) - replay.wall) < 1e-9
 
 
-def test_plain_call_retried_after_device_failure_repays_overhead():
+def test_plain_call_retried_after_device_failure_repays_overhead(monkeypatch):
     """A plain call that meets a dead device is marked failed and served
-    again from the top: the retry re-pays ``dispatcher_overhead_s`` before
+    again from the top: the retry re-pays ``DISPATCHER_OVERHEAD_S`` before
     recovery replays the journal on the surviving device."""
-    h = Harness(
-        specs=[TESLA_C2050, TESLA_C1060],
-        config=RuntimeConfig(dispatcher_overhead_s=0.05),
-    )
+    monkeypatch.setattr(dispatcher, "DISPATCHER_OVERHEAD_S", 0.05)
+    h = Harness(specs=[TESLA_C2050, TESLA_C1060])
     kernel = make_kernel("plain-k", seconds=0.3)
     done = {}
 

@@ -57,9 +57,7 @@ def test_migration_between_gpu_and_mic():
 
     h = Harness(
         specs=[INTEL_MIC, QUADRO_2000],
-        config=RuntimeConfig(
-            vgpus_per_device=1, migration_enabled=True, migration_min_speedup=1.5
-        ),
+        config=RuntimeConfig(vgpus_per_device=1, migration_enabled=True),
     )
     results = {}
 

@@ -51,14 +51,13 @@ def _fake_entry(size, device_id=None, fault=0, dirty=0):
     )
 
 
-def _model(entries, ctx, migration_penalty_s=0.02):
-    config = RuntimeConfig(migration_penalty_s=migration_penalty_s)
+def _model(entries, ctx):
     page_table = SimpleNamespace(
         entries_for=lambda c: entries, contexts=lambda: [ctx]
     )
     swap = SimpleNamespace(host_memcpy_bps=8e9)
     scheduler = SimpleNamespace(active_per_device=lambda: {})
-    return TransferCostModel(config, page_table, swap, scheduler)
+    return TransferCostModel(page_table, swap, scheduler)
 
 
 def test_bind_cost_prefers_device_holding_the_cache():
@@ -446,9 +445,5 @@ def test_locality_binding_wires_the_full_decision_surface():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RuntimeConfig(migration_penalty_s=-0.1)
-    with pytest.raises(ValueError):
-        RuntimeConfig(allocator_placement="worst_fit")
-    assert RuntimeConfig(allocator_placement="best_fit").allocator_placement == "best_fit"
+    assert RuntimeConfig(policy="locality").policy == "locality"
     assert "locality" in __import__("repro.core.policies", fromlist=["POLICY_NAMES"]).POLICY_NAMES

@@ -32,7 +32,6 @@ def unbalanced_harness(migration=True, vgpus=1):
         config=RuntimeConfig(
             vgpus_per_device=vgpus,
             migration_enabled=migration,
-            migration_min_speedup=1.2,
         ),
     )
 

@@ -80,10 +80,9 @@ def test_relocate_device_bumps_and_moves():
 # ---------------------------------------------------------------------------
 
 def _model(pt):
-    config = types.SimpleNamespace(migration_penalty_s=0.0)
     swap = types.SimpleNamespace(host_memcpy_bps=1e9)
     scheduler = types.SimpleNamespace(active_per_device=lambda: {})
-    return TransferCostModel(config, pt, swap, scheduler)
+    return TransferCostModel(pt, swap, scheduler)
 
 
 def test_working_set_cached_within_one_epoch():

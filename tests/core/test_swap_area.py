@@ -75,7 +75,7 @@ def test_huge_block_then_neighbor_distinct_ranges():
 
 
 def test_transfer_timing_helpers():
-    swap = SwapArea(100 * MIB, host_memcpy_bps=8e9)
+    swap = SwapArea(100 * MIB)
     assert swap.write_seconds(8_000_000_000) == pytest.approx(1.0)
     assert swap.read_seconds(4_000_000_000) == pytest.approx(0.5)
 

@@ -70,6 +70,24 @@ def test_run_rejects_invalid_runtime_config(capsys, tmp_path, mode, flags, messa
     assert not metrics.exists()  # rejected before any output is opened
 
 
+@pytest.mark.parametrize("mode", [["--jobs", "2"], ["trace", "--synthetic", "20"]])
+@pytest.mark.parametrize("flag, value", [
+    ("--nodes", "0"),
+    ("--gpus-per-node", "0"),
+    ("--arrival-rate", "0"),
+    ("--arrival-rate", "nan"),
+    ("--synthetic", "-3"),
+    ("--cpu-fraction", "-1"),
+])
+def test_run_rejects_bad_counts_and_rates_at_parse_time(capsys, mode, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *mode, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a" in err
+    assert "Traceback" not in err
+
+
 def test_run_with_policy_and_flags(capsys):
     rc = main([
         "run", "--jobs", "HS:2", "--policy", "sjf",

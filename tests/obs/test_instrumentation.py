@@ -65,7 +65,6 @@ def test_migration_event_emitted():
         specs=[TESLA_C2050, QUADRO_2000],
         vgpus_per_device=1,
         migration_enabled=True,
-        migration_min_speedup=1.2,
     )
 
     def phased(name, kernels, kernel_s, cpu_s):

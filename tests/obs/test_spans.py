@@ -258,7 +258,7 @@ def test_one_record_per_call_on_graph_frames():
     replayed frame still gets exactly one record, and phases sum to
     wall on the non-tail calls as on the tail call."""
     h = traced(batch_max_calls=8, graph_replay_enabled=True,
-               graph_min_repeats=2, launch_control_plane_s=40e-6)
+               launch_control_plane_s=40e-6)
 
     def app():
         fe = h.frontend("looper", batch_max_calls=8)

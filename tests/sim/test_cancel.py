@@ -10,7 +10,7 @@ primitives never see ghost wake-ups.
 import pytest
 
 from repro.sim import (
-    AllOf,
+    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -237,7 +237,7 @@ def test_anyof_cancels_losing_timeout():
     assert env.now == 1  # the 1000 s loser is cancelled, not pending
 
 
-def test_allof_with_failed_constituent_fails_composite():
+def test_anyof_with_failed_constituent_fails_composite():
     env = Environment()
     boom = RuntimeError("boom")
 
@@ -246,7 +246,7 @@ def test_allof_with_failed_constituent_fails_composite():
         bad = Event(env)
         bad.fail(boom)
         try:
-            yield AllOf(env, [ok, bad])
+            yield AnyOf(env, [ok, bad])
         except RuntimeError as exc:
             assert exc is boom
             return "caught"
@@ -255,7 +255,7 @@ def test_allof_with_failed_constituent_fails_composite():
     assert env.run(until=p) == "caught"
 
 
-def test_allof_failure_cancels_pending_constituents():
+def test_anyof_failure_cancels_pending_constituents():
     """When one constituent fails, the composite resolves immediately
     and detaches from the still-pending timeout, auto-cancelling it."""
     env = Environment()
@@ -265,7 +265,7 @@ def test_allof_failure_cancels_pending_constituents():
         bad = env.event()
         bad.fail(RuntimeError("x"))
         try:
-            yield AllOf(env, [slow, bad])
+            yield AnyOf(env, [slow, bad])
         except RuntimeError:
             pass
         assert slow.cancelled

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
@@ -299,43 +298,16 @@ def test_anyof_fires_on_first():
     assert p.value == (2, ["fast"])
 
 
-def test_allof_waits_for_all():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(5, value="a")
-        t2 = env.timeout(2, value="b")
-        result = yield AllOf(env, [t1, t2])
-        return (env.now, sorted(result.values()))
-
-    p = env.process(proc(env))
-    env.run(until=p)
-    assert p.value == (5, ["a", "b"])
-
-
-def test_or_and_operators():
+def test_or_operator():
     env = Environment()
 
     def proc(env):
         r1 = yield env.timeout(1, "x") | env.timeout(9, "y")
-        r2 = yield env.timeout(1, "p") & env.timeout(2, "q")
-        return (list(r1.values()), sorted(r2.values()), env.now)
+        return (list(r1.values()), env.now)
 
     p = env.process(proc(env))
     env.run(until=p)
-    assert p.value == (["x"], ["p", "q"], 3)
-
-
-def test_allof_empty_fires_immediately():
-    env = Environment()
-
-    def proc(env):
-        r = yield AllOf(env, [])
-        return (env.now, r)
-
-    p = env.process(proc(env))
-    env.run(until=p)
-    assert p.value == (0, {})
+    assert p.value == (["x"], 1)
 
 
 def test_peek_and_step():

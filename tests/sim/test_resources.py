@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, SimulationError, Store
+from repro.sim import Container, Environment, Resource, SimulationError, Store
 
 
 # ---------------------------------------------------------------------------
@@ -87,29 +87,6 @@ def test_resource_zero_capacity_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         Resource(env, capacity=0)
-
-
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def worker(env, name, prio):
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    def submit(env):
-        env.process(worker(env, "low", 10))
-        env.process(worker(env, "high", 0))
-        env.process(worker(env, "mid", 5))
-        yield env.timeout(0)
-
-    env.process(submit(env))
-    env.run()
-    # "low" is granted first (resource idle at request time); the rest by prio
-    assert order == ["low", "high", "mid"]
 
 
 def test_resource_count_tracks_users():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Condition, Environment, FifoQueue, Lock, Semaphore, SimulationError
+from repro.sim import Condition, Environment, FifoQueue, Lock, SimulationError
 
 
 # ---------------------------------------------------------------------------
@@ -63,41 +63,6 @@ def test_lock_locked_property():
     assert lock.locked
     lock.release()
     assert not lock.locked
-
-
-# ---------------------------------------------------------------------------
-# Semaphore
-# ---------------------------------------------------------------------------
-
-def test_semaphore_counts():
-    env = Environment()
-    sem = Semaphore(env, value=2)
-    entered = []
-
-    def proc(env, name):
-        yield sem.acquire()
-        entered.append((env.now, name))
-        yield env.timeout(5)
-        sem.release()
-
-    for n in "abc":
-        env.process(proc(env, n))
-    env.run()
-    assert [n for _, n in entered] == ["a", "b", "c"]
-    assert entered[2][0] == 5
-
-
-def test_semaphore_negative_value_rejected():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Semaphore(env, value=-1)
-
-
-def test_semaphore_release_without_waiter_increments():
-    env = Environment()
-    sem = Semaphore(env, value=0)
-    sem.release()
-    assert sem.value == 1
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +144,6 @@ def test_fifoqueue_put_get():
     env.process(producer(env))
     env.run()
     assert out == [(2, "a"), (4, "b")]
-
-
-def test_fifoqueue_put_front():
-    env = Environment()
-    q = FifoQueue(env)
-    q.put("second")
-    q.put_front("first")
-    assert q.try_get() == "first"
-    assert q.try_get() == "second"
-    assert q.try_get() is None
 
 
 def test_fifoqueue_remove():
@@ -336,45 +291,6 @@ def test_lock_release_skips_interrupted_acquirer():
     env.run()
     assert order == ["holder", "survivor"]
     assert not lock.locked  # no ownership stranded on the ghost
-
-
-def test_semaphore_release_skips_interrupted_acquirer():
-    from repro.sim import Interrupt
-
-    env = Environment()
-    sem = Semaphore(env, value=1)
-    order = []
-
-    def holder():
-        yield sem.acquire()
-        order.append("holder")
-        yield env.timeout(5)
-        sem.release()
-
-    def doomed():
-        try:
-            yield sem.acquire()
-            order.append("doomed")
-        except Interrupt:
-            pass
-
-    def survivor():
-        yield sem.acquire()
-        order.append("survivor")
-        sem.release()
-
-    env.process(holder())
-    d = env.process(doomed())
-    env.process(survivor())
-
-    def driver():
-        yield env.timeout(1)
-        d.interrupt()
-
-    env.process(driver())
-    env.run()
-    assert order == ["holder", "survivor"]
-    assert sem.value == 1  # the permit was not lost on the ghost
 
 
 def test_fifoqueue_put_skips_interrupted_getter():

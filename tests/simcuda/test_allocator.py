@@ -167,8 +167,7 @@ def test_alloc_all_then_free_all_restores_capacity(sizes):
 
 
 # ---------------------------------------------------------------------------
-# O(1) bookkeeping (running free-byte total + size multiset) and the
-# best-fit placement mode.
+# O(1) bookkeeping (running free-byte total + size multiset).
 # ---------------------------------------------------------------------------
 
 def _bookkeeping_consistent(a: DeviceAllocator) -> None:
@@ -178,12 +177,6 @@ def _bookkeeping_consistent(a: DeviceAllocator) -> None:
     assert a.largest_free_block == (
         max((size for _addr, size in a._free), default=0)
     )
-
-
-def test_mode_validation():
-    with pytest.raises(ValueError):
-        DeviceAllocator(1 * MIB, mode="worst_fit")
-    assert DeviceAllocator(1 * MIB, mode="best_fit").mode == "best_fit"
 
 
 def test_both_neighbour_coalescing_merges_into_one_block():
@@ -248,62 +241,18 @@ def test_alignment_rounding_accounts_rounded_size():
     _bookkeeping_consistent(a)
 
 
-def test_best_fit_prefers_smallest_hole():
-    """best_fit fills the tightest hole; first_fit takes the lowest one."""
-    def make_holes(mode):
-        a = DeviceAllocator(1 * MIB, mode=mode)
-        big = a.allocate(300 * KIB)
-        a.allocate(64 * KIB)   # guard
-        small = a.allocate(100 * KIB)
-        a.allocate(64 * KIB)   # guard
-        a.free(big)            # low, loose hole
-        a.free(small)          # high, tight hole
-        return a, big, small
-
-    a, big, small = make_holes("best_fit")
-    assert a.allocate(100 * KIB) == small
-    a, big, small = make_holes("first_fit")
-    assert a.allocate(100 * KIB) == big
-
-
-def test_best_fit_reduces_fragmentation_on_churn():
-    """Regression (satellite): on a mixed-size churn pattern, best_fit
-    must end no more fragmented than first_fit — and strictly less here,
-    because first_fit splinters the big block for every small request."""
-    def churn(mode):
-        a = DeviceAllocator(2 * MIB, mode=mode)
-        big = a.allocate(1 * MIB)
-        small = [a.allocate(40 * KIB) for _ in range(12)]
-        a.free(big)  # one big hole at the bottom
-        for i in range(0, len(small), 2):
-            a.free(small[i])  # plus a comb of small holes
-        # New small allocations that stay live: first_fit carves them
-        # out of the big hole (splintering it); best_fit drops them into
-        # the exact-fit comb holes and keeps the big block intact.
-        for _ in range(6):
-            a.allocate(40 * KIB)
-        _bookkeeping_consistent(a)
-        return a.fragmentation(), a.largest_free_block
-
-    frag_ff, largest_ff = churn("first_fit")
-    frag_bf, largest_bf = churn("best_fit")
-    assert frag_bf < frag_ff
-    assert largest_bf >= largest_ff
-
-
 @settings(max_examples=150, deadline=None)
 @given(
-    mode=st.sampled_from(["first_fit", "best_fit"]),
     ops=st.lists(
         st.tuples(st.sampled_from(["alloc", "free"]), st.integers(1, 64 * KIB)),
         min_size=1,
         max_size=60,
     ),
 )
-def test_o1_bookkeeping_matches_block_list(mode, ops):
+def test_o1_bookkeeping_matches_block_list(ops):
     """The running total and size multiset never drift from the block
-    list, in either placement mode, across arbitrary alloc/free churn."""
-    a = DeviceAllocator(512 * KIB, mode=mode)
+    list across arbitrary alloc/free churn."""
+    a = DeviceAllocator(512 * KIB)
     live = []
     for kind, size in ops:
         if kind == "alloc":
