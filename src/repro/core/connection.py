@@ -13,6 +13,7 @@ from typing import Generator, Optional
 
 from repro.sim import Environment, FifoQueue
 from repro.net.socket import Listener, Socket
+from repro.obs.events import QueueDepthChanged
 
 __all__ = ["ConnectionManager"]
 
@@ -51,7 +52,9 @@ class ConnectionManager:
             sock: Socket = yield self.listener.accept()
             self.pending.put(sock)
             if self.obs is not None and self.obs.enabled:
-                self.obs.queue_depth("pending_connections", len(self.pending))
+                self.obs.record(
+                    QueueDepthChanged, queue="pending_connections", depth=len(self.pending)
+                )
 
     def next_connection(self):
         """Event for the next pending connection (dispatcher side)."""

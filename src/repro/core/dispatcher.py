@@ -33,6 +33,15 @@ from repro.simcuda import timing
 from repro.simcuda.errors import CudaError, CudaRuntimeError
 from repro.simcuda.kernels import KernelLaunch
 
+from repro.obs.events import (
+    BatchSubmit,
+    FailureRecovered,
+    GraphInstantiate,
+    GraphReplay,
+    Offload,
+    Preemption,
+    QueueDepthChanged,
+)
 from repro.obs.span import CallSpan
 
 from repro.core.context import Context, ContextState
@@ -138,10 +147,11 @@ class Dispatcher:
             sock: Socket = yield self.runtime.connections.next_connection()
             self.stats.connections_accepted += 1
             if self.obs.enabled:
-                self.obs.queue_depth(
-                    "pending_connections", self.runtime.connections.pending_count
+                self.obs.record(
+                    QueueDepthChanged,
+                    queue="pending_connections",
+                    depth=self.runtime.connections.pending_count,
                 )
-                self._observe_socket(sock)
             peer = None
             already_offloaded = sock.peer_name.endswith(OFFLOAD_TAG)
             if (
@@ -153,7 +163,7 @@ class Dispatcher:
             if peer is not None:
                 self.stats.offloads_out += 1
                 if self.obs.enabled:
-                    self.obs.offload(sock.peer_name, peer.name)
+                    self.obs.record(Offload, context=sock.peer_name, dst_node=peer.name)
                 self.env.process(
                     self.runtime.offloader.proxy(sock, peer),
                     name=f"offload-proxy-{sock.socket_id}",
@@ -162,23 +172,6 @@ class Dispatcher:
                 self.env.process(
                     self._serve_connection(sock), name=f"handler-{sock.socket_id}"
                 )
-
-    def _observe_socket(self, sock: Socket) -> None:
-        """Tracing only: watch the connection's channels — bytes/messages
-        into net counters, receive-queue depth onto the event bus."""
-        metrics = self.runtime.metrics
-        messages = metrics.counter("net_messages_total", "messages over served sockets")
-        nbytes = metrics.counter("net_bytes_total", "payload bytes over served sockets")
-        queue = f"sock{sock.socket_id}-rx"
-
-        def on_activity(direction: str, action: str, n: int, pending: int) -> None:
-            if action == "send":
-                messages.inc()
-                nbytes.inc(n)
-            elif action == "deliver" and direction == "rx":
-                self.obs.queue_depth(queue, pending)
-
-        sock.attach_observer(on_activity)
 
     # ------------------------------------------------------------------
     def _serve_connection(self, sock: Socket) -> Generator:
@@ -319,7 +312,7 @@ class Dispatcher:
         stats.batched_calls += len(calls)
         arrival = env.now
         if obs.enabled:
-            obs.batch_submit(ctx, len(calls), batch.wire_bytes)
+            obs.record(BatchSubmit, ctx, calls=len(calls), wire_bytes=batch.wire_bytes)
             spans: List[Optional[CallSpan]] = []
             for i, req in enumerate(calls):
                 # Each call's span starts at its *enqueue* time.  The
@@ -479,8 +472,12 @@ class Dispatcher:
         ctx.graphs[instance.graph_id] = instance
         self.stats.graphs_instantiated += 1
         if self.obs.enabled:
-            self.obs.graph_instantiate(
-                ctx, instance.graph_id, len(template), explicit=False
+            self.obs.record(
+                GraphInstantiate,
+                ctx,
+                graph_id=instance.graph_id,
+                kernels=len(template),
+                explicit=False,
             )
 
     def _serve_batch_as_graph(
@@ -578,10 +575,11 @@ class Dispatcher:
         instance.epoch = self.memory.page_table.epoch
         instance.device_id = ctx.vgpu.device.device_id if ctx.bound else None
         if self.obs.enabled:
-            self.obs.graph_replay(
+            self.obs.record(
+                GraphReplay,
                 ctx,
-                instance.graph_id,
-                len(launches),
+                graph_id=instance.graph_id,
+                kernels=len(launches),
                 invalidated=not valid and not cold,
             )
 
@@ -622,8 +620,13 @@ class Dispatcher:
             if ctx.tenant is not None:
                 ctx.tenant.preemptions += 1
             if self.obs.enabled:
-                self.obs.preemption(
-                    ctx, vgpu, self.config.vgpu_quantum_s, used
+                self.obs.record(
+                    Preemption,
+                    ctx,
+                    vgpu=vgpu.name,
+                    device_id=vgpu.device.device_id,
+                    quantum_s=self.config.vgpu_quantum_s,
+                    used_s=used,
                 )
         finally:
             ctx.lock.release()
@@ -807,8 +810,12 @@ class Dispatcher:
             if cp > 0.0:
                 yield self.env.timeout(cp * len(launches))
             if self.obs.enabled:
-                self.obs.graph_instantiate(
-                    ctx, instance.graph_id, len(launches), explicit=True
+                self.obs.record(
+                    GraphInstantiate,
+                    ctx,
+                    graph_id=instance.graph_id,
+                    kernels=len(launches),
+                    explicit=True,
                 )
             return instance.graph_id, 0
         if method == CallType.GRAPH_LAUNCH:
@@ -969,7 +976,7 @@ class Dispatcher:
             self.failed_contexts.remove(ctx)
         self.stats.failures_recovered += 1
         if self.obs.enabled:
-            self.obs.failure_recovered(ctx, replayed_kernels=replayed)
+            self.obs.record(FailureRecovered, ctx, replayed_kernels=replayed)
 
     # ------------------------------------------------------------------
     def _exit(self, ctx: Context) -> Generator:

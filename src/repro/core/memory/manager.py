@@ -38,7 +38,15 @@ from repro.core.memory.nested import NestedStructure
 from repro.core.memory.page_table import EntryType, PageTable, PageTableEntry
 from repro.core.memory.swap import SwapArea
 from repro.core.stats import RuntimeStats
-from repro.obs import BYTES_BUCKETS, MetricsRegistry, Tracer
+from repro.obs import (
+    BYTES_BUCKETS,
+    CheckpointTaken,
+    Eviction,
+    MetricsRegistry,
+    SwapIn,
+    SwapOut,
+    Tracer,
+)
 
 __all__ = ["MemoryManager", "NeedRetry"]
 
@@ -152,7 +160,7 @@ class MemoryManager:
         if tenant is not None:
             tenant.swap_bytes_out_total += nbytes
         if self.obs.enabled:
-            self.obs.swap_out(ctx, nbytes)
+            self.obs.record(SwapOut, ctx, nbytes=nbytes)
 
     def _account_swap_in(self, ctx: Context, nbytes: int) -> None:
         """One host→device bulk transfer of authoritative swap data."""
@@ -163,7 +171,7 @@ class MemoryManager:
         if tenant is not None:
             tenant.swap_bytes_in_total += nbytes
         if self.obs.enabled:
-            self.obs.swap_in(ctx, nbytes)
+            self.obs.record(SwapIn, ctx, nbytes=nbytes)
 
     def _drain_writebacks(self, ctx: Context) -> Generator:
         """Barrier: wait until every in-flight asynchronous write-back of
@@ -795,8 +803,13 @@ class MemoryManager:
         self.stats.eviction_bytes_freed += freed
         self.stats.eviction_writeback_bytes += dirty_written
         if self.obs.enabled:
-            self.obs.eviction(
-                ctx, self.eviction_policy.name, freed, dirty_written, len(touched)
+            self.obs.record(
+                Eviction,
+                ctx,
+                policy=self.eviction_policy.name,
+                bytes_freed=freed,
+                dirty_bytes=dirty_written,
+                victims=len(touched),
             )
 
     def _evict_entries(
@@ -920,7 +933,14 @@ class MemoryManager:
             self.stats.quota_eviction_bytes += freed
             self._maybe_clear_journal(ctx)
             if self.obs.enabled:
-                self.obs.eviction(ctx, "tenant_quota", freed, dirty_written, 1)
+                self.obs.record(
+                    Eviction,
+                    ctx,
+                    policy="tenant_quota",
+                    bytes_freed=freed,
+                    dirty_bytes=dirty_written,
+                    victims=1,
+                )
 
     def swap_out_context(self, ctx: Context, notify: bool = True) -> Generator:
         """Write back and release every resident entry of ``ctx``.
@@ -1146,7 +1166,7 @@ class MemoryManager:
         ctx.replay_journal.clear()
         self.stats.checkpoints += 1
         if self.obs.enabled:
-            self.obs.checkpoint(ctx, written)
+            self.obs.record(CheckpointTaken, ctx, nbytes=written)
 
     def _finish_checkpoint(
         self,
@@ -1162,7 +1182,9 @@ class MemoryManager:
                 ctx.replay_journal.clear()
                 self.stats.checkpoints += 1
                 if self.obs.enabled:
-                    self.obs.checkpoint(ctx, sum(run[1] for _, run, _ in staged))
+                    self.obs.record(
+                        CheckpointTaken, ctx, nbytes=sum(run[1] for _, run, _ in staged)
+                    )
         except CudaRuntimeError:
             # Device died mid-write-back; the swap copies already landed
             # stay valid, recovery owns the rest.
@@ -1246,11 +1268,6 @@ class MemoryManager:
             if pte.swap_ptr is not None:
                 self.swap.release(pte.swap_ptr)
                 pte.swap_ptr = None
-                # The per-entry device frees above yield, so a monitor
-                # tick can sample between entries: advance the epoch so
-                # memoized swap gauges see this release immediately
-                # (drop_context's bump only lands after the loop).
-                self.page_table.epoch += 1
             self.nested.pop(pte.virtual_ptr, None)
         ctx.cache_vgpu = None
         self.page_table.drop_context(ctx)

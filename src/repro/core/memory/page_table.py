@@ -173,8 +173,8 @@ class PageTableEntry:
         self.device_id: Optional[int] = None
         #: Owning PageTable (set by create_entry; None for standalone
         #: entries in unit tests).  Lets every state transition advance
-        #: the table's residency epoch, which invalidates memoized
-        #: TransferCostModel evaluations.
+        #: the table's residency epoch, which invalidates graph-replay
+        #: translations and the TransferCostModel's per-epoch caches.
         self._table: Optional["PageTable"] = None
 
     # -- state machine (Figure 4) --------------------------------------
@@ -440,9 +440,10 @@ class PageTable:
 
     def __init__(self):
         #: Residency epoch: advanced by every PTE state transition and by
-        #: entry creation/removal.  Consumers (TransferCostModel) key
-        #: memoized whole-table aggregates by it; any change anywhere in
-        #: the table invalidates them.
+        #: entry creation/removal.  Graph replay checks it before reusing
+        #: cached translations, and the TransferCostModel keys its
+        #: whole-table aggregates by it; any change anywhere in the table
+        #: invalidates both.
         self.epoch = 0
         self._by_context: Dict[Any, List[PageTableEntry]] = {}
         self._by_vptr: Dict[int, PageTableEntry] = {}

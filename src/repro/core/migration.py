@@ -17,6 +17,7 @@ from typing import Generator, Optional, TYPE_CHECKING
 
 from repro.core.context import Context, ContextState
 from repro.core.vgpu import VirtualGPU
+from repro.obs.events import Migration
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import NodeRuntime
@@ -152,7 +153,13 @@ class MigrationManager:
                 ctx.migrations += 1
                 obs = self.runtime.obs
                 if obs.enabled:
-                    obs.migration(ctx, src.device, dst.device, p2p=used_p2p)
+                    obs.record(
+                        Migration,
+                        ctx,
+                        src_device=src.device.device_id,
+                        dst_device=dst.device.device_id,
+                        p2p=used_p2p,
+                    )
                 # The freed slow vGPU can serve the queue (usually empty
                 # here by construction) or trigger further migrations.
                 self.scheduler._grant_waiting()

@@ -27,7 +27,7 @@ from repro.core.offload import OffloadManager
 from repro.core.policies import PolicyContext, make_policy
 from repro.core.scheduler import Scheduler
 from repro.core.stats import RuntimeStats
-from repro.obs import MetricsRegistry, SLOMonitor, Tracer
+from repro.obs import EngineSpan, MetricsRegistry, SLOMonitor, Tracer
 from repro.qos import AdmissionController, TenantRegistry
 
 __all__ = ["NodeRuntime"]
@@ -265,7 +265,16 @@ class NodeRuntime:
         owner: str, begin_at: float,
     ) -> None:
         if self.obs.enabled:
-            self.obs.engine_span(device, engine, op, nbytes, owner, begin_at)
+            self.obs.record(
+                EngineSpan,
+                context=owner,
+                engine=engine,
+                op=op,
+                nbytes=nbytes,
+                begin_at=begin_at,
+                duration=self.env.now - begin_at,
+                device_id=device.device_id,
+            )
 
     def _reaper_idle(self, _event=None) -> None:
         """CPU-phase reaper, idle half: unbind contexts lingering in CPU

@@ -23,7 +23,13 @@ from repro.core.context import Context, ContextState
 from repro.core.policies import PolicyContext
 from repro.core.stats import RuntimeStats
 from repro.core.vgpu import VirtualGPU
-from repro.obs import MetricsRegistry, QUEUE_WAIT_BUCKETS_S, Tracer
+from repro.obs import (
+    BindingDecision,
+    MetricsRegistry,
+    QUEUE_WAIT_BUCKETS_S,
+    QueueDepthChanged,
+    Tracer,
+)
 
 __all__ = ["Scheduler"]
 
@@ -135,7 +141,7 @@ class Scheduler:
                     )
                 )
             if self.obs.enabled:
-                self.obs.queue_depth("waiting_contexts", 0)
+                self.obs.record(QueueDepthChanged, queue="waiting_contexts", depth=0)
         return orphans
 
     # ------------------------------------------------------------------
@@ -168,13 +174,6 @@ class Scheduler:
     @property
     def waiting_count(self) -> int:
         return len(self._waiting)
-
-    def load_per_vgpu(self) -> float:
-        """Bound + waiting contexts per usable vGPU (offload metric)."""
-        capacity = self.total_vgpus
-        if capacity == 0:
-            return float("inf")
-        return (len(self.bound_contexts()) + len(self._waiting)) / capacity
 
     # ------------------------------------------------------------------
     # binding
@@ -246,7 +245,9 @@ class Scheduler:
         else:
             self._waiting.append(ctx)
         if self.obs.enabled:
-            self.obs.queue_depth("waiting_contexts", len(self._waiting))
+            self.obs.record(
+                QueueDepthChanged, queue="waiting_contexts", depth=len(self._waiting)
+            )
         self.waiting_added.notify_all()
         # A vGPU may be idle while waiters exist (policy reordering);
         # try a grant round before blocking.
@@ -282,7 +283,9 @@ class Scheduler:
             self._waiting_events.pop(ctx, None)
             self._enqueued_at.pop(ctx, None)
             if self.obs.enabled:
-                self.obs.queue_depth("waiting_contexts", len(self._waiting))
+                self.obs.record(
+                    QueueDepthChanged, queue="waiting_contexts", depth=len(self._waiting)
+                )
 
     # ------------------------------------------------------------------
     def _choose_vgpu(self, ctx: Context, idle: List[VirtualGPU]) -> VirtualGPU:
@@ -299,7 +302,13 @@ class Scheduler:
                     key=lambda s: (s[1], s[0].device.device_id, s[0].index),
                 )
                 if self.obs.enabled:
-                    self.obs.binding_decision(ctx, chosen, scored)
+                    self.obs.record(
+                        BindingDecision,
+                        ctx,
+                        chosen=chosen.name,
+                        device_id=chosen.device.device_id,
+                        scores=tuple((v.name, cost) for v, cost in scored),
+                    )
                 return chosen
         mem_needed = self.mem_needed_fn(ctx)
 
@@ -352,7 +361,11 @@ class Scheduler:
                     if self.queue_wait_hook is not None:
                         self.queue_wait_hook(ctx, self.env.now - enqueued)
                     if self.obs.enabled:
-                        self.obs.queue_depth("waiting_contexts", len(self._waiting))
+                        self.obs.record(
+                            QueueDepthChanged,
+                            queue="waiting_contexts",
+                            depth=len(self._waiting),
+                        )
                     self._bind(ctx, self._choose_vgpu(ctx, usable))
                     ev.succeed()
                     granted = True

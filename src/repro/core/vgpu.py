@@ -21,6 +21,8 @@ from repro.simcuda.device import GPUDevice
 from repro.simcuda.kernels import KernelLaunch
 from repro.simcuda.streams import Stream
 
+from repro.obs.events import Bind, Unbind
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import Context
 
@@ -95,13 +97,15 @@ class VirtualGPU:
         # (scheduler grant, migration, recovery).
         ctx.quantum_used_s = 0.0
         if self.obs is not None and self.obs.enabled:
-            self.obs.bind(ctx, self)
+            self.obs.record(Bind, ctx, vgpu=self.name, device_id=self.device.device_id)
 
     def unbind(self, ctx: "Context", reason: str = "") -> None:
         if self.bound_context is not ctx:
             raise RuntimeError(f"{self.name} does not serve {ctx!r}")
         if self.obs is not None and self.obs.enabled:
-            self.obs.unbind(ctx, self, reason)
+            self.obs.record(
+                Unbind, ctx, vgpu=self.name, device_id=self.device.device_id, reason=reason
+            )
         self.bound_context = None
         if self._bound_at is not None:
             self.total_bound_seconds += self.env.now - self._bound_at

@@ -101,7 +101,7 @@ def run_node_batch(
     runtime and leaves the collector holding the run's events/metrics.
     Passing a :class:`~repro.sim.SimProfiler` attaches it to the
     environment for the whole run (simulator self-profiling: event
-    count, events/sec, named counters).
+    count, events/sec).
     """
     env = Environment()
     if profiler is not None:

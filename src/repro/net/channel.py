@@ -108,8 +108,6 @@ def _deliver_payload(event: "_Delivery") -> None:
         break
     else:
         inbox.items.append(event._payload)
-    if channel.on_activity is not None:
-        channel.on_activity("deliver", 0, channel.pending)
 
 
 class Channel:
@@ -127,10 +125,6 @@ class Channel:
         self.messages_sent = 0
         self.bytes_sent = 0
         self.closed = False
-        #: Optional observability hook: ``fn(action, nbytes, pending)``
-        #: with action "send" (transmission complete) or "deliver"
-        #: (message reached the inbox).  Costs nothing while unset.
-        self.on_activity = None
 
     def send(self, payload: Any, nbytes: int = 0) -> Generator:
         """Transmit ``payload``; completes when the link is released.
@@ -155,8 +149,6 @@ class Channel:
             yield env.timeout(self.link.transmit_seconds(nbytes))
             self.messages_sent += 1
             self.bytes_sent += nbytes
-            if self.on_activity is not None:
-                self.on_activity("send", nbytes, self.pending)
             _Delivery(self, payload)
         finally:
             self._tx_busy = False

@@ -53,13 +53,6 @@ class Socket:
     def bytes_sent(self) -> int:
         return self._tx.bytes_sent
 
-    def attach_observer(self, fn) -> None:
-        """Observability hook: ``fn(direction, action, nbytes, pending)``
-        is called for activity on both underlying channels, with
-        direction "rx"/"tx" relative to this endpoint."""
-        self._rx.on_activity = lambda action, n, pending: fn("rx", action, n, pending)
-        self._tx.on_activity = lambda action, n, pending: fn("tx", action, n, pending)
-
     def close(self) -> None:
         self.closed = True
         self._tx.close()

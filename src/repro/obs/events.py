@@ -4,10 +4,11 @@ The paper's dispatcher "may expose some information to the cluster-level
 scheduler" (§2); this module generalizes that introspection surface into
 a zero-dependency tracing bus.  Components emit *typed events* — call
 spans, swap traffic, binding changes, migrations, offloads, checkpoints,
-recoveries, queue depths — through a :class:`Tracer` owned by the node
-runtime.  When tracing is disabled (the default) every emission helper
-returns before constructing an event, so the hot paths pay one attribute
-check and nothing else; simulated time is never affected either way.
+recoveries, queue depths — through :meth:`Tracer.record` on the
+:class:`Tracer` owned by the node runtime.  When tracing is disabled (the
+default) it returns before constructing an event, so the hot paths pay
+one attribute check and nothing else; simulated time is never affected
+either way.
 
 Events are plain frozen dataclasses so exporters (:mod:`repro.obs.export`)
 can serialize them without reflection surprises, and tests can assert on
@@ -220,8 +221,7 @@ class BindingDecision:
     """The transfer-cost model scored the idle vGPUs for a binding
     (§4.4 locality-aware dynamic binding): ``scores`` holds every
     candidate's (vgpu name, modeled time-to-first-kernel seconds) and
-    ``chosen`` the winner.  ``resident_bytes`` is the context's
-    working-set residency on the chosen device at decision time."""
+    ``chosen`` the winner."""
 
     kind: ClassVar[str] = "BindingDecision"
     at: float
@@ -229,14 +229,13 @@ class BindingDecision:
     chosen: str
     device_id: Optional[int] = None
     scores: Tuple[Tuple[str, float], ...] = ()
-    resident_bytes: int = 0
     node: str = ""
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class QueueDepthChanged:
-    """A runtime queue (waiting contexts, pending connections, socket
-    inbox) changed depth."""
+    """A runtime queue (waiting contexts, pending connections) changed
+    depth."""
 
     kind: ClassVar[str] = "QueueDepthChanged"
     at: float
@@ -354,26 +353,27 @@ def event_to_dict(event: Any) -> Dict[str, Any]:
     return d
 
 
-def _ctx_location(ctx) -> Tuple[Optional[int], Optional[str]]:
-    """(device_id, vgpu name) of a runtime context, or (None, None)."""
-    vgpu = getattr(ctx, "vgpu", None)
-    if vgpu is None:
-        return None, None
-    return vgpu.device.device_id, vgpu.name
-
-
-def _ctx_tenant(ctx) -> str:
-    """The context's tenant name, or "" before the handshake names one."""
-    return getattr(getattr(ctx, "tenant", None), "name", "")
+#: Per event kind, the fields :meth:`Tracer.record` can take from a
+#: runtime context: the kind declares them and the caller may leave
+#: them out.
+_CTX_FIELDS: Dict[type, Tuple[str, ...]] = {
+    kind: tuple(
+        name
+        for name in ("context", "device_id", "vgpu", "tenant")
+        if name in kind.__dataclass_fields__
+    )
+    for kind in EVENT_TYPES
+}
 
 
 class Tracer:
     """Per-runtime event sink.
 
-    ``enabled`` gates everything: the emission helpers below return
-    immediately when it is False, so instrumented hot paths cost one
-    attribute load.  Subscribers (live consumers such as a streaming
-    exporter) are called synchronously with each event.
+    ``enabled`` gates everything: :meth:`record` returns immediately when
+    it is False, and instrumented hot paths check it before gathering
+    any field, so they cost one attribute load.  Subscribers (live
+    consumers such as a streaming exporter) are called synchronously
+    with each event.
     """
 
     __slots__ = ("env", "enabled", "node", "events", "subscribers")
@@ -387,304 +387,70 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def emit(self, event: Any) -> None:
-        """Record one already-constructed event (no enabled check: the
-        helpers below guard before construction)."""
+        """Record one already-constructed event (no enabled check:
+        :meth:`record` guards before construction)."""
         self.events.append(event)
         for fn in self.subscribers:
             fn(event)
+
+    def record(self, kind: type, ctx: Any = None, **fields: Any) -> None:
+        """Emit one ``kind`` event stamped with the clock and this node;
+        a no-op while tracing is off.
+
+        Each of ``context``, ``device_id``, ``vgpu`` and ``tenant`` that
+        ``kind`` declares and ``fields`` leaves out is taken from ``ctx``:
+        its owner, the device and name of the vGPU it is bound to (None
+        while unbound), and its tenant's name ("" before the handshake
+        names one).
+        """
+        if not self.enabled:
+            return
+        fields["at"] = self.env.now
+        fields["node"] = self.node
+        if ctx is not None:
+            for name in _CTX_FIELDS[kind]:
+                if name in fields:
+                    continue
+                if name == "context":
+                    fields[name] = ctx.owner
+                elif name == "tenant":
+                    fields[name] = getattr(getattr(ctx, "tenant", None), "name", "")
+                else:
+                    vgpu = getattr(ctx, "vgpu", None)
+                    if vgpu is None:
+                        fields[name] = None
+                    elif name == "vgpu":
+                        fields[name] = vgpu.name
+                    else:
+                        fields[name] = vgpu.device.device_id
+        self.emit(kind(**fields))
+
+    def phase_breakdown(self, ctx, method, span, error: Optional[str] = None) -> None:
+        """Record the call's phase decomposition from its finished span."""
+        if not self.enabled or span is None:
+            return
+        phases = span.finish()
+        self.record(
+            PhaseBreakdown,
+            ctx,
+            method=getattr(method, "value", str(method)),
+            trace_id=span.trace_id,
+            span_id=span.span_id,
+            begin_at=span.begin_at,
+            wall=span.wall,
+            served_at=span.served_at,
+            served_s=span.served_s,
+            phases=tuple(sorted(phases.items())),
+            error=error,
+            device_id=span.device_id,
+            vgpu=span.vgpu,
+        )
 
     def clear(self) -> None:
         self.events.clear()
 
     def events_of(self, *kinds: type) -> List[Any]:
         return [e for e in self.events if isinstance(e, kinds)]
-
-    # ------------------------------------------------------------------
-    # emission helpers (each is a no-op while disabled)
-    # ------------------------------------------------------------------
-    def phase_breakdown(self, ctx, method, span, error: Optional[str] = None) -> None:
-        """Emit the call's phase decomposition from its finished span."""
-        if not self.enabled or span is None:
-            return
-        phases = span.finish()
-        self.emit(
-            PhaseBreakdown(
-                at=self.env.now,
-                context=ctx.owner,
-                method=getattr(method, "value", str(method)),
-                trace_id=span.trace_id,
-                span_id=span.span_id,
-                begin_at=span.begin_at,
-                wall=span.wall,
-                served_at=span.served_at,
-                served_s=span.served_s,
-                phases=tuple(sorted(phases.items())),
-                tenant=_ctx_tenant(ctx),
-                error=error,
-                device_id=span.device_id,
-                vgpu=span.vgpu,
-                node=self.node,
-            )
-        )
-
-    def engine_span(
-        self, device, engine: str, op: str, nbytes: int, owner: str, begin_at: float
-    ) -> None:
-        if not self.enabled:
-            return
-        at = self.env.now
-        self.emit(
-            EngineSpan(
-                at=at,
-                context=owner,
-                engine=engine,
-                op=op,
-                nbytes=nbytes,
-                begin_at=begin_at,
-                duration=at - begin_at,
-                device_id=device.device_id,
-                node=self.node,
-            )
-        )
-
-    def swap_out(self, ctx, nbytes: int) -> None:
-        if not self.enabled:
-            return
-        device_id, vgpu = _ctx_location(ctx)
-        self.emit(
-            SwapOut(
-                at=self.env.now,
-                context=ctx.owner,
-                nbytes=nbytes,
-                device_id=device_id,
-                vgpu=vgpu,
-                node=self.node,
-                tenant=_ctx_tenant(ctx),
-            )
-        )
-
-    def swap_in(self, ctx, nbytes: int) -> None:
-        if not self.enabled:
-            return
-        device_id, vgpu = _ctx_location(ctx)
-        self.emit(
-            SwapIn(
-                at=self.env.now,
-                context=ctx.owner,
-                nbytes=nbytes,
-                device_id=device_id,
-                vgpu=vgpu,
-                node=self.node,
-                tenant=_ctx_tenant(ctx),
-            )
-        )
-
-    def eviction(
-        self, ctx, policy: str, bytes_freed: int, dirty_bytes: int, victims: int
-    ) -> None:
-        if not self.enabled:
-            return
-        device_id, _vgpu = _ctx_location(ctx)
-        self.emit(
-            Eviction(
-                at=self.env.now,
-                context=ctx.owner,
-                policy=policy,
-                bytes_freed=bytes_freed,
-                dirty_bytes=dirty_bytes,
-                victims=victims,
-                device_id=device_id,
-                node=self.node,
-                tenant=_ctx_tenant(ctx),
-            )
-        )
-
-    def bind(self, ctx, vgpu) -> None:
-        if not self.enabled:
-            return
-        self.emit(
-            Bind(
-                at=self.env.now,
-                context=ctx.owner,
-                vgpu=vgpu.name,
-                device_id=vgpu.device.device_id,
-                node=self.node,
-            )
-        )
-
-    def unbind(self, ctx, vgpu, reason: str = "") -> None:
-        if not self.enabled:
-            return
-        self.emit(
-            Unbind(
-                at=self.env.now,
-                context=ctx.owner,
-                vgpu=vgpu.name,
-                device_id=vgpu.device.device_id,
-                reason=reason,
-                node=self.node,
-            )
-        )
-
-    def migration(self, ctx, src_device, dst_device, p2p: bool = False) -> None:
-        if not self.enabled:
-            return
-        self.emit(
-            Migration(
-                at=self.env.now,
-                context=ctx.owner,
-                src_device=src_device.device_id if src_device is not None else None,
-                dst_device=dst_device.device_id if dst_device is not None else None,
-                p2p=p2p,
-                node=self.node,
-            )
-        )
-
-    def offload(self, connection_name: str, dst_node: str) -> None:
-        if not self.enabled:
-            return
-        self.emit(
-            Offload(
-                at=self.env.now,
-                context=connection_name,
-                dst_node=dst_node,
-                node=self.node,
-            )
-        )
-
-    def checkpoint(self, ctx, nbytes: int) -> None:
-        if not self.enabled:
-            return
-        device_id, _vgpu = _ctx_location(ctx)
-        self.emit(
-            CheckpointTaken(
-                at=self.env.now,
-                context=ctx.owner,
-                nbytes=nbytes,
-                device_id=device_id,
-                node=self.node,
-            )
-        )
-
-    def failure_recovered(self, ctx, replayed_kernels: int) -> None:
-        if not self.enabled:
-            return
-        device_id, _vgpu = _ctx_location(ctx)
-        self.emit(
-            FailureRecovered(
-                at=self.env.now,
-                context=ctx.owner,
-                replayed_kernels=replayed_kernels,
-                device_id=device_id,
-                node=self.node,
-            )
-        )
-
-    def tenant_admission(
-        self, ctx, tenant: str, decision: str, waited_s: float = 0.0
-    ) -> None:
-        if not self.enabled:
-            return
-        self.emit(
-            TenantAdmission(
-                at=self.env.now,
-                context=ctx.owner,
-                tenant=tenant,
-                decision=decision,
-                waited_s=waited_s,
-                node=self.node,
-            )
-        )
-
-    def preemption(self, ctx, vgpu, quantum_s: float, used_s: float) -> None:
-        if not self.enabled:
-            return
-        self.emit(
-            Preemption(
-                at=self.env.now,
-                context=ctx.owner,
-                vgpu=vgpu.name,
-                quantum_s=quantum_s,
-                used_s=used_s,
-                tenant=getattr(getattr(ctx, "tenant", None), "name", ""),
-                device_id=vgpu.device.device_id,
-                node=self.node,
-            )
-        )
-
-    def binding_decision(self, ctx, vgpu, scored, resident_bytes: int = 0) -> None:
-        if not self.enabled:
-            return
-        self.emit(
-            BindingDecision(
-                at=self.env.now,
-                context=ctx.owner,
-                chosen=vgpu.name,
-                device_id=vgpu.device.device_id,
-                scores=tuple((v.name, cost) for v, cost in scored),
-                resident_bytes=resident_bytes,
-                node=self.node,
-            )
-        )
-
-    def batch_submit(self, ctx, calls: int, wire_bytes: int = 0) -> None:
-        if not self.enabled:
-            return
-        self.emit(
-            BatchSubmit(
-                at=self.env.now,
-                context=ctx.owner,
-                calls=calls,
-                wire_bytes=wire_bytes,
-                node=self.node,
-                tenant=_ctx_tenant(ctx),
-            )
-        )
-
-    def graph_instantiate(
-        self, ctx, graph_id: int, kernels: int, explicit: bool = False
-    ) -> None:
-        if not self.enabled:
-            return
-        self.emit(
-            GraphInstantiate(
-                at=self.env.now,
-                context=ctx.owner,
-                graph_id=graph_id,
-                kernels=kernels,
-                explicit=explicit,
-                node=self.node,
-                tenant=_ctx_tenant(ctx),
-            )
-        )
-
-    def graph_replay(
-        self, ctx, graph_id: int, kernels: int, invalidated: bool = False
-    ) -> None:
-        if not self.enabled:
-            return
-        device_id, _vgpu = _ctx_location(ctx)
-        self.emit(
-            GraphReplay(
-                at=self.env.now,
-                context=ctx.owner,
-                graph_id=graph_id,
-                kernels=kernels,
-                invalidated=invalidated,
-                device_id=device_id,
-                node=self.node,
-                tenant=_ctx_tenant(ctx),
-            )
-        )
-
-    def queue_depth(self, queue: str, depth: int) -> None:
-        if not self.enabled:
-            return
-        self.emit(
-            QueueDepthChanged(
-                at=self.env.now, queue=queue, depth=depth, node=self.node
-            )
-        )
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"

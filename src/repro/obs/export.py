@@ -17,24 +17,7 @@ import json
 import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.events import (
-    Bind,
-    BindingDecision,
-    CheckpointTaken,
-    EngineSpan,
-    Eviction,
-    FailureRecovered,
-    Migration,
-    Offload,
-    PhaseBreakdown,
-    Preemption,
-    QueueDepthChanged,
-    SwapIn,
-    SwapOut,
-    TenantAdmission,
-    Unbind,
-    event_to_dict,
-)
+from repro.obs.events import EngineSpan, PhaseBreakdown, QueueDepthChanged, event_to_dict
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = [
@@ -45,24 +28,6 @@ __all__ = [
     "json_lines",
     "write_json_lines",
 ]
-
-#: Instant-event kinds shown as markers on the owning vGPU row (or the
-#: node's host row when the event carries no device).
-_INSTANT_KINDS = (
-    SwapOut,
-    SwapIn,
-    Eviction,
-    Bind,
-    Unbind,
-    Migration,
-    Offload,
-    CheckpointTaken,
-    FailureRecovered,
-    TenantAdmission,
-    Preemption,
-    BindingDecision,
-    QueueDepthChanged,
-)
 
 _US = 1e6  # seconds → trace-event microseconds
 
@@ -157,7 +122,9 @@ def chrome_trace(events: Iterable[Any]) -> Dict[str, Any]:
                     "args": _args(event),
                 }
             )
-        elif isinstance(event, _INSTANT_KINDS):
+        else:
+            # Every other kind is a marker on the owning vGPU row (or
+            # the node's host row when the event carries no device).
             pid, tid = _row(maps, event)
             trace_events.append(
                 {

@@ -34,6 +34,7 @@ from repro.sim import Condition, Environment
 from repro.core.config import RuntimeConfig
 from repro.core.errors import RuntimeApiError, RuntimeErrorCode
 from repro.core.stats import RuntimeStats
+from repro.obs.events import TenantAdmission
 from repro.qos.tenant import Tenant, TenantRegistry
 
 __all__ = ["AdmissionController"]
@@ -133,4 +134,6 @@ class AdmissionController:
     # ------------------------------------------------------------------
     def _observe(self, ctx: Any, tenant: Tenant, decision: str, waited_s: float) -> None:
         if self.obs is not None and getattr(self.obs, "enabled", False):
-            self.obs.tenant_admission(ctx, tenant.name, decision, waited_s)
+            self.obs.record(
+                TenantAdmission, ctx, tenant=tenant.name, decision=decision, waited_s=waited_s
+            )

@@ -100,13 +100,6 @@ class Tenant:
         #: and the per-tenant gauges want total data moved).
         self.swap_bytes_out_total = 0
         self.swap_bytes_in_total = 0
-        #: Memo for :meth:`device_bytes`: (page-table epoch, context
-        #: count) → resident bytes.  The page table bumps its epoch on
-        #: every PTE state transition, so an unchanged key proves nothing
-        #: anywhere in the table moved since the last walk.
-        self._device_bytes_memo: Optional[tuple] = None
-        #: Memo for :meth:`swap_bytes`, same keying discipline.
-        self._swap_bytes_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def attach(self, ctx: Any) -> None:
@@ -119,56 +112,20 @@ class Tenant:
 
     # ------------------------------------------------------------------
     def device_bytes(self, page_table: Any) -> int:
-        """Resident device memory across the tenant's live contexts.
-
-        Derived (never incrementally maintained — a derived view cannot
-        drift) but *memoized* on the page table's epoch: per-tenant
-        gauges are sampled by every monitor tick and every export, and
-        an O(PTEs) walk per sample dwarfed the hot paths it observed.
-        The walk now runs only when the table actually changed.
-        """
-        if not self.contexts:
-            return 0
-        key = (page_table.epoch, len(self.contexts))
-        memo = self._device_bytes_memo
-        profiler = getattr(self.contexts[0].env, "profiler", None)
-        if profiler is not None:
-            profiler.count("tenant_device_bytes_calls")
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        if profiler is not None:
-            profiler.count("tenant_device_bytes_recomputes")
-        total = sum(page_table.allocated_bytes(c) for c in self.contexts)
-        self._device_bytes_memo = (key, total)
-        return total
+        """Resident device memory across the tenant's live contexts,
+        summed from the page table on each call (never incrementally
+        maintained, so it cannot drift)."""
+        return sum(page_table.allocated_bytes(c) for c in self.contexts)
 
     def swap_bytes(self, page_table: Any) -> int:
-        """Swap-backed allocation bytes across the tenant's live contexts.
-
-        Derived and memoized exactly like :meth:`device_bytes`: swap
-        backing changes only alongside epoch-bumping table transitions
-        (entry creation/removal, context drop), so an unchanged epoch
-        proves the walk would return the same total.
-        """
-        if not self.contexts:
-            return 0
-        key = (page_table.epoch, len(self.contexts))
-        memo = self._swap_bytes_memo
-        profiler = getattr(self.contexts[0].env, "profiler", None)
-        if profiler is not None:
-            profiler.count("tenant_swap_bytes_calls")
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        if profiler is not None:
-            profiler.count("tenant_swap_bytes_recomputes")
-        total = sum(
+        """Swap-backed allocation bytes across the tenant's live
+        contexts, summed from the page table on each call."""
+        return sum(
             p.size
             for c in self.contexts
             for p in page_table.entries_for(c)
             if p.swap_ptr is not None
         )
-        self._swap_bytes_memo = (key, total)
-        return total
 
     def __repr__(self) -> str:
         return (
@@ -186,10 +143,6 @@ class TenantRegistry:
         #: Called with each newly registered tenant (the runtime hooks
         #: per-tenant gauges in here).
         self.on_register: Optional[Callable[[Tenant], None]] = None
-        #: Memo for :meth:`rollup`: (page-table epoch, per-tenant counter
-        #: fingerprint) → the rollup dict.  Monitor ticks and exports
-        #: sample the rollup far more often than tenants change.
-        self._rollup_memo: Optional[tuple] = None
 
     def register(self, tenant: Tenant) -> Tenant:
         if tenant.name in self._tenants:
@@ -222,37 +175,9 @@ class TenantRegistry:
     # ------------------------------------------------------------------
     def rollup(self, page_table: Optional[Any] = None) -> Dict[str, Dict[str, Any]]:
         """Monitoring view for ``node_report()`` (consumed by the
-        GPU-aware Torque mode and the cloud manager's dashboard).
-
-        Memoized on the page table's epoch plus a fingerprint of every
-        tenant's mutable counters: an unchanged key proves the rebuilt
-        dict would be equal, so repeated monitor ticks over a quiet node
-        reuse the previous snapshot.  Callers must treat the returned
-        dict as an immutable snapshot.
+        GPU-aware Torque mode and the cloud manager's dashboard), built
+        fresh on each call.
         """
-        key = (
-            page_table.epoch if page_table is not None else None,
-            tuple(
-                (
-                    t.name,
-                    t.weight,
-                    t.group,
-                    t.deadline_class,
-                    len(t.contexts),
-                    t.gpu_seconds_used,
-                    t.preemptions,
-                    t.admission_rejects,
-                    t.swap_bytes_out_total,
-                    t.swap_bytes_in_total,
-                    t.device_quota_bytes,
-                    t.swap_quota_bytes,
-                )
-                for t in self._tenants.values()
-            ),
-        )
-        memo = self._rollup_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
         out: Dict[str, Dict[str, Any]] = {}
         for tenant in self._tenants.values():
             out[tenant.name] = {
@@ -274,5 +199,4 @@ class TenantRegistry:
                 "swap_bytes_out_total": tenant.swap_bytes_out_total,
                 "swap_bytes_in_total": tenant.swap_bytes_in_total,
             }
-        self._rollup_memo = (key, out)
         return out

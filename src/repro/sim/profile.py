@@ -3,9 +3,8 @@
 The simulator's correctness story is that nothing consults wall-clock
 time — so the profiler lives outside the model.  It hooks
 :meth:`Environment.step` (via ``env.profiler``) and counts processed
-events, and measures elapsed ``time.perf_counter`` between
-:meth:`attach` and :meth:`report`.  Model code may bump named
-:attr:`~SimProfiler.counters` while it is attached.
+events, and measures elapsed ``time.perf_counter`` and simulated time
+between :meth:`attach` and :meth:`report`.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ class SimProfiler:
 
     def __init__(self) -> None:
         self.events_processed = 0
-        #: Free-form named counters bumped by instrumented model code via
-        #: :meth:`count` (e.g. gauge recompute vs. memo-hit tallies).
-        #: Purely observational — never consulted by the model.
-        self.counters: Dict[str, int] = {}
         self._env: Optional[Any] = None
         self._wall_start: Optional[float] = None
         self._wall_elapsed = 0.0
@@ -72,13 +67,6 @@ class SimProfiler:
         """Called by the run loop for every popped event."""
         self.events_processed += 1
 
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a named counter (cheap; for model-side instrumentation)."""
-        try:
-            self.counters[name] += n
-        except KeyError:
-            self.counters[name] = n
-
     # ------------------------------------------------------------------
     def _elapsed(self) -> Tuple[float, float]:
         wall = self._wall_elapsed
@@ -99,7 +87,6 @@ class SimProfiler:
             "sim_seconds": sim,
             "events_per_second": events / wall if wall > 0 else 0.0,
             "sim_seconds_per_wall_second": sim / wall if wall > 0 else 0.0,
-            "counters": dict(sorted(self.counters.items())),
         }
 
     def __repr__(self) -> str:

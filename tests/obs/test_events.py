@@ -5,11 +5,16 @@ from types import SimpleNamespace
 from repro.obs import (
     Bind,
     CallSpan,
+    CheckpointTaken,
     EVENT_TYPES,
+    FailureRecovered,
+    Offload,
     PhaseBreakdown,
     QueueDepthChanged,
+    SwapIn,
     SwapOut,
     Tracer,
+    Unbind,
     event_to_dict,
 )
 from repro.sim import Environment
@@ -27,14 +32,14 @@ def test_disabled_tracer_records_nothing():
     tracer = Tracer(Environment())
     assert not tracer.enabled
     tracer.phase_breakdown(ctx(), "launch_kernel", CallSpan(tracer.env))
-    tracer.swap_out(ctx(), 1024)
-    tracer.swap_in(ctx(), 1024)
-    tracer.bind(ctx(), vgpu())
-    tracer.unbind(ctx(), vgpu())
-    tracer.queue_depth("waiting_contexts", 3)
-    tracer.offload("conn", "node1")
-    tracer.checkpoint(ctx(), 64)
-    tracer.failure_recovered(ctx(), replayed_kernels=2)
+    tracer.record(SwapOut, ctx(), nbytes=1024)
+    tracer.record(SwapIn, ctx(), nbytes=1024)
+    tracer.record(Bind, ctx(), vgpu="vGPU0-1", device_id=0)
+    tracer.record(Unbind, ctx(), vgpu="vGPU0-1", device_id=0)
+    tracer.record(QueueDepthChanged, queue="waiting_contexts", depth=3)
+    tracer.record(Offload, context="conn", dst_node="node1")
+    tracer.record(CheckpointTaken, ctx(), nbytes=64)
+    tracer.record(FailureRecovered, ctx(), replayed_kernels=2)
     assert tracer.events == []
 
 
@@ -75,7 +80,7 @@ def test_phase_breakdown_without_span_is_noop():
 
 def test_unbound_context_has_no_location():
     tracer = Tracer(Environment(), enabled=True)
-    tracer.swap_out(ctx(vgpu=None), 4096)
+    tracer.record(SwapOut, ctx(vgpu=None), nbytes=4096)
     (event,) = tracer.events
     assert isinstance(event, SwapOut)
     assert event.device_id is None and event.vgpu is None
@@ -84,9 +89,9 @@ def test_unbound_context_has_no_location():
 
 def test_events_of_and_clear():
     tracer = Tracer(Environment(), enabled=True)
-    tracer.bind(ctx(), vgpu())
-    tracer.queue_depth("waiting_contexts", 1)
-    tracer.queue_depth("waiting_contexts", 0)
+    tracer.record(Bind, ctx(), vgpu="vGPU0-1", device_id=0)
+    tracer.record(QueueDepthChanged, queue="waiting_contexts", depth=1)
+    tracer.record(QueueDepthChanged, queue="waiting_contexts", depth=0)
     assert len(tracer.events_of(Bind)) == 1
     assert len(tracer.events_of(QueueDepthChanged)) == 2
     assert len(tracer.events_of(Bind, QueueDepthChanged)) == 3
@@ -98,7 +103,7 @@ def test_subscribers_see_events_synchronously():
     tracer = Tracer(Environment(), enabled=True)
     seen = []
     tracer.subscribers.append(seen.append)
-    tracer.queue_depth("pending_connections", 2)
+    tracer.record(QueueDepthChanged, queue="pending_connections", depth=2)
     assert len(seen) == 1
     assert seen[0] is tracer.events[0]
 
@@ -107,7 +112,7 @@ def test_event_to_dict_folds_kind_in():
     for cls in EVENT_TYPES:
         assert isinstance(cls.kind, str)
     tracer = Tracer(Environment(), enabled=True, node="n0")
-    tracer.queue_depth("q", 5)
+    tracer.record(QueueDepthChanged, queue="q", depth=5)
     d = event_to_dict(tracer.events[0])
     assert d == {"kind": "QueueDepthChanged", "at": 0.0, "queue": "q",
                  "depth": 5, "node": "n0"}
@@ -121,3 +126,20 @@ def test_method_enum_is_stringified():
     tracer.phase_breakdown(ctx(), CallType.LAUNCH, CallSpan(env))
     (record,) = tracer.events
     assert record.method == CallType.LAUNCH.value
+
+
+def test_record_fills_declared_fields_from_ctx():
+    """Fields the kind declares and the caller leaves out come from the
+    context; explicit arguments win, undeclared ones are never added."""
+    tracer = Tracer(Environment(), enabled=True, node="n0")
+    bound = SimpleNamespace(
+        owner="app0", vgpu=vgpu("vGPU1-0", 1), tenant=SimpleNamespace(name="acme")
+    )
+    tracer.record(SwapOut, bound, nbytes=64)
+    tracer.record(Bind, bound, vgpu="vGPU0-1", device_id=0)
+    swap, bind = tracer.events
+    assert (swap.context, swap.device_id, swap.vgpu, swap.tenant) == (
+        "app0", 1, "vGPU1-0", "acme"
+    )
+    assert (bind.context, bind.device_id, bind.vgpu) == ("app0", 0, "vGPU0-1")
+    assert swap.node == bind.node == "n0" and swap.at == bind.at == 0.0

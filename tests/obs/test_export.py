@@ -1,10 +1,14 @@
 """Exporter round-trips: Chrome trace JSON, Prometheus text, JSON lines."""
 
+import dataclasses
 import json
 import re
 
+import pytest
+
 from repro.core.stats import RuntimeStats
 from repro.obs import (
+    EVENT_TYPES,
     Bind,
     Migration,
     MetricsRegistry,
@@ -52,6 +56,22 @@ def test_chrome_trace_structure():
         assert None not in e["args"].values()
     names = {e["args"]["name"] for e in meta if e["name"] == "process_name"}
     assert names == {"n0/GPU0", "n0/runtime"}
+
+
+#: A placeholder per annotated field type, to build any event kind.
+_PLACEHOLDER = {"float": 1.0, "str": "x", "int": 1, "bool": False}
+
+
+@pytest.mark.parametrize("kind", EVENT_TYPES, ids=lambda kind: kind.kind)
+def test_chrome_trace_renders_every_event_kind(kind):
+    """No kind is dropped: each event becomes exactly one trace event."""
+    event = kind(**{
+        f.name: _PLACEHOLDER[f.type]
+        for f in dataclasses.fields(kind)
+        if f.default is dataclasses.MISSING
+    })
+    rendered = [e for e in chrome_trace([event])["traceEvents"] if e["ph"] != "M"]
+    assert len(rendered) == 1
 
 
 def test_chrome_trace_rows_stable():
