@@ -11,7 +11,11 @@ from repro.cluster.node import ComputeNode
 from repro.experiments.report import format_table
 from repro.sim import Environment
 from repro.simcuda import TESLA_C2050
-from repro.workloads import ALL_WORKLOADS, make_job
+from repro.workloads import LONG_RUNNING, SHORT_RUNNING, make_job
+
+#: The paper's thirteen programs.  The catalog's fine-grained family
+#: (GT-F, AP-F) is not in Table 2 and runs well under its 3 s floor.
+TABLE2 = SHORT_RUNNING + LONG_RUNNING
 
 
 def run_alone(spec):
@@ -28,12 +32,12 @@ def run_alone(spec):
 
 def test_table2_catalog(once):
     def run_all():
-        return {spec.tag: run_alone(spec) for spec in ALL_WORKLOADS}
+        return {spec.tag: run_alone(spec) for spec in TABLE2}
 
     times = once(run_all)
 
     rows = []
-    for spec in ALL_WORKLOADS:
+    for spec in TABLE2:
         rows.append(
             [
                 spec.tag,
@@ -50,7 +54,7 @@ def test_table2_catalog(once):
         )
     )
 
-    for spec in ALL_WORKLOADS:
+    for spec in TABLE2:
         t = times[spec.tag]
         if spec.long_running:
             assert 30.0 <= t <= 90.0, f"{spec.tag}: {t:.1f}s outside 30-90s"

@@ -71,9 +71,6 @@ class SwapArea:
             )
         self._used -= size
 
-    def size_of(self, ptr: int) -> int:
-        return self._allocs[ptr]
-
     def write_seconds(self, nbytes: int) -> float:
         """Host memcpy cost of staging ``nbytes`` into the swap area."""
         return nbytes / self.host_memcpy_bps

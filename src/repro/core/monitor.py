@@ -1,41 +1,19 @@
-"""Runtime monitoring: time-series sampling of node health.
+"""Runtime monitoring: the node snapshot a cluster scheduler polls.
 
 The paper's dispatcher "may expose some information to the cluster-level
 scheduler (e.g.: number of GPUs, load level, etc.) so as to guide the
-cluster-level scheduling decisions" (§2).  This module is that
-introspection surface: periodic samples of GPU utilization, vGPU
-occupancy, queue lengths and memory state, plus the one-shot
-:func:`node_report` snapshot a cluster scheduler would poll.
+cluster-level scheduling decisions" (§2).  :func:`node_report` is that
+introspection surface: vGPU occupancy, queue lengths, memory state,
+tenant and SLO rollups and the metrics snapshot, taken on demand.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.core.runtime import NodeRuntime
 
-__all__ = ["Sample", "RuntimeMonitor", "node_report"]
-
-
-@dataclasses.dataclass(frozen=True)
-class Sample:
-    """One point of the monitoring time series."""
-
-    at: float
-    #: device_id -> fraction of time busy since the previous sample
-    gpu_utilization: Dict[int, float]
-    #: device_id -> used device-memory bytes
-    gpu_memory_used: Dict[int, int]
-    active_vgpus: int
-    total_vgpus: int
-    waiting_contexts: int
-    pending_connections: int
-    swap_used_bytes: int
-    load_per_vgpu: float
-    #: Seconds covered by this sample (time since the previous one); the
-    #: utilization fractions above are averages over exactly this window.
-    interval: float = 0.0
+__all__ = ["node_report"]
 
 
 def node_report(runtime: NodeRuntime) -> Dict[str, object]:
@@ -57,110 +35,3 @@ def node_report(runtime: NodeRuntime) -> Dict[str, object]:
         "slo": runtime.slo.rollup(),
         "metrics": runtime.metrics.snapshot(),
     }
-
-
-class RuntimeMonitor:
-    """Periodic sampler over one runtime.
-
-    ``start(period)`` launches the sampling process; call :meth:`stop`
-    (or pass ``horizon``) so the sampler does not keep the simulation's
-    event queue alive forever.
-    """
-
-    def __init__(self, runtime: NodeRuntime):
-        self.runtime = runtime
-        self.env = runtime.env
-        self.samples: List[Sample] = []
-        self._stopped = False
-        self._timer = None
-        self._last_busy: Dict[int, float] = {}
-        self._last_at: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    def start(self, period: float, horizon: Optional[float] = None) -> None:
-        """Sample every ``period`` seconds on the node's timer wheel.
-
-        Ticks multiplex onto the runtime's shared
-        :class:`~repro.sim.timers.TimerWheel`, so the monitor costs one
-        pending kernel event only while it is the earliest armed timer.
-        """
-        if period <= 0:
-            raise ValueError("period must be positive")
-        if self._timer is not None and self._timer.active:
-            raise RuntimeError("monitor already running; stop() it first")
-        self._stopped = False
-        if horizon is not None and horizon <= 0:
-            return
-        started = self.env.now
-
-        def tick() -> None:
-            # stop() may have been called during the period; no final
-            # sample, and cancelling here drops the recurring timer.
-            if self._stopped:
-                self._timer.cancel()
-                return
-            self.take_sample()
-            if horizon is not None and self.env.now - started >= horizon:
-                self._timer.cancel()
-
-        self._timer = self.runtime.timers.every(period, tick)
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    # ------------------------------------------------------------------
-    def take_sample(self) -> Sample:
-        """Record (and return) one sample right now."""
-        now = self.env.now
-        interval = now - self._last_at if self._last_at is not None else now
-        utilization: Dict[int, float] = {}
-        memory: Dict[int, int] = {}
-        for device in self.runtime.driver.devices:
-            prev = self._last_busy.get(device.device_id, 0.0)
-            delta = device.busy_seconds - prev
-            utilization[device.device_id] = (
-                min(1.0, delta / interval) if interval > 0 else 0.0
-            )
-            self._last_busy[device.device_id] = device.busy_seconds
-            memory[device.device_id] = device.allocator.used_bytes
-        self._last_at = now
-        scheduler = self.runtime.scheduler
-        sample = Sample(
-            at=now,
-            gpu_utilization=utilization,
-            gpu_memory_used=memory,
-            active_vgpus=sum(1 for v in scheduler.vgpus if v.active),
-            total_vgpus=scheduler.total_vgpus,
-            waiting_contexts=scheduler.waiting_count,
-            pending_connections=self.runtime.connections.pending_count,
-            swap_used_bytes=self.runtime.memory.swap.used_bytes,
-            load_per_vgpu=self.runtime.load_per_vgpu(),
-            interval=interval,
-        )
-        self.samples.append(sample)
-        return sample
-
-    # ------------------------------------------------------------------
-    def mean_utilization(self, device_id: int) -> float:
-        """Time-weighted mean utilization over the sampled span.
-
-        Each sample's fraction covers its own interval, so irregular
-        sampling (on-demand samples between periodic ones) does not skew
-        the mean toward the more frequently sampled stretches.
-        """
-        if not self.samples:
-            return 0.0
-        total = sum(s.interval for s in self.samples)
-        if total <= 0:
-            values = [s.gpu_utilization.get(device_id, 0.0) for s in self.samples]
-            return sum(values) / len(values)
-        return (
-            sum(s.gpu_utilization.get(device_id, 0.0) * s.interval for s in self.samples)
-            / total
-        )
-
-    def peak_waiting(self) -> int:
-        return max((s.waiting_contexts for s in self.samples), default=0)
-
-    def peak_swap_bytes(self) -> int:
-        return max((s.swap_used_bytes for s in self.samples), default=0)

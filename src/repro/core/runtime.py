@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Generator, List, Optional, Set
 
-from repro.sim import Environment, TimerWheel
+from repro.sim import Environment
 from repro.simcuda.device import GPUDevice, GPUSpec
 from repro.simcuda.driver import CudaDriver
 
@@ -49,10 +49,6 @@ class NodeRuntime:
         self.driver = driver
         self.config = config or RuntimeConfig()
         self.name = name or f"runtime{next(_runtime_seq)}"
-        #: Shared timer wheel: every recurring tick on this node (monitor
-        #: sampling, the CPU-phase reaper's rescan) multiplexes onto one
-        #: pending kernel Timeout instead of one per timer.
-        self.timers = TimerWheel(env)
         self.stats = RuntimeStats()
         #: Structured event bus (repro.obs); disabled unless configured.
         self.obs = Tracer(env, enabled=self.config.tracing, node=self.name)
@@ -286,11 +282,11 @@ class NodeRuntime:
             self.scheduler.waiting_added.wait().callbacks.append(self._reaper_idle)
             return
         threshold = self.config.unbind_on_cpu_phase_s
-        self.timers.call_after(max(threshold / 2, 1e-3), self._reaper_scan)
+        self.env.timeout(max(threshold / 2, 1e-3)).callbacks.append(self._reaper_scan)
 
-    def _reaper_scan(self) -> None:
-        """CPU-phase reaper, active half: one rescan tick off the node's
-        timer wheel."""
+    def _reaper_scan(self, _event) -> None:
+        """CPU-phase reaper, active half: one rescan, half a threshold
+        after the idle half armed it."""
         threshold = self.config.unbind_on_cpu_phase_s
         if self.scheduler.waiting_count > 0:
             for ctx in self.scheduler.bound_contexts():
@@ -318,9 +314,6 @@ class NodeRuntime:
             ctx.lock.release()
 
     # ------------------------------------------------------------------
-    def contexts(self) -> List[Context]:
-        return list(self.dispatcher.contexts)
-
     def load_per_vgpu(self) -> float:
         """Offload metric (§4.7): live application threads on this node —
         connections pending plus contexts not yet finished — per usable

@@ -46,10 +46,6 @@ class Socket:
         return self._rx.recv()
 
     @property
-    def pending(self) -> int:
-        return self._rx.pending
-
-    @property
     def bytes_sent(self) -> int:
         return self._tx.bytes_sent
 

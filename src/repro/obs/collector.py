@@ -18,9 +18,6 @@ import atexit
 from typing import Any, List, Optional, TYPE_CHECKING
 
 from repro.obs.export import (
-    chrome_trace,
-    json_lines,
-    prometheus_text,
     write_chrome_trace,
     write_json_lines,
     write_prometheus,
@@ -67,15 +64,6 @@ class ObsCollector:
             merged.extend(runtime.obs.events)
         merged.sort(key=lambda e: e.at)
         return merged
-
-    def chrome_trace(self) -> dict:
-        return chrome_trace(self.events)
-
-    def prometheus_text(self) -> str:
-        return prometheus_text(*[r.metrics for r in self.runtimes])
-
-    def json_lines(self) -> str:
-        return json_lines(self.events)
 
     # ------------------------------------------------------------------
     def write_trace(self, path: str) -> None:

@@ -88,12 +88,6 @@ class Gauge:
             raise ValueError(f"gauge {self.name} is callback-backed")
         self._value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self._value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self._value - amount)
-
     @property
     def value(self) -> float:
         if self._fn is not None:

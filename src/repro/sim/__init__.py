@@ -35,7 +35,6 @@ from repro.sim.profile import SimProfiler
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.sync import Condition, FifoQueue, Lock
 from repro.sim.rng import RngStreams
-from repro.sim.timers import TimerHandle, TimerWheel
 
 __all__ = [
     "AnyOf",
@@ -52,8 +51,6 @@ __all__ = [
     "SimProfiler",
     "SimulationError",
     "Store",
-    "TimerHandle",
-    "TimerWheel",
     "Timeout",
     "Waiter",
 ]

@@ -184,13 +184,6 @@ class Event:
         heapq.heappush(env._queue, (env._now, NORMAL, next(env._seq), self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror the outcome of another (triggered) event."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     # -- cancellation ----------------------------------------------------
     def cancel(self) -> "Event":
         """Cancel a pending event: it will never fire.
@@ -364,11 +357,6 @@ class Process(Event):
         """True until the process terminates."""
         return self._value is PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process.
 
@@ -471,18 +459,18 @@ class Process(Event):
             env._active_process = None
 
 
-class ConditionEvent(Event):
-    """Base for composite events (:class:`AnyOf`).
+class AnyOf(Event):
+    """Fires when any constituent event fires (at once if there are none).
 
-    The composite's value is a dict mapping each *triggered* constituent
-    event to its value, in trigger order.  When the composite resolves
-    (or is cancelled), it detaches from its still-pending constituents;
-    a constituent nobody else consumes cancels itself — so the losing
-    branch of an ``any_of([timeout, cond.wait()])`` leaves both the heap
-    and the condition's waiter queue instead of lingering as a ghost.
+    The value is a one-entry dict mapping the constituent that fired to
+    its value.  When the composite resolves (or is cancelled), it
+    detaches from its still-pending constituents; a constituent nobody
+    else consumes cancels itself — so the losing branch of an
+    ``any_of([timeout, cond.wait()])`` leaves both the heap and the
+    condition's waiter queue instead of lingering as a ghost.
     """
 
-    __slots__ = ("_events", "_done", "_cb")
+    __slots__ = ("_events", "_cb")
     #: An abandoned composite (its waiting process was interrupted away)
     #: cancels itself, which detaches — and thereby cancels — its still
     #: pending constituents too.
@@ -491,13 +479,12 @@ class ConditionEvent(Event):
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self._events = list(events)
-        self._done: List[Event] = []
         self._cb = self._on_event
         self._on_cancel = self._detach_pending
         for ev in self._events:
             if ev.env is not env:
                 raise SimulationError("events from different environments")
-        if self._check(len(self._done), len(self._events)):
+        if not self._events:
             self.succeed({})
             return
         for ev in self._events:
@@ -507,10 +494,6 @@ class ConditionEvent(Event):
                     break
             else:
                 ev.callbacks.append(self._cb)
-
-    @staticmethod
-    def _check(done: int, total: int) -> bool:
-        raise NotImplementedError
 
     def _detach_pending(self, _event: Optional[Event] = None) -> None:
         """Stop consuming the constituents that have not fired yet."""
@@ -529,20 +512,8 @@ class ConditionEvent(Event):
             self.fail(event.value)
             self._detach_pending()
             return
-        self._done.append(event)
-        if self._check(len(self._done), len(self._events)):
-            self.succeed({ev: ev.value for ev in self._done})
-            self._detach_pending()
-
-
-class AnyOf(ConditionEvent):
-    """Fires when any constituent event fires."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check(done: int, total: int) -> bool:
-        return done >= 1 or total == 0
+        self.succeed({event: event.value})
+        self._detach_pending()
 
 
 class Environment:
@@ -600,9 +571,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        heapq.heappush(self._queue, (self._now + delay, priority, next(self._seq), event))
-
     def _compact(self) -> None:
         """Rebuild the queue without the lazily-deleted cancelled entries.
 

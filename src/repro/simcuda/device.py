@@ -299,10 +299,6 @@ class GPUDevice:
         """Mark the device failed (GPU removal / hardware fault)."""
         self.failed = True
 
-    def recover(self) -> None:
-        """Bring the device back (after maintenance / re-add)."""
-        self.failed = False
-
     def __repr__(self) -> str:
         state = "FAILED" if self.failed else "ok"
         return (

@@ -73,9 +73,6 @@ class FatBinary:
     def register_shared_var(self, name: str) -> None:
         self.shared_vars.append(name)
 
-    def lookup(self, name: str) -> KernelDescriptor:
-        return self.functions[name]
-
     @property
     def needs_exclusion_from_sharing(self) -> bool:
         """True if any kernel uses device-side dynamic allocation — such

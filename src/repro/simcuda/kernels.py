@@ -51,10 +51,6 @@ class KernelDescriptor:
     has_pointer_nesting: bool = False
     sm_demand: Optional[int] = None
 
-    def scaled(self, factor: float) -> "KernelDescriptor":
-        """A copy with ``flops`` scaled by ``factor`` (workload sizing)."""
-        return dataclasses.replace(self, flops=self.flops * factor)
-
 
 @dataclasses.dataclass(frozen=True)
 class KernelLaunch:
@@ -90,18 +86,6 @@ class KernelLaunch:
     arg_pointers: Tuple[int, ...] = ()
     read_only: Optional[Tuple[int, ...]] = None
     control_plane: bool = True
-
-    @property
-    def thread_count(self) -> int:
-        gx, gy, gz = self.grid
-        bx, by, bz = self.block
-        return gx * gy * gz * bx * by * bz
-
-    def writes_pointer(self, ptr: int) -> bool:
-        """Whether the launch may modify the allocation behind ``ptr``."""
-        if self.read_only is None:
-            return True
-        return ptr not in self.read_only
 
     @staticmethod
     def simple(

@@ -48,8 +48,8 @@ LONG_RUNNING: List[WorkloadSpec] = [
     BLACK_SCHOLES_LARGE,
 ]
 
-#: Many-small-kernel family (control-plane stress; not in the random
-#: draw pools — the paper's figures draw Table 2 programs only).
+#: Every program the catalog knows: Table 2's thirteen, then the
+#: many-small-kernel family.
 ALL_WORKLOADS: List[WorkloadSpec] = SHORT_RUNNING + LONG_RUNNING + FINE_GRAINED
 
 _BY_TAG: Dict[str, WorkloadSpec] = {w.tag: w for w in ALL_WORKLOADS}

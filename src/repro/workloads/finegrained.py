@@ -47,5 +47,6 @@ AGENT_PIPELINE = WorkloadSpec(
     read_only_buffers=(0,),
 )
 
-#: The many-small-kernel family as a pool.
+#: The many-small-kernel family as a pool (control-plane stress; not in
+#: the random draw pools — the paper's figures draw Table 2 programs only).
 FINE_GRAINED = [GRAPH_TRAVERSAL_FINE, AGENT_PIPELINE]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.workloads.base import WorkloadSpec
 
-__all__ = ["MATMUL_SMALL", "MATMUL_LARGE", "matmul_small", "matmul_large"]
+__all__ = ["MATMUL_SMALL", "MATMUL_LARGE"]
 
 MIB = 1024**2
 
@@ -37,13 +37,3 @@ MATMUL_LARGE = WorkloadSpec(
     cpu_fraction=0.0,
     long_running=True,
 )
-
-
-def matmul_small(cpu_fraction: float) -> WorkloadSpec:
-    """MM-S with an injected CPU-phase fraction (Figure 9)."""
-    return MATMUL_SMALL.with_cpu_fraction(cpu_fraction)
-
-
-def matmul_large(cpu_fraction: float) -> WorkloadSpec:
-    """MM-L with an injected CPU-phase fraction (Figures 7, 8, 11)."""
-    return MATMUL_LARGE.with_cpu_fraction(cpu_fraction)

