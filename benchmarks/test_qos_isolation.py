@@ -123,7 +123,6 @@ def _config(qos):
             qos_enabled=True,
             policy="wfq",
             vgpu_quantum_s=QUANTUM_S,
-            eviction_policy="quota_aware",
         )
     return RuntimeConfig(**kwargs)
 

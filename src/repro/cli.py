@@ -20,8 +20,7 @@ import math
 import sys
 from typing import Dict, List
 
-from repro.core.config import RuntimeConfig
-from repro.core.memory.eviction import EVICTION_POLICY_NAMES
+from repro.core.config import EVICTION_POLICY_NAMES, RuntimeConfig
 from repro.core.policies import POLICY_NAMES
 from repro.experiments.harness import run_node_batch
 from repro.obs import ObsCollector
@@ -413,7 +412,8 @@ def main(argv=None) -> int:
                           "or byte-proportional partial eviction")
     run.add_argument("--eviction-policy", default="lru",
                      choices=EVICTION_POLICY_NAMES,
-                     help="victim ordering for --eviction-mode=partial")
+                     help="victim ordering for --eviction-mode=partial "
+                          "(cost_aware also needs --locality)")
     run.add_argument("--qos", action="store_true",
                      help="enable multi-tenant QoS (admission control, "
                           "tenant quotas, vGPU shares)")

@@ -9,7 +9,7 @@ inter-node offloader) dequeue them.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.sim import Environment, FifoQueue
 from repro.net.socket import Listener, Socket
@@ -21,14 +21,9 @@ __all__ = ["ConnectionManager"]
 class ConnectionManager:
     """Accepts connections and maintains the pending-connections list."""
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str = "runtime",
-        backlog_limit: Optional[int] = None,
-    ):
+    def __init__(self, env: Environment, name: str = "runtime"):
         self.env = env
-        self.listener = Listener(env, name=name, backlog_limit=backlog_limit)
+        self.listener = Listener(env, name=name)
         #: Pending connections (server-side sockets) awaiting a
         #: dispatcher thread.
         self.pending: FifoQueue = FifoQueue(env)

@@ -78,9 +78,6 @@ class Context:
         #: Tenant this connection belongs to (repro.qos); None for
         #: tenant-less connections — all QoS enforcement skips those.
         self.tenant: Optional[Any] = None
-        #: Handshake hint: expected peak allocation footprint in bytes,
-        #: consumed by the admission controller's node-wide budget.
-        self.estimated_bytes: Optional[int] = None
         #: GPU seconds consumed since the current binding (reset by
         #: VirtualGPU.bind); drives quantum-expiry preemption.
         self.quantum_used_s = 0.0

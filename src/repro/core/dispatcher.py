@@ -702,15 +702,13 @@ class Dispatcher:
             ctx.estimated_gpu_seconds = args.get("estimated_gpu_seconds")
             ctx.application_id = args.get("application_id")
             ctx.deadline_s = args.get("deadline_s")
-            ctx.estimated_bytes = args.get("estimated_bytes")
             tenant_name = args.get("tenant")
             if tenant_name:
                 ctx.tenant = self.runtime.qos.get_or_create(tenant_name)
             # Admission control (repro.qos): the gate sits here, at the
-            # first moment tenant identity is known — a rejected
-            # handshake surfaces as a typed error on Frontend.open(),
-            # a queued one blocks until a slot frees.  The slot is
-            # returned in _exit.
+            # first moment tenant identity is known — a handshake over
+            # its tenant's context cap blocks until a slot frees.  The
+            # slot is returned in _exit.
             span = ctx.span
             if span is not None:
                 span.push("queue_wait")

@@ -25,9 +25,8 @@ class RuntimeErrorCode(enum.Enum):
     KERNEL_FOOTPRINT_TOO_LARGE = "Kernel working set exceeds every device's capacity"
     CONTEXT_FAILED = "Context failed and could not be recovered"
     NESTED_NOT_REGISTERED = "Nested structure used without registration"
-    # Multi-tenant QoS (repro.qos): surfaced through the handshake and
-    # allocation paths instead of letting one tenant degrade the node.
-    ADMISSION_REJECTED = "Connection rejected by admission control"
+    # Multi-tenant QoS (repro.qos): surfaced through the allocation path
+    # instead of letting one tenant degrade the node.
     TENANT_QUOTA_EXCEEDED = "Tenant resource quota exceeded"
     # Control-plane batching / graph replay.
     BATCH_ABORTED = "Call aborted: an earlier call in its batch failed"

@@ -33,7 +33,6 @@ from repro.simcuda.kernels import KernelDescriptor, KernelLaunch
 from repro.core.config import RuntimeConfig
 from repro.core.context import Context, ContextState
 from repro.core.errors import RuntimeApiError, RuntimeErrorCode
-from repro.core.memory.eviction import make_eviction_policy
 from repro.core.memory.nested import NestedStructure
 from repro.core.memory.page_table import EntryType, PageTable, PageTableEntry
 from repro.core.memory.swap import SwapArea
@@ -88,6 +87,12 @@ class _span_phase:
         return False
 
 
+def _lru_key(candidate: Tuple[Context, PageTableEntry]) -> Tuple[float, int]:
+    """Least recently launched entry first, allocation order on ties."""
+    pte = candidate[1]
+    return pte.last_use, pte.seq
+
+
 class MemoryManager:
     """Virtual-memory abstraction over the node's GPUs."""
 
@@ -114,15 +119,6 @@ class MemoryManager:
         )
         self.page_table = PageTable()
         self.swap = SwapArea(config.host_swap_capacity_bytes)
-        #: Victim ordering for partial (device-wide) eviction.
-        #: ``quota_aware`` makes over-quota tenants' entries everyone's
-        #: preferred victims (repro.qos); ``cost_aware`` under
-        #: ``locality_binding`` prices victims with the transfer-cost model.
-        self.eviction_policy = make_eviction_policy(
-            config.eviction_policy,
-            cost_fn=self._modeled_evict_cost if config.locality_binding else None,
-            overage_fn=self._tenant_overage,
-        )
         #: parent virtual ptr -> registration
         self.nested: Dict[int, NestedStructure] = {}
         #: Wired by the runtime: hand a context's vGPU back to the
@@ -765,9 +761,9 @@ class MemoryManager:
         self, ctx: Context, required_bytes: int, min_contiguous: int = 0
     ) -> Generator:
         """Device-wide eviction loop (eviction_mode="partial"): free only
-        the bytes the faulting launch still needs, in the order chosen by
-        the pluggable eviction policy, across however many eligible
-        victims that takes.  Victims stay bound — they lose entries, not
+        the bytes the faulting launch still needs, in
+        :meth:`_eviction_order`, across however many eligible victims
+        that takes.  Victims stay bound — they lose entries, not
         their vGPU — so a resumed victim simply faults its data back in.
 
         ``min_contiguous`` is the largest single allocation the requester
@@ -789,7 +785,7 @@ class MemoryManager:
         ]
         freed, dirty_written, touched = yield from self._evict_entries(
             ctx,
-            self.eviction_policy.order(candidates),
+            self._eviction_order(candidates),
             lambda: self._fits(device, required_bytes, min_contiguous),
             device,
         )
@@ -806,7 +802,7 @@ class MemoryManager:
             self.obs.record(
                 Eviction,
                 ctx,
-                policy=self.eviction_policy.name,
+                policy=self.config.eviction_policy,
                 bytes_freed=freed,
                 dirty_bytes=dirty_written,
                 victims=len(touched),
@@ -856,27 +852,25 @@ class MemoryManager:
                     victim.lock.release()
         return freed, dirty_written, victims
 
+    def _eviction_order(
+        self, candidates: List[Tuple[Context, PageTableEntry]]
+    ) -> List[Tuple[Context, PageTableEntry]]:
+        """Partial eviction's victim order: ``"cost_aware"`` by modeled
+        eviction cost, ``"lru"`` by launch recency; allocation order
+        breaks ties."""
+        if self.config.eviction_policy == "cost_aware":
+            cost = self._modeled_evict_cost
+            return sorted(candidates, key=lambda c: (cost(c[0], c[1]), c[1].seq))
+        return sorted(candidates, key=_lru_key)
+
     def _modeled_evict_cost(self, ctx: Context, pte: PageTableEntry) -> float:
-        """The ``cost_aware`` eviction key under ``locality_binding``:
-        write-back now plus recency-discounted re-fault later."""
+        """The ``cost_aware`` eviction key: write-back now plus
+        recency-discounted re-fault later."""
         return self.cost_model.evict_cost(ctx, pte, self.env.now)
 
     # ------------------------------------------------------------------
     # tenant quotas (repro.qos)
     # ------------------------------------------------------------------
-    def _tenant_overage(self, ctx: Context) -> int:
-        """Bytes the context's tenant currently sits above its device
-        quota (0 when compliant, tenant-less, or QoS is off) — the
-        quota_aware eviction ordering's key."""
-        tenant = ctx.tenant
-        if (
-            not self.config.qos_enabled
-            or tenant is None
-            or tenant.device_quota_bytes is None
-        ):
-            return 0
-        return max(0, tenant.device_bytes(self.page_table) - tenant.device_quota_bytes)
-
     def _enforce_tenant_quota(
         self, ctx: Context, ptes: List[PageTableEntry]
     ) -> Generator:
@@ -888,9 +882,8 @@ class MemoryManager:
         *other* contexts that are eviction-eligible (idle in a CPU
         phase), LRU-ordered across all of them.  The quota is soft at
         the working-set level: if the launch's working set alone exceeds
-        it, the launch still runs once every evictable entry is gone —
-        the overage then makes the tenant the quota_aware ordering's
-        preferred victim for everyone else's faults.
+        it, the launch still runs once every evictable entry is gone,
+        and the tenant stays over quota until its working set shrinks.
         """
         tenant = ctx.tenant
         if tenant is None or tenant.device_quota_bytes is None:
@@ -925,7 +918,7 @@ class MemoryManager:
                 ]
         freed, dirty_written, _ = yield from self._evict_entries(
             ctx,
-            sorted(candidates, key=lambda c: (c[1].last_use, c[1].seq)),
+            sorted(candidates, key=_lru_key),
             lambda: overage() <= 0,
         )
         if freed:

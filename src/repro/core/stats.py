@@ -66,10 +66,9 @@ class RuntimeStats:
     #: Bindings performed (context granted a vGPU).
     bindings: int = 0
     unbindings: int = 0
-    #: Multi-tenant QoS (repro.qos): handshakes turned away / queued by
-    #: admission control, quantum-expiry preemptions, and evictions of a
-    #: tenant's own entries to honor its device-memory quota.
-    admission_rejects: int = 0
+    #: Multi-tenant QoS (repro.qos): handshakes queued by admission
+    #: control, quantum-expiry preemptions, and evictions of a tenant's
+    #: own entries to honor its device-memory quota.
     admission_queued: int = 0
     preemptions: int = 0
     quota_evictions: int = 0

@@ -60,22 +60,14 @@ class Socket:
 class Listener:
     """A listening endpoint; ``accept()`` yields server-side sockets.
 
-    ``backlog_limit`` caps un-accepted connections, like the ``backlog``
-    argument of ``listen(2)``: when the limit is reached further
-    ``connect()`` attempts fail fast with :class:`ConnectionRefusedError`
-    instead of queueing unboundedly.  ``None`` (the default) keeps the
-    historical unbounded behavior.
+    The backlog of un-accepted connections is unbounded, like the
+    paper's connection manager, which accepts every connection (§4.2).
     """
 
-    def __init__(self, env: Environment, name: str = "", backlog_limit: Optional[int] = None):
-        if backlog_limit is not None and backlog_limit < 1:
-            raise ValueError(f"backlog_limit must be >= 1, got {backlog_limit}")
+    def __init__(self, env: Environment, name: str = ""):
         self.env = env
         self.name = name
-        self.backlog_limit = backlog_limit
         self._backlog: Store = Store(env)
-        #: Connections refused because the backlog was full.
-        self.refused = 0
 
     def accept(self):
         """Event for the next incoming connection's server-side socket."""
@@ -84,15 +76,6 @@ class Listener:
     @property
     def backlog(self) -> int:
         return len(self._backlog.items)
-
-    def _enqueue(self, sock: Socket) -> None:
-        if self.backlog_limit is not None and self.backlog >= self.backlog_limit:
-            self.refused += 1
-            raise ConnectionRefusedError(
-                f"{self.name or 'listener'}: accept backlog full "
-                f"({self.backlog}/{self.backlog_limit})"
-            )
-        self._backlog.put(sock)
 
 
 def connect(
@@ -112,5 +95,5 @@ def connect(
     s2c = Channel(env, link)
     client = Socket(env, tx=c2s, rx=s2c, peer_name=listener.name)
     server = Socket(env, tx=s2c, rx=c2s, peer_name=client_name)
-    listener._enqueue(server)
+    listener._backlog.put(server)
     return client

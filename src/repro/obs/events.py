@@ -189,13 +189,13 @@ class FailureRecovered:
 @dataclasses.dataclass(frozen=True, slots=True)
 class TenantAdmission:
     """Admission control decided on a connection's handshake: admitted
-    (possibly after queueing ``waited_s``), queued, or rejected."""
+    (possibly after queueing ``waited_s``) or queued."""
 
     kind: ClassVar[str] = "TenantAdmission"
     at: float
     context: str
     tenant: str
-    decision: str        # "admitted" | "queued" | "rejected"
+    decision: str        # "admitted" | "queued"
     waited_s: float = 0.0
     node: str = ""
 

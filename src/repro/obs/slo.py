@@ -1,20 +1,11 @@
-"""Per-tenant windowed time accounting and SLO burn-rate monitoring.
+"""Per-tenant windowed time accounting.
 
 The QoS layer (:mod:`repro.qos`) *makes* isolation decisions; this
 module makes them *auditable*.  An :class:`SLOMonitor` keeps a sliding
 window (``WINDOW_S`` simulated seconds) of per-tenant call
-turnaround and scheduler queue-wait samples, computes p50/p99 rollups
-on demand, and — when the operator configures SLO targets — tracks the
-fraction of samples breaching each target as an error-budget *burn
-rate*:
-
-    burn_rate = (breaching fraction in window) / ERROR_BUDGET
-
-A burn rate of 1.0 means the tenant is consuming its error budget
-exactly as fast as allowed; above 1.0 the budget is burning down and
-the target will be missed if the window is representative.  The rates
-surface as per-tenant gauges in the Prometheus exporter and under the
-``"slo"`` key of ``node_report()``.
+turnaround and scheduler queue-wait samples and computes p50/p99
+rollups on demand, surfaced under the ``"slo"`` key of
+``node_report()``.
 
 The monitor is always on (unlike tracing): it is fed from the
 dispatcher's existing latency-observation site and from the scheduler's
@@ -26,17 +17,13 @@ under the pseudo-tenant ``"-"``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, Tuple
 
 __all__ = ["SLOMonitor", "percentile"]
 
 #: Width of the sliding window over which the monitor computes
-#: turnaround/queue-wait percentiles and burn rates (simulated seconds).
+#: turnaround/queue-wait percentiles (simulated seconds).
 WINDOW_S = 60.0
-
-#: Fraction of calls in the window allowed to breach a target before the
-#: burn rate reaches 1.0 (the standard multi-window burn-rate quantity).
-ERROR_BUDGET = 0.01
 
 
 def percentile(values, q: float) -> float:
@@ -68,10 +55,8 @@ class _Window:
 class SLOMonitor:
     """Sliding-window SLO accounting for every tenant on a node."""
 
-    def __init__(self, env, config) -> None:
+    def __init__(self, env) -> None:
         self.env = env
-        self.turnaround_p99_target = config.slo_turnaround_p99_s
-        self.queue_wait_p99_target = config.slo_queue_wait_p99_s
         self._windows: Dict[str, _Window] = {}
 
     # ------------------------------------------------------------------
@@ -107,29 +92,8 @@ class SLOMonitor:
         self._prune(w.queue_wait, now)
 
     # ------------------------------------------------------------------
-    def _burn(self, samples, target: Optional[float]) -> float:
-        if target is None or not samples:
-            return 0.0
-        breaching = sum(1 for _, v in samples if v > target)
-        return (breaching / len(samples)) / ERROR_BUDGET
-
-    def burn_rate(self, tenant_name: str, kind: str) -> float:
-        """Current burn rate for ``kind`` in {"turnaround", "queue_wait"}."""
-        w = self._windows.get(tenant_name)
-        if w is None:
-            return 0.0
-        now = self.env.now
-        if kind == "turnaround":
-            self._prune(w.turnaround, now)
-            return self._burn(w.turnaround, self.turnaround_p99_target)
-        if kind == "queue_wait":
-            self._prune(w.queue_wait, now)
-            return self._burn(w.queue_wait, self.queue_wait_p99_target)
-        raise ValueError(f"unknown SLO kind {kind!r}")
-
-    # ------------------------------------------------------------------
     def rollup(self) -> Dict[str, Dict[str, Any]]:
-        """Per-tenant windowed percentiles + burn rates for node_report."""
+        """Per-tenant windowed percentiles for node_report."""
         now = self.env.now
         out: Dict[str, Dict[str, Any]] = {}
         for name, w in self._windows.items():
@@ -145,14 +109,6 @@ class SLOMonitor:
                 "turnaround_p99_s": percentile(turn, 99),
                 "queue_wait_p50_s": percentile(wait, 50),
                 "queue_wait_p99_s": percentile(wait, 99),
-                "turnaround_target_s": self.turnaround_p99_target,
-                "queue_wait_target_s": self.queue_wait_p99_target,
-                "turnaround_burn_rate": self._burn(
-                    w.turnaround, self.turnaround_p99_target
-                ),
-                "queue_wait_burn_rate": self._burn(
-                    w.queue_wait, self.queue_wait_p99_target
-                ),
             }
         return out
 

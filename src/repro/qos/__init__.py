@@ -4,8 +4,8 @@ preemptive time-slicing (the resource-governance layer the paper's §2
 
 - :mod:`repro.qos.tenant` — :class:`Tenant` contracts (weight, quotas,
   vGPU share) and the per-node :class:`TenantRegistry`;
-- :mod:`repro.qos.admission` — the :class:`AdmissionController` bounding
-  admitted contexts/footprint with queue or reject backpressure.
+- :mod:`repro.qos.admission` — the :class:`AdmissionController` queueing
+  handshakes over a tenant's concurrent-context cap.
 
 Enforcement lives where the resources live: quota checks in the memory
 manager, the vGPU-share gate in the scheduler, quantum preemption in the

@@ -2,23 +2,10 @@
 
 The paper's connection manager accepts every connection and lets the
 waiting list grow without bound; the first overloaded tenant then
-degrades everyone.  The admission controller bounds what gets *in*:
-
-- per-tenant concurrent contexts (``Tenant.max_concurrent_contexts``);
-- node-wide concurrent contexts (``RuntimeConfig.admission_max_contexts``);
-- node-wide admitted footprint, summing the ``estimated_bytes`` hints
-  declared in the handshake (``RuntimeConfig.admission_max_footprint_bytes``).
-
-Two modes (``RuntimeConfig.admission_mode``):
-
-``"queue"`` (default)
-    The handshake blocks until a slot frees — backpressure the
-    application feels as a slow ``open()``, not an error.
-``"reject"``
-    The handshake fails immediately with a typed
-    ``ADMISSION_REJECTED`` error marshalled back over the RPC, so the
-    application (or the cluster scheduler above it) can retry elsewhere
-    instead of camping on an unbounded backlog.
+degrades everyone.  With QoS on, the admission controller bounds each
+tenant's concurrent contexts (``Tenant.max_concurrent_contexts``): a
+handshake over the cap blocks until one of the tenant's slots frees —
+backpressure the application feels as a slow ``open()``, not an error.
 
 Admission happens at the handshake (where tenant identity first becomes
 known) inside ``Dispatcher._serve_connection``'s call loop; the slot is
@@ -27,12 +14,11 @@ returned at application exit.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List
 
 from repro.sim import Condition, Environment
 
 from repro.core.config import RuntimeConfig
-from repro.core.errors import RuntimeApiError, RuntimeErrorCode
 from repro.core.stats import RuntimeStats
 from repro.obs.events import TenantAdmission
 from repro.qos.tenant import Tenant, TenantRegistry
@@ -41,7 +27,7 @@ __all__ = ["AdmissionController"]
 
 
 class AdmissionController:
-    """Bounds admitted contexts per tenant and node-wide."""
+    """Bounds admitted contexts per tenant."""
 
     def __init__(
         self,
@@ -66,61 +52,31 @@ class AdmissionController:
     def admitted_count(self) -> int:
         return len(self._admitted)
 
-    def admitted_footprint(self) -> int:
-        """Sum of the declared ``estimated_bytes`` hints of admitted
-        contexts (undeclared contexts count zero — the hint is advisory,
-        quotas are the enforcement layer)."""
-        return sum(getattr(c, "estimated_bytes", None) or 0 for c in self._admitted)
-
     def tenant_admitted(self, tenant: Tenant) -> int:
         return sum(1 for c in self._admitted if getattr(c, "tenant", None) is tenant)
 
     # ------------------------------------------------------------------
-    def _refusal(self, ctx: Any, tenant: Tenant) -> Optional[str]:
-        """Why ``ctx`` cannot be admitted right now (None = admissible)."""
+    def _at_cap(self, tenant: Tenant) -> bool:
         cap = tenant.max_concurrent_contexts
-        if cap is not None and self.tenant_admitted(tenant) >= cap:
-            return f"tenant {tenant.name!r} at its {cap}-context cap"
-        node_cap = self.config.admission_max_contexts
-        if node_cap is not None and len(self._admitted) >= node_cap:
-            return f"node at its {node_cap}-context cap"
-        budget = self.config.admission_max_footprint_bytes
-        if budget is not None:
-            estimated = getattr(ctx, "estimated_bytes", None) or 0
-            if self.admitted_footprint() + estimated > budget:
-                return (
-                    f"admitted footprint would exceed {budget} bytes"
-                )
-        return None
+        return cap is not None and self.tenant_admitted(tenant) >= cap
 
     def admit(self, ctx: Any) -> Generator:
-        """Admit ``ctx`` (blocking in queue mode), or raise
-        :class:`RuntimeApiError` with ``ADMISSION_REJECTED`` in reject
-        mode.  No-op when QoS is disabled or the context has no tenant.
+        """Admit ``ctx``, blocking while its tenant is at its context
+        cap.  No-op when QoS is disabled or the context has no tenant.
         """
         tenant = getattr(ctx, "tenant", None)
         if not self.config.qos_enabled or tenant is None:
             return
         requested_at = self.env.now
-        reason = self._refusal(ctx, tenant)
-        if reason is None:
+        if not self._at_cap(tenant):
             self._admitted.append(ctx)
             self._observe(ctx, tenant, "admitted", 0.0)
             return
-        if self.config.admission_mode == "reject":
-            self.stats.admission_rejects += 1
-            tenant.admission_rejects += 1
-            self._observe(ctx, tenant, "rejected", 0.0)
-            raise RuntimeApiError(
-                RuntimeErrorCode.ADMISSION_REJECTED,
-                f"{ctx.owner}: {reason}",
-            )
-        # Queue mode: backpressure through the handshake.
         self.stats.admission_queued += 1
         self._observe(ctx, tenant, "queued", 0.0)
         while True:
             yield self._released.wait()
-            if self._refusal(ctx, tenant) is None:
+            if not self._at_cap(tenant):
                 break
         self._admitted.append(ctx)
         self._observe(ctx, tenant, "admitted", self.env.now - requested_at)

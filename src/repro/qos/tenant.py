@@ -39,9 +39,7 @@ class Tenant:
         contexts.  Soft at the working-set level: a launch over quota
         first evicts the tenant's own least-recently-used entries; if the
         launch's working set alone exceeds the quota it still runs (the
-        kernel could not otherwise make progress) and the overage makes
-        the tenant's entries preferred victims for everyone else (the
-        ``quota_aware`` eviction ordering).
+        kernel could not otherwise make progress).
     swap_quota_bytes:
         Cap on the tenant's total allocations (every allocation is swap
         backed); ``cudaMalloc`` beyond it fails with
@@ -93,8 +91,6 @@ class Tenant:
         self.gpu_seconds_used = 0.0
         #: Times a context of this tenant was preempted at quantum expiry.
         self.preemptions = 0
-        #: Connections turned away by the admission controller.
-        self.admission_rejects = 0
         #: Cumulative swap traffic across all contexts ever (the derived
         #: ``swap_bytes`` view covers only *live* allocations; rollups
         #: and the per-tenant gauges want total data moved).
@@ -195,7 +191,6 @@ class TenantRegistry:
                 "device_quota_bytes": tenant.device_quota_bytes,
                 "swap_quota_bytes": tenant.swap_quota_bytes,
                 "preemptions": tenant.preemptions,
-                "admission_rejects": tenant.admission_rejects,
                 "swap_bytes_out_total": tenant.swap_bytes_out_total,
                 "swap_bytes_in_total": tenant.swap_bytes_in_total,
             }

@@ -48,7 +48,6 @@ def flash_crowd(num_jobs=120, seed=13):
 
 STRESS_CONFIG = RuntimeConfig(
     qos_enabled=True,
-    admission_mode="queue",
     vgpu_quantum_s=0.2,
     swap_chunk_bytes=32 * MIB,
     eviction_mode="partial",

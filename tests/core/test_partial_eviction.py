@@ -75,6 +75,7 @@ def _run(mode, policy="lru", tracing=False):
             vgpus_per_device=2,
             eviction_mode=mode,
             eviction_policy=policy,
+            locality_binding=policy == "cost_aware",
             tracing=tracing,
         ),
     )

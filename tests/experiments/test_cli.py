@@ -59,6 +59,10 @@ def test_run_rejects_bad_job_count(capsys):
     (["--swap-chunk-mib", "-1"], "swap_chunk_bytes must be >= 0"),
     (["--batch-max-calls", "0"], "batch_max_calls must be >= 1"),
     (["--vgpu-quantum-s", "0"], "vgpu_quantum_s must be positive"),
+    (["--eviction-policy", "cost_aware"],
+     "eviction_policy='cost_aware' needs eviction_mode='partial'"),
+    (["--eviction-policy", "cost_aware", "--eviction-mode", "partial"],
+     "eviction_policy='cost_aware' needs locality_binding=True"),
 ])
 def test_run_rejects_invalid_runtime_config(capsys, tmp_path, mode, flags, message):
     metrics = tmp_path / "m.txt"

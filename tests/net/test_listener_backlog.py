@@ -1,6 +1,4 @@
-"""Bounded accept backlog on the Listener (listen(2) semantics)."""
-
-import pytest
+"""The Listener's accept backlog: unbounded, drained by accept()."""
 
 from repro.core import Frontend, NodeRuntime, RuntimeConfig
 from repro.net.socket import Listener, connect
@@ -8,21 +6,9 @@ from repro.sim import Environment
 from repro.simcuda import CudaDriver, TESLA_C2050
 
 
-def test_over_backlog_connect_fails_fast():
-    env = Environment()
-    listener = Listener(env, name="srv", backlog_limit=2)
-    connect(env, listener, client_name="c1")
-    connect(env, listener, client_name="c2")
-    assert listener.backlog == 2
-    with pytest.raises(ConnectionRefusedError):
-        connect(env, listener, client_name="c3")
-    assert listener.refused == 1
-    assert listener.backlog == 2  # the refused connection left no trace
-
-
 def test_accepting_drains_the_backlog_and_reopens_it():
     env = Environment()
-    listener = Listener(env, name="srv", backlog_limit=1)
+    listener = Listener(env, name="srv")
     connect(env, listener, client_name="c1")
     got = {}
 
@@ -32,7 +18,8 @@ def test_accepting_drains_the_backlog_and_reopens_it():
     env.process(server())
     env.run()
     assert got["sock"].peer_name == "c1"
-    # Accepted: the slot is free again.
+    assert listener.backlog == 0
+    # Accepted: a new connection queues again.
     connect(env, listener, client_name="c2")
     assert listener.backlog == 1
 
@@ -43,40 +30,12 @@ def test_default_backlog_is_unbounded():
     for i in range(50):
         connect(env, listener, client_name=f"c{i}")
     assert listener.backlog == 50
-    assert listener.refused == 0
-
-
-def test_backlog_limit_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Listener(env, backlog_limit=0)
-    with pytest.raises(ValueError):
-        RuntimeConfig(listener_backlog=0)
-
-
-def test_runtime_wires_config_backlog_through():
-    """Regression: a runtime with listener_backlog set refuses the N+1th
-    un-accepted connection instead of queueing it forever."""
-    env = Environment()
-    driver = CudaDriver(env, [TESLA_C2050])
-    runtime = NodeRuntime(
-        env, driver, RuntimeConfig(listener_backlog=2)
-    )
-    # The runtime is deliberately NOT started: nothing accepts, so the
-    # backlog fills exactly to the configured limit.
-    connect(env, runtime.listener, client_name="c1")
-    connect(env, runtime.listener, client_name="c2")
-    with pytest.raises(ConnectionRefusedError):
-        connect(env, runtime.listener, client_name="c3")
-    snapshot = runtime.metrics.snapshot()
-    assert snapshot["listener_backlog"] == 2
-    assert snapshot["listener_refused"] == 1
 
 
 def test_runtime_under_backlog_serves_normally():
     env = Environment()
     driver = CudaDriver(env, [TESLA_C2050])
-    runtime = NodeRuntime(env, driver, RuntimeConfig(listener_backlog=4))
+    runtime = NodeRuntime(env, driver, RuntimeConfig())
     env.process(runtime.start())
     done = []
 
@@ -90,4 +49,4 @@ def test_runtime_under_backlog_serves_normally():
         env.process(app(f"a{i}"))
     env.run()
     assert len(done) == 3
-    assert runtime.connections.listener.refused == 0
+    assert runtime.metrics.snapshot()["listener_backlog"] == 0

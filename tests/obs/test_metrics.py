@@ -47,7 +47,6 @@ EXPECTED_STATS_KEYS = {
     "bad_calls_detected",
     "bindings",
     "unbindings",
-    "admission_rejects",
     "admission_queued",
     "preemptions",
     "quota_evictions",

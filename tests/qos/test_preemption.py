@@ -134,7 +134,6 @@ def test_default_config_is_inert():
     h.spawn(h.simple_app("b"))
     h.run()
     assert h.stats.preemptions == 0
-    assert h.stats.admission_rejects == 0
     assert h.stats.admission_queued == 0
     assert h.stats.quota_evictions == 0
     assert len(h.runtime.qos) == 0

@@ -32,7 +32,6 @@ def test_preemption_with_overlap_chunked_swap_and_failure():
             prefetch_enabled=True,
             swap_chunk_bytes=16 * MIB,
             eviction_mode="partial",
-            eviction_policy="quota_aware",
         ),
     )
     for name in ("alpha", "beta", "gamma"):

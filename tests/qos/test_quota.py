@@ -155,32 +155,3 @@ def test_quota_soft_when_working_set_alone_exceeds_it():
     h.spawn(app())
     h.run()
     assert done.get("ok")
-
-
-def test_quota_aware_eviction_prefers_over_quota_tenants():
-    """Unit-level: the quota_aware ordering sorts over-quota tenants'
-    entries first, falling back to LRU among equals."""
-    from repro.core.memory.eviction import make_eviction_policy
-    from repro.core.memory.page_table import PageTableEntry
-
-    policy = make_eviction_policy("quota_aware")
-    overages = {"over": 100, "ok": 0}
-    policy.overage_fn = lambda ctx: overages[ctx]
-
-    def pte(last_use):
-        p = PageTableEntry(0x7000_0000_0000, MIB)
-        p.configure_chunks(0)
-        p.last_use = last_use
-        return p
-
-    old_ok = ("ok", pte(1.0))
-    new_over = ("over", pte(9.0))
-    old_over = ("over", pte(2.0))
-    ordered = policy.order([old_ok, new_over, old_over])
-    assert ordered[:2] == [old_over, new_over]  # over-quota first, LRU within
-    assert ordered[2] == old_ok
-
-    # With no overage function everyone ties and pure LRU applies.
-    policy2 = make_eviction_policy("quota_aware")
-    ordered2 = policy2.order([old_ok, new_over, old_over])
-    assert ordered2[0] == old_ok
