@@ -563,7 +563,6 @@ def replay_trace(
             runtime.listener,
             name=f"{tj.job_id}/r{rank_id}",
             tenant=tj.user,
-            estimated_bytes=per_rank_bytes,
             batch_max_calls=runtime.config.batch_max_calls,
         )
         yield from frontend.open()
