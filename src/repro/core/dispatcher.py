@@ -136,6 +136,10 @@ class Dispatcher:
         self.failed_contexts: List[Context] = []
         #: All contexts ever served (experiment bookkeeping).
         self.contexts: List[Context] = []
+        #: How many of :attr:`contexts` are not yet ``DONE``: the node's
+        #: live application threads, which placement and offloading read
+        #: (§4.7) without scanning every context ever served.
+        self.live_contexts = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -182,9 +186,8 @@ class Dispatcher:
         obs = self.obs
         recv = sock.recv
         migration = self.runtime.migration
-        ctx = Context(env, owner=sock.peer_name)
+        ctx = self.open_context(sock.peer_name)
         ctx.enter_cpu_phase(env.now)
-        self.contexts.append(ctx)
         lock_acquire = ctx.lock.acquire
         lock_release = ctx.lock.release
         while True:
@@ -245,6 +248,13 @@ class Dispatcher:
             # may now claim it (dynamic binding, §5.3.4).
             migration.maybe_migrate(ctx)
             self._maybe_prefetch(ctx)
+
+    def open_context(self, owner: str) -> Context:
+        """A new context for a served connection, live until ``_exit``."""
+        ctx = Context(self.env, owner=owner)
+        self.contexts.append(ctx)
+        self.live_contexts += 1
+        return ctx
 
     def _execute_call(self, ctx: Context, body, *args) -> Generator:
         """Run ``body(ctx, *args)`` under the device-failure rule (§4.6):
@@ -997,4 +1007,5 @@ class Dispatcher:
         if ctx.tenant is not None:
             ctx.tenant.detach(ctx)
         ctx.state = ContextState.DONE
+        self.live_contexts -= 1
         ctx.finished_at = self.env.now

@@ -308,8 +308,9 @@ class NodeRuntime:
         capacity = self.scheduler.total_vgpus
         if capacity == 0:
             return float("inf")
-        live = sum(1 for c in self.dispatcher.contexts if c.state is not ContextState.DONE)
-        return (live + self.connections.pending_count) / capacity
+        return (
+            self.dispatcher.live_contexts + self.connections.pending_count
+        ) / capacity
 
     def __repr__(self) -> str:
         return (

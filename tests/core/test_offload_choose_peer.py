@@ -1,7 +1,7 @@
 """OffloadManager.choose_peer edge cases (paper §4.7)."""
 
 from repro.core import NodeRuntime, RuntimeConfig
-from repro.core.context import Context, ContextState
+from repro.core.context import ContextState
 from repro.sim import Environment
 from repro.simcuda import CudaDriver, TESLA_C2050
 
@@ -20,9 +20,10 @@ def _node(env, name, vgpus=1, margin=0.5):
 
 
 def _load(env, node, n):
-    """Fabricate n live (pending) contexts on a node."""
+    """Open n live (pending) contexts on a node through the dispatcher,
+    which counts them as live."""
     for i in range(n):
-        node.dispatcher.contexts.append(Context(env, owner=f"{node.name}-c{i}"))
+        node.dispatcher.open_context(f"{node.name}-c{i}")
 
 
 def test_no_peers_returns_none():
@@ -91,7 +92,9 @@ def test_done_contexts_do_not_count_as_load():
     a.offloader.add_peer(b)
     _load(env, a, 3)
     for ctx in a.dispatcher.contexts:
-        ctx.state = ContextState.DONE
+        env.process(a.dispatcher._exit(ctx))
+    env.run()
+    assert all(c.state is ContextState.DONE for c in a.dispatcher.contexts)
     # All local work finished: the node is not saturated.
     assert a.offloader.choose_peer() is None
 
@@ -105,5 +108,27 @@ def test_zero_capacity_node_always_offloads():
     a.driver.devices[0].fail()
     a.note_device_failure(a.driver.devices[0])
     _load(env, a, 1)
+    peer = a.offloader.choose_peer()
+    assert peer is not None and peer.runtime is b
+
+
+class _Unscannable(list):
+    """A context list whose iteration fails: the load metric must not
+    scan every context a node has served."""
+
+    def __iter__(self):
+        raise AssertionError("load scanned Dispatcher.contexts")
+
+
+def test_load_and_peer_choice_read_the_live_count():
+    env = Environment()
+    a, b = _node(env, "a"), _node(env, "b")
+    a.offloader.add_peer(b)
+    _load(env, a, 3)
+    _load(env, b, 1)
+    for node in (a, b):
+        node.dispatcher.contexts = _Unscannable(node.dispatcher.contexts)
+    assert a.load_per_vgpu() == 3.0
+    assert b.load_per_vgpu() == 1.0
     peer = a.offloader.choose_peer()
     assert peer is not None and peer.runtime is b
