@@ -5,15 +5,22 @@ A :class:`Channel` delivers messages in FIFO order.  Each message of
 forward) and arrives ``latency`` seconds after transmission completes.
 Successive messages pipeline: transmission serializes, propagation
 overlaps — the standard first-order model of a socket over a link.
+
+A message goes out by :meth:`Channel.send`, a process step that ends
+when the link is released, or by :meth:`Channel.post`, a plain call for
+a sender whose next step is to wait for a reply: it schedules only the
+delivery and releases the link without an event.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from collections import deque
 from typing import Any, Generator
 
 from repro.sim import Environment, Store, Timeout, Waiter
+from repro.sim.core import NORMAL, PENDING
 
 __all__ = ["LinkSpec", "Channel", "AFUNIX_LINK", "TCP_GBE_LINK", "TCP_10GBE_LINK"]
 
@@ -69,16 +76,27 @@ class _Delivery(Timeout):
 
     A timeout carrying the payload, whose callback hands the message
     straight to the inbox's first live getter — or queues it — at
-    ``latency_s`` after the transmission finished.
+    simulated time ``at``: ``latency_s`` after the transmission finished.
+    Scheduled at an absolute time, so a posted message lands at exactly
+    the float a sent one computes.
     """
 
     __slots__ = ("_channel", "_payload")
 
-    def __init__(self, channel: "Channel", payload: Any):
-        super().__init__(channel.env, channel.link.latency_s)
+    def __init__(self, channel: "Channel", payload: Any, at: float):
+        env = channel.env
+        self.env = env
+        self.callbacks = [_deliver_payload]
+        self._value = PENDING
+        self._ok = None
+        self.defused = False
+        self._cancelled = False
+        self._on_cancel = None
+        self._delay = at - env._now
+        self._pending_value = None
         self._channel = channel
         self._payload = payload
-        self.callbacks.append(_deliver_payload)
+        heapq.heappush(env._queue, (at, NORMAL, next(env._seq), self))
 
 
 def _deliver_payload(event: "_Delivery") -> None:
@@ -122,6 +140,9 @@ class Channel:
         #: nobody waits.
         self._tx_busy = False
         self._tx_waiters: deque = deque()
+        #: When the transmission the last :meth:`post` started ends: the
+        #: link is busy until then, with no event marking the release.
+        self._tx_free_at = float("-inf")
         self.messages_sent = 0
         self.bytes_sent = 0
         self.closed = False
@@ -135,10 +156,16 @@ class Channel:
         if self.closed:
             raise ConnectionError(f"channel over {self.link.name} is closed")
         env = self.env
-        # Three heap events per message — the transmit timeout, the
-        # _Delivery event, and the receiver's wake-up; transmitter
-        # hand-off is a flag plus a FIFO (one wake per release, only
-        # when contended).
+        if env._now < self._tx_free_at:
+            raise RuntimeError(
+                f"send on channel over {self.link.name} while a posted "
+                "message is still transmitting"
+            )
+        # Two heap events per message — the transmit timeout (popped
+        # inline when it is next in the heap) and the _Delivery event,
+        # which resumes a waiting receiver in its own callback when
+        # nothing else is due at that instant.  Transmitter hand-off is
+        # a flag plus a FIFO (one wake per release, only when contended).
         while self._tx_busy:
             waiter = Waiter(env)
             waiter._on_cancel = self._tx_waiters.remove
@@ -149,7 +176,7 @@ class Channel:
             yield env.timeout(self.link.transmit_seconds(nbytes))
             self.messages_sent += 1
             self.bytes_sent += nbytes
-            _Delivery(self, payload)
+            _Delivery(self, payload, env._now + self.link.latency_s)
         finally:
             self._tx_busy = False
             waiters = self._tx_waiters
@@ -158,6 +185,27 @@ class Channel:
                 if not nxt._cancelled:
                     nxt.succeed()
                     break
+
+    def post(self, payload: Any, nbytes: int = 0) -> None:
+        """Transmit ``payload`` on an idle link with one heap event.
+
+        For a sender whose next step is to wait for a reply, which no
+        one can observe releasing the link: the transmission ends at
+        ``now + transmit`` and the payload arrives ``latency_s`` later,
+        the same floats :meth:`send`'s timeout and delivery compute.
+        Counted like :meth:`send` at once.  Every caller keeps one
+        message in flight, so a busy link is an error, not a queue.
+        """
+        if self.closed:
+            raise ConnectionError(f"channel over {self.link.name} is closed")
+        now = self.env._now
+        if self._tx_busy or now < self._tx_free_at:
+            raise RuntimeError(f"post on busy channel over {self.link.name}")
+        done = now + self.link.transmit_seconds(nbytes)
+        self._tx_free_at = done
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        _Delivery(self, payload, done + self.link.latency_s)
 
     def recv(self):
         """Event yielding the next message (blocks while empty)."""

@@ -131,7 +131,7 @@ class RpcClient:
         req.trace_id = self.trace_id
         req.span_id = req.request_id
         req.sent_at = self.socket.env.now
-        yield from self.socket.send(req, nbytes=req.wire_bytes)
+        self.socket.post(req, nbytes=req.wire_bytes)
         resp = yield self.socket.recv()
         if not isinstance(resp, Response) or resp.request_id != req.request_id:
             raise ProtocolError(
@@ -146,7 +146,7 @@ class RpcClient:
         batch = BatchRequest(calls=list(calls))
         batch.trace_id = self.trace_id
         batch.sent_at = self.socket.env.now
-        yield from self.socket.send(batch, nbytes=batch.wire_bytes)
+        self.socket.post(batch, nbytes=batch.wire_bytes)
         resp = yield self.socket.recv()
         if not isinstance(resp, BatchResponse) or resp.request_id != batch.request_id:
             raise ProtocolError(

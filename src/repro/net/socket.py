@@ -41,6 +41,13 @@ class Socket:
             raise ConnectionError("socket closed")
         return self._tx.send(payload, nbytes)
 
+    def post(self, payload: Any, nbytes: int = 0) -> None:
+        """Transmit on an idle link without a process step (see
+        :meth:`Channel.post`)."""
+        if self.closed:
+            raise ConnectionError("socket closed")
+        self._tx.post(payload, nbytes)
+
     def recv(self):
         """Event for the next incoming message."""
         return self._rx.recv()
