@@ -430,10 +430,14 @@ class Tracer:
         if not self.enabled or span is None:
             return
         phases = span.finish()
+        # A CallType carries its wire name in ``.value``; str() only for
+        # anything else (not as getattr's default, which is evaluated on
+        # every call).
+        name = getattr(method, "value", None)
         self.record(
             PhaseBreakdown,
             ctx,
-            method=getattr(method, "value", str(method)),
+            method=str(method) if name is None else name,
             trace_id=span.trace_id,
             span_id=span.span_id,
             begin_at=span.begin_at,
