@@ -4,14 +4,18 @@ Every stochastic choice in the reproduction (job draws, CPU-phase jitter,
 failure injection) pulls from a named stream derived from a single master
 seed, so that adding a new consumer of randomness does not perturb the
 draws seen by existing consumers.
+
+numpy is imported by the first :meth:`RngStreams.stream` call, not by
+this module: a run that never draws a random number never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RngStreams"]
 
@@ -33,6 +37,8 @@ class RngStreams:
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the stream called ``name``."""
         if name not in self._streams:
+            import numpy as np
+
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
             child_seed = int.from_bytes(digest[:8], "little")
             self._streams[name] = np.random.default_rng(child_seed)

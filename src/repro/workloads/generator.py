@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.cluster.jobs import Job
 from repro.cluster.node import ComputeNode
@@ -17,6 +15,9 @@ from repro.workloads.base import (
     WorkloadSpec,
 )
 from repro.workloads.catalog import SHORT_RUNNING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["make_job", "draw_short_jobs"]
 

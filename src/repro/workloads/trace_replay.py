@@ -47,8 +47,6 @@ import math
 import os
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cluster.cluster import Cluster
 from repro.cluster.jobs import Job, JobOutcome
 from repro.cluster.node import ComputeNode
@@ -240,6 +238,8 @@ def synthetic_trace(
         raise ValueError("num_jobs must be >= 1")
     if users < 1 or groups < 1:
         raise ValueError("users and groups must be >= 1")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     weights = list(gpu_type_weights or DEFAULT_GPU_TYPE_WEIGHTS)
     type_names = [t for t, _ in weights]
