@@ -909,13 +909,7 @@ class Dispatcher:
                 yield from self.scheduler.request_binding(ctx, front=front)
             try:
                 duration = yield from self.memory.prepare_and_launch(
-                    ctx,
-                    launch.kernel,
-                    launch.arg_pointers,
-                    launch.read_only or (),
-                    grid=launch.grid,
-                    block=launch.block,
-                    control_plane=control_plane,
+                    ctx, launch, control_plane=control_plane
                 )
                 return duration, backoff
             except NeedRetry:

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 from repro.sim import Condition, Environment, Event
 from repro.simcuda.device import GPUDevice
 from repro.simcuda.errors import CudaError, CudaRuntimeError
-from repro.simcuda.kernels import KernelDescriptor, KernelLaunch
+from repro.simcuda.kernels import KernelLaunch
 
 from repro.core.config import RuntimeConfig
 from repro.core.context import Context, ContextState
@@ -414,17 +414,15 @@ class MemoryManager:
     # Table 1: Launch (+ internal Swap)
     # ------------------------------------------------------------------
     def prepare_and_launch(
-        self,
-        ctx: Context,
-        kernel: KernelDescriptor,
-        arg_vptrs: Sequence[int],
-        read_only_vptrs: Sequence[int] = (),
-        grid: Tuple[int, int, int] = (1, 1, 1),
-        block: Tuple[int, int, int] = (256, 1, 1),
-        replaying: bool = False,
-        control_plane: bool = True,
+        self, ctx: Context, launch: KernelLaunch, control_plane: bool = True
     ) -> Generator:
         """Execute one kernel on the context's bound vGPU.
+
+        ``launch`` carries *virtual* pointers; its ``read_only`` is read
+        as a set (order and repeats do not matter).  The record itself
+        is appended to ``ctx.replay_journal`` — the journal names the
+        caller's record, it does not copy it, so records must stay
+        immutable (``KernelLaunch`` is frozen).
 
         ``control_plane=False`` marks a launch issued as part of an
         instantiated graph replay: the driver's per-launch control-plane
@@ -455,6 +453,8 @@ class MemoryManager:
             # — before anything below touches device pointers.
             yield from self._reconcile_cache(ctx)
 
+        kernel = launch.kernel
+        arg_vptrs = launch.arg_pointers
         ptes = self._resolve_launch_entries(ctx, arg_vptrs)
         working_set = sum(p.size for p in ptes)
         if working_set > self._usable_bytes(device):
@@ -507,15 +507,15 @@ class MemoryManager:
                 # of the pipelined launch path).
                 yield from ctx.vgpu.synchronize()
 
-        read_only = set(read_only_vptrs)
+        read_only = set(launch.read_only or ())
         device_ptrs = tuple(p.device_ptr for p in ptes)
         dev_read_only = tuple(
             p.device_ptr for p in ptes if p.virtual_ptr in read_only
         )
         translated = KernelLaunch(
             kernel=kernel,
-            grid=grid,
-            block=block,
+            grid=launch.grid,
+            block=launch.block,
             arg_pointers=device_ptrs,
             read_only=dev_read_only if dev_read_only else None,
             control_plane=control_plane,
@@ -533,17 +533,8 @@ class MemoryManager:
                 pte.kernel_read(now)
             else:
                 pte.kernel_write(now)
-        if not replaying:
-            ctx.replay_journal.append(
-                KernelLaunch(
-                    kernel=kernel,
-                    grid=grid,
-                    block=block,
-                    arg_pointers=tuple(arg_vptrs),
-                    read_only=tuple(read_only) if read_only else None,
-                )
-            )
-        ctx.last_launch_vptrs = tuple(arg_vptrs)
+        ctx.replay_journal.append(launch)
+        ctx.last_launch_vptrs = arg_vptrs
         self.stats.kernels_launched += 1
         ctx.kernels_launched += 1
         ctx.gpu_seconds_used += duration

@@ -14,7 +14,7 @@ from repro.core import NodeRuntime, RuntimeConfig
 from repro.core.checkpoint import restore_context, snapshot_context
 from repro.core.context import Context, ContextState
 from repro.sim import Environment
-from repro.simcuda import CudaDriver, KernelDescriptor, TESLA_C2050
+from repro.simcuda import CudaDriver, KernelDescriptor, KernelLaunch, TESLA_C2050
 
 from tests.core.conftest import Harness, MIB
 
@@ -113,7 +113,9 @@ def test_restart_then_continue_and_exit_cleanly():
         yield from runtime.scheduler.request_binding(ctx)
         yield from runtime.dispatcher.replay_journal(ctx)
         # ...and the application continues past the checkpoint.
-        yield from runtime.memory.prepare_and_launch(ctx, k, new_ptrs)
+        yield from runtime.memory.prepare_and_launch(
+            ctx, KernelLaunch.simple(k, new_ptrs)
+        )
         yield from runtime.memory.copy_d2h(ctx, new_ptrs[0], 16 * MIB)
         yield from runtime.memory.release_context(ctx)
         runtime.scheduler.release(ctx, "exit")
