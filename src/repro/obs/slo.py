@@ -12,12 +12,21 @@ dispatcher's existing latency-observation site and from the scheduler's
 queue-wait hook, consumes no simulated time, and costs two appends per
 call.  Calls made before the handshake names a tenant are accounted
 under the pseudo-tenant ``"-"``.
+
+Each series (a tenant's turnaround, a tenant's queue wait) is two flat
+``array('d')`` columns, sample times and values, oldest first, plus a
+head index marking the window start: a sample costs 16 bytes, not a
+tuple and two float objects.  Samples older than ``WINDOW_S`` are
+dropped from the front in bulk when a series reaches ``COMPACT_MIN``
+samples or twice what its last compaction kept; the window a rollup
+reads is the same as if each sample were pruned on arrival.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Tuple
+from array import array
+from bisect import bisect_left
+from typing import Any, Dict
 
 __all__ = ["SLOMonitor", "percentile"]
 
@@ -40,15 +49,50 @@ def percentile(values, q: float) -> float:
     return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
+#: A series is compacted when it holds this many samples, or twice as
+#: many as it kept at its last compaction, whichever is larger.
+COMPACT_MIN = 4096
+
+
+class _Series:
+    """One sliding-window series: sample times and values in two flat
+    columns.  ``at[head:]`` is the window as of the last prune."""
+
+    __slots__ = ("at", "value", "head", "limit")
+
+    def __init__(self) -> None:
+        self.at = array("d")
+        self.value = array("d")
+        self.head = 0
+        self.limit = COMPACT_MIN
+
+    def prune(self, now: float) -> None:
+        """Move the window start past every sample with
+        ``at < now - WINDOW_S`` (sample times never decrease)."""
+        self.head = bisect_left(self.at, now - WINDOW_S, self.head)
+
+    def compact(self, now: float) -> None:
+        """Prune, then drop the samples before the window start."""
+        self.prune(now)
+        del self.at[: self.head]
+        del self.value[: self.head]
+        self.head = 0
+        self.limit = max(COMPACT_MIN, 2 * len(self.at))
+
+    def window(self, now: float) -> array:
+        """The values of the samples inside the window ending at ``now``."""
+        self.prune(now)
+        return self.value[self.head :]
+
+
 class _Window:
     """One tenant's sliding-window samples."""
 
     __slots__ = ("turnaround", "queue_wait", "calls_total")
 
     def __init__(self) -> None:
-        #: (at, seconds) samples, oldest first.
-        self.turnaround: Deque[Tuple[float, float]] = deque()
-        self.queue_wait: Deque[Tuple[float, float]] = deque()
+        self.turnaround = _Series()
+        self.queue_wait = _Series()
         self.calls_total = 0
 
 
@@ -70,26 +114,26 @@ class SLOMonitor:
     def _tenant_of(ctx) -> str:
         return getattr(getattr(ctx, "tenant", None), "name", "") or "-"
 
-    def _prune(self, samples: Deque[Tuple[float, float]], now: float) -> None:
-        horizon = now - WINDOW_S
-        while samples and samples[0][0] < horizon:
-            samples.popleft()
-
     # ------------------------------------------------------------------
     def observe_call(self, ctx, latency_s: float) -> None:
         """One completed call's turnaround (dispatcher finally-block)."""
         now = self.env.now
         w = self._window(self._tenant_of(ctx))
         w.calls_total += 1
-        w.turnaround.append((now, latency_s))
-        self._prune(w.turnaround, now)
+        series = w.turnaround
+        series.at.append(now)
+        series.value.append(latency_s)
+        if len(series.at) >= series.limit:
+            series.compact(now)
 
     def observe_queue_wait(self, ctx, wait_s: float) -> None:
         """One binding's scheduler queue wait (Scheduler.queue_wait_hook)."""
         now = self.env.now
-        w = self._window(self._tenant_of(ctx))
-        w.queue_wait.append((now, wait_s))
-        self._prune(w.queue_wait, now)
+        series = self._window(self._tenant_of(ctx)).queue_wait
+        series.at.append(now)
+        series.value.append(wait_s)
+        if len(series.at) >= series.limit:
+            series.compact(now)
 
     # ------------------------------------------------------------------
     def rollup(self) -> Dict[str, Dict[str, Any]]:
@@ -97,10 +141,8 @@ class SLOMonitor:
         now = self.env.now
         out: Dict[str, Dict[str, Any]] = {}
         for name, w in self._windows.items():
-            self._prune(w.turnaround, now)
-            self._prune(w.queue_wait, now)
-            turn = [v for _, v in w.turnaround]
-            wait = [v for _, v in w.queue_wait]
+            turn = w.turnaround.window(now)
+            wait = w.queue_wait.window(now)
             out[name] = {
                 "window_s": WINDOW_S,
                 "calls_total": w.calls_total,
