@@ -59,12 +59,6 @@ __all__ = ["Chunk", "EntryType", "PageTableEntry", "PageTable", "VIRTUAL_BASE"]
 VIRTUAL_BASE = 0x7000_0000_0000
 VIRTUAL_ALIGNMENT = 256
 
-try:  # Python >= 3.10
-    _popcount = int.bit_count
-except AttributeError:  # pragma: no cover - 3.9 fallback
-    def _popcount(x: int) -> int:
-        return bin(x).count("1")
-
 
 class EntryType(enum.Enum):
     """Kind of allocation behind the entry (paper: ``entry_t type``)."""
@@ -314,7 +308,7 @@ class PageTableEntry:
         """Total bytes covered by a bit-vector's set chunks (the last
         chunk may be short)."""
         cb = self._chunk_bytes
-        total = _popcount(bm) * cb
+        total = bm.bit_count() * cb
         if (bm >> (self._nchunks - 1)) & 1:
             total -= self._nchunks * cb - self.size  # short tail
         return total
