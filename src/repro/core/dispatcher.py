@@ -134,12 +134,10 @@ class Dispatcher:
         )
         #: Failed contexts awaiting/undergoing recovery (paper Figure 3).
         self.failed_contexts: List[Context] = []
-        #: All contexts ever served (experiment bookkeeping).
+        #: Live contexts, from connection to exit (§4.6): the node's
+        #: application threads, whose count placement and offloading
+        #: read (§4.7).  ``_exit`` drops a context when it is done.
         self.contexts: List[Context] = []
-        #: How many of :attr:`contexts` are not yet ``DONE``: the node's
-        #: live application threads, which placement and offloading read
-        #: (§4.7) without scanning every context ever served.
-        self.live_contexts = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -253,7 +251,6 @@ class Dispatcher:
         """A new context for a served connection, live until ``_exit``."""
         ctx = Context(self.env, owner=owner)
         self.contexts.append(ctx)
-        self.live_contexts += 1
         return ctx
 
     def _execute_call(self, ctx: Context, body, *args) -> Generator:
@@ -1001,5 +998,5 @@ class Dispatcher:
         if ctx.tenant is not None:
             ctx.tenant.detach(ctx)
         ctx.state = ContextState.DONE
-        self.live_contexts -= 1
+        self.contexts.remove(ctx)
         ctx.finished_at = self.env.now

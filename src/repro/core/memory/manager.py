@@ -107,7 +107,7 @@ class MemoryManager:
         self.env = env
         self.config = config
         self.stats = stats or RuntimeStats()
-        self.obs = obs or Tracer(env)
+        self.obs = obs if obs is not None else Tracer(env)
         metrics = metrics or MetricsRegistry()
         self._swap_out_bytes = metrics.histogram(
             "swap_out_bytes", "device→host write-back size per swapped entry",

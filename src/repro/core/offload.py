@@ -73,7 +73,7 @@ class OffloadManager:
             return None
         runtime = self.runtime
         capacity = runtime.scheduler.total_vgpus
-        live = runtime.dispatcher.live_contexts
+        live = len(runtime.dispatcher.contexts)
         if capacity > 0 and live < capacity:
             return None  # local GPUs not saturated: keep the job
         projected = (live + 1) / capacity if capacity else float("inf")

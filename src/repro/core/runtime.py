@@ -309,7 +309,7 @@ class NodeRuntime:
         if capacity == 0:
             return float("inf")
         return (
-            self.dispatcher.live_contexts + self.connections.pending_count
+            len(self.dispatcher.contexts) + self.connections.pending_count
         ) / capacity
 
     def __repr__(self) -> str:

@@ -56,7 +56,7 @@ class Scheduler:
         #: bare one with the node's fully wired context.
         self.policy_context = PolicyContext(env)
         self.stats = stats
-        self.obs = obs or Tracer(env)
+        self.obs = obs if obs is not None else Tracer(env)
         metrics = metrics or MetricsRegistry()
         self._queue_wait = metrics.histogram(
             "queue_wait_seconds", "time from vGPU request to binding",

@@ -106,5 +106,5 @@ class ObsCollector:
         self.flush()
 
     def __repr__(self) -> str:
-        n_events = sum(len(r.obs.events) for r in self.runtimes)
+        n_events = sum(len(r.obs) for r in self.runtimes)
         return f"<ObsCollector runtimes={len(self.runtimes)} events={n_events}>"

@@ -6,19 +6,24 @@ a zero-dependency tracing bus.  Components emit *typed events* — call
 spans, swap traffic, binding changes, migrations, offloads, checkpoints,
 recoveries, queue depths — through :meth:`Tracer.record` on the
 :class:`Tracer` owned by the node runtime.  When tracing is disabled (the
-default) it returns before constructing an event, so the hot paths pay
+default) it returns before gathering any field, so the hot paths pay
 one attribute check and nothing else; simulated time is never affected
 either way.
 
-Events are plain frozen dataclasses so exporters (:mod:`repro.obs.export`)
-can serialize them without reflection surprises, and tests can assert on
-them structurally.
+Event kinds are plain frozen dataclasses so exporters
+(:mod:`repro.obs.export`) can serialize them without reflection
+surprises, and tests can assert on them structurally.  The tracer keeps
+no event objects, though: it stores each kind as columns and builds the
+objects when they are read (see :class:`Tracer`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
+
+from repro.obs.span import PHASES
 
 __all__ = [
     "EngineSpan",
@@ -365,33 +370,157 @@ _CTX_FIELDS: Dict[type, Tuple[str, ...]] = {
     for kind in EVENT_TYPES
 }
 
+#: Column index of each named phase in a stored ``phases`` tuple.
+_PHASE_INDEX: Dict[str, int] = {name: i for i, name in enumerate(PHASES)}
+
+
+class _KindLog:
+    """One event kind's rows, held as columns.
+
+    A ``float`` field is an ``array('d')``; ``phases`` is three arrays:
+    each row's end offset, then per phase its index in ``PHASES`` and
+    its seconds; every other field is a list of references.  A value
+    its column would not give back unchanged (an int in a float field,
+    a ``phases`` that is not a tuple of ``(PHASES name, float)`` pairs)
+    is kept as given in ``odd``, keyed by ``(field, row)``, over a
+    placeholder in the column.
+    """
+
+    __slots__ = (
+        "kind", "index", "rows", "names", "required", "columns", "floats",
+        "refs", "phase_ends", "phase_ids", "phase_seconds", "odd",
+    )
+
+    def __init__(self, kind: type, index: int):
+        self.kind = kind
+        self.index = index
+        self.rows = 0
+        fields = dataclasses.fields(kind)
+        self.names = frozenset(f.name for f in fields)
+        self.required = frozenset(
+            f.name for f in fields if f.default is dataclasses.MISSING
+        )
+        #: Field name → column, in the dataclass's field order (None
+        #: for ``phases``, which lives in the three phase arrays).
+        self.columns: Dict[str, Any] = {}
+        floats, refs = [], []
+        self.phase_ends = self.phase_ids = self.phase_seconds = None
+        for f in fields:
+            if f.name == "phases":
+                self.phase_ends = array("L")
+                self.phase_ids = array("B")
+                self.phase_seconds = array("d")
+                self.columns[f.name] = None
+            elif f.type in ("float", float):
+                self.columns[f.name] = column = array("d")
+                floats.append((f.name, f.default, column))
+            else:
+                self.columns[f.name] = column = []
+                refs.append((f.name, f.default, column))
+        self.floats = tuple(floats)
+        self.refs = tuple(refs)
+        self.odd: Dict[Tuple[str, int], Any] = {}
+
+    def _phases(self) -> List[Any]:
+        ids, seconds = self.phase_ids, self.phase_seconds
+        out, begin = [], 0
+        for end in self.phase_ends:
+            out.append(tuple(zip([PHASES[i] for i in ids[begin:end]], seconds[begin:end])))
+            begin = end
+        return out
+
+    def objects(self) -> List[Any]:
+        """Every row as a fresh event object, in emission order."""
+        values = {
+            name: self._phases() if column is None else list(column)
+            for name, column in self.columns.items()
+        }
+        for (name, row), value in self.odd.items():
+            values[name][row] = value
+        kind = self.kind
+        return [kind(*row) for row in zip(*values.values())]
+
 
 class Tracer:
-    """Per-runtime event sink.
+    """Per-runtime event log.
 
     ``enabled`` gates everything: :meth:`record` returns immediately when
     it is False, and instrumented hot paths check it before gathering
-    any field, so they cost one attribute load.  Subscribers (live
-    consumers such as a streaming exporter) are called synchronously
-    with each event.
+    any field, so they cost one attribute load.
+
+    Events are stored as columns, one :class:`_KindLog` per kind plus a
+    one-byte kind index per event that keeps emission order across
+    kinds; no event object is kept.  :attr:`events` and
+    :meth:`events_of` build fresh objects equal to the ones emitted, on
+    every read.  Subscribers (live consumers such as a streaming
+    exporter) are called synchronously with an object built for them,
+    only while one is registered.
     """
 
-    __slots__ = ("env", "enabled", "node", "events", "subscribers")
+    __slots__ = ("env", "enabled", "node", "subscribers", "_logs", "_log_of", "_order")
 
     def __init__(self, env, enabled: bool = False, node: str = ""):
         self.env = env
         self.enabled = enabled
         self.node = node
-        self.events: List[Any] = []
         self.subscribers: List[Callable[[Any], None]] = []
+        self.clear()
 
     # ------------------------------------------------------------------
-    def emit(self, event: Any) -> None:
-        """Record one already-constructed event (no enabled check:
-        :meth:`record` guards before construction)."""
-        self.events.append(event)
-        for fn in self.subscribers:
-            fn(event)
+    def emit(self, kind: type, fields: Dict[str, Any]) -> None:
+        """Append one ``kind`` event with these fields (no enabled
+        check: :meth:`record` guards before gathering them).  Fields
+        left out take the kind's defaults; an unknown field, or a
+        missing one without a default, raises ``TypeError``."""
+        log = self._log_of.get(kind)
+        if log is None:
+            log = self._open(kind)
+        keys = fields.keys()
+        if not (keys <= log.names and keys >= log.required):
+            raise TypeError(
+                f"{kind.__name__}: unknown fields {sorted(keys - log.names)}, "
+                f"missing fields {sorted(log.required - keys)}"
+            )
+        row = log.rows
+        log.rows = row + 1
+        self._order.append(log.index)
+        get = fields.get
+        for name, default, column in log.floats:
+            value = get(name, default)
+            if value.__class__ is not float:
+                log.odd[name, row] = value
+                value = 0.0
+            column.append(value)
+        for name, default, column in log.refs:
+            column.append(get(name, default))
+        ends = log.phase_ends
+        if ends is not None:
+            phases = get("phases", ())
+            ids, seconds = log.phase_ids, log.phase_seconds
+            begin = len(seconds)
+            kept = phases.__class__ is tuple
+            if kept:
+                for name, value in phases:
+                    index = _PHASE_INDEX.get(name)
+                    if index is None or value.__class__ is not float:
+                        kept = False
+                        break
+                    ids.append(index)
+                    seconds.append(value)
+            if not kept:
+                del ids[begin:], seconds[begin:]
+                log.odd["phases", row] = phases
+            ends.append(len(seconds))
+        if self.subscribers:
+            event = kind(**fields)
+            for fn in self.subscribers:
+                fn(event)
+
+    def _open(self, kind: type) -> _KindLog:
+        log = _KindLog(kind, len(self._logs))
+        self._logs.append(log)
+        self._log_of[kind] = log
+        return log
 
     def record(self, kind: type, ctx: Any = None, **fields: Any) -> None:
         """Emit one ``kind`` event stamped with the clock and this node;
@@ -423,7 +552,7 @@ class Tracer:
                         fields[name] = vgpu.name
                     else:
                         fields[name] = vgpu.device.device_id
-        self.emit(kind(**fields))
+        self.emit(kind, fields)
 
     def phase_breakdown(self, ctx, method, span, error: Optional[str] = None) -> None:
         """Record the call's phase decomposition from its finished span."""
@@ -450,12 +579,30 @@ class Tracer:
             vgpu=span.vgpu,
         )
 
-    def clear(self) -> None:
-        self.events.clear()
+    # ------------------------------------------------------------------
+    @property
+    def events(self) -> List[Any]:
+        """Every recorded event in emission order (fresh objects)."""
+        return self._read(self._logs)
 
     def events_of(self, *kinds: type) -> List[Any]:
-        return [e for e in self.events if isinstance(e, kinds)]
+        """The recorded events of ``kinds``, in emission order."""
+        return self._read([log for log in self._logs if issubclass(log.kind, kinds)])
+
+    def _read(self, logs: List[_KindLog]) -> List[Any]:
+        streams: List[Any] = [None] * len(self._logs)
+        for log in logs:
+            streams[log.index] = iter(log.objects()).__next__
+        return [streams[i]() for i in self._order if streams[i] is not None]
+
+    def clear(self) -> None:
+        self._logs: List[_KindLog] = []
+        self._log_of: Dict[type, _KindLog] = {}
+        self._order = array("B")
+
+    def __len__(self) -> int:
+        return len(self._order)
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"
-        return f"<Tracer {self.node or 'anonymous'} {state} events={len(self.events)}>"
+        return f"<Tracer {self.node or 'anonymous'} {state} events={len(self)}>"

@@ -18,6 +18,18 @@ class Harness:
         self.driver = CudaDriver(self.env, specs or [TESLA_C2050])
         self.runtime = NodeRuntime(self.env, self.driver, config or RuntimeConfig())
         self.env.process(self.runtime.start())
+        #: Every context the dispatcher opened, in order.  The
+        #: dispatcher drops a context when it exits; tests that inspect
+        #: one after the run read it here.
+        self.contexts = []
+        open_context = self.runtime.dispatcher.open_context
+
+        def tracked(owner):
+            ctx = open_context(owner)
+            self.contexts.append(ctx)
+            return ctx
+
+        self.runtime.dispatcher.open_context = tracked
 
     @property
     def memory(self):

@@ -57,7 +57,7 @@ def test_app_survives_device_failure_with_second_gpu():
     assert "survivor" in results
     assert h.stats.failures_recovered >= 1
     # The survivor ended up on the surviving device.
-    ctx = h.runtime.dispatcher.contexts[0]
+    ctx = h.contexts[0]
     assert ctx.kernels_launched >= 6
 
 

@@ -1,5 +1,5 @@
-"""The dispatcher's live-context count equals a rescan of its contexts
-wherever placement and offloading read the load (paper §4.7)."""
+"""The dispatcher holds live contexts only, wherever placement and
+offloading read the load (paper §4.6, §4.7)."""
 
 from repro.core import RuntimeConfig
 from repro.core.context import ContextState
@@ -12,18 +12,15 @@ from repro.workloads.trace_replay import (
 )
 
 
-def _rescan(runtime):
-    return sum(
-        1 for c in runtime.dispatcher.contexts if c.state is not ContextState.DONE
-    )
-
-
 def test_live_count_equals_a_rescan_at_every_placement(monkeypatch):
     checked = []
     load_per_vgpu = NodeRuntime.load_per_vgpu
 
     def checked_load(runtime):
-        checked.append((runtime, runtime.dispatcher.live_contexts, _rescan(runtime)))
+        contexts = runtime.dispatcher.contexts
+        checked.append(
+            (runtime, len(contexts), [c.state is ContextState.DONE for c in contexts])
+        )
         return load_per_vgpu(runtime)
 
     monkeypatch.setattr(NodeRuntime, "load_per_vgpu", checked_load)
@@ -38,7 +35,7 @@ def test_live_count_equals_a_rescan_at_every_placement(monkeypatch):
     runtimes = {runtime for runtime, _, _ in checked}
     assert len(runtimes) == 2
     assert any(live > 0 for _, live, _ in checked)
-    assert [live for _, live, _ in checked] == [rescan for _, _, rescan in checked]
-    # Every context finished: nothing is left counted live.
+    assert not any(any(done) for _, _, done in checked)
+    # Every context finished: the dispatcher holds none.
     for runtime in runtimes:
-        assert runtime.dispatcher.live_contexts == _rescan(runtime) == 0
+        assert runtime.dispatcher.contexts == []

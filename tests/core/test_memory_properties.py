@@ -101,7 +101,7 @@ def test_random_call_sequences_keep_invariants(ops):
     # Swap fully released.
     assert h.memory.swap.used_bytes == 0
     # Page table empty.
-    ctx = h.runtime.dispatcher.contexts[0]
+    ctx = h.contexts[0]
     assert h.memory.page_table.entries_for(ctx) == []
     # Every vGPU idle.
     assert all(v.idle for v in h.scheduler.vgpus)

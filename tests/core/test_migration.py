@@ -48,7 +48,7 @@ def test_job_migrates_from_slow_to_fast_gpu():
     h.run()
     assert set(results) == {"short", "long"}
     assert h.stats.migrations >= 1
-    long_ctx = next(c for c in h.runtime.dispatcher.contexts if c.owner == "long")
+    long_ctx = next(c for c in h.contexts if c.owner == "long")
     assert long_ctx.migrations >= 1
     # The fast device executed kernels for both jobs.
     fast = h.driver.devices[0]
@@ -136,6 +136,6 @@ def test_excluded_context_never_migrates():
     h.spawn(phased_job(h, "short", results, kernels=1, kernel_s=0.2, cpu_s=0.0))
     h.spawn(dynamic_app())
     h.run()
-    ctx = next(c for c in h.runtime.dispatcher.contexts if c.owner == "dynamic")
+    ctx = next(c for c in h.contexts if c.owner == "dynamic")
     assert ctx.excluded_from_sharing
     assert ctx.migrations == 0

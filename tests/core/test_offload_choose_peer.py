@@ -21,7 +21,7 @@ def _node(env, name, vgpus=1, margin=0.5):
 
 def _load(env, node, n):
     """Open n live (pending) contexts on a node through the dispatcher,
-    which counts them as live."""
+    which holds them until they exit."""
     for i in range(n):
         node.dispatcher.open_context(f"{node.name}-c{i}")
 
@@ -91,10 +91,12 @@ def test_done_contexts_do_not_count_as_load():
     a, b = _node(env, "a"), _node(env, "b")
     a.offloader.add_peer(b)
     _load(env, a, 3)
-    for ctx in a.dispatcher.contexts:
+    opened = list(a.dispatcher.contexts)
+    for ctx in opened:
         env.process(a.dispatcher._exit(ctx))
     env.run()
-    assert all(c.state is ContextState.DONE for c in a.dispatcher.contexts)
+    assert all(c.state is ContextState.DONE for c in opened)
+    assert a.dispatcher.contexts == []
     # All local work finished: the node is not saturated.
     assert a.offloader.choose_peer() is None
 

@@ -58,7 +58,7 @@ def test_malloc_kernel_excludes_context_from_sharing(harness):
 
     p = h.spawn(app())
     h.run(until=p)
-    ctx = h.runtime.dispatcher.contexts[0]
+    ctx = h.contexts[0]
     assert ctx.excluded_from_sharing
 
 
@@ -76,6 +76,6 @@ def test_clean_ptx_kernel_stays_shareable(harness):
 
     p = h.spawn(app())
     h.run(until=p)
-    ctx = h.runtime.dispatcher.contexts[0]
+    ctx = h.contexts[0]
     assert not ctx.excluded_from_sharing
     assert h.stats.kernels_launched == 1

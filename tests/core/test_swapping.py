@@ -264,5 +264,5 @@ def test_swap_counts_match_context_counters():
     h.spawn(_tenant(h, "t1", hold_s=5.0, results=results))
     h.spawn(_tenant(h, "t2", hold_s=5.0, results=results))
     h.run()
-    suffered = sum(c.swaps_suffered for c in h.runtime.dispatcher.contexts)
+    suffered = sum(c.swaps_suffered for c in h.contexts)
     assert suffered == h.stats.swaps_inter

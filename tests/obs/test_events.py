@@ -105,7 +105,7 @@ def test_subscribers_see_events_synchronously():
     tracer.subscribers.append(seen.append)
     tracer.record(QueueDepthChanged, queue="pending_connections", depth=2)
     assert len(seen) == 1
-    assert seen[0] is tracer.events[0]
+    assert seen[0] == tracer.events[0]
 
 
 def test_event_to_dict_folds_kind_in():
