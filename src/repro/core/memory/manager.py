@@ -62,9 +62,10 @@ class NeedRetry(Exception):
 class _span_phase:
     """Attribute simulated time spent inside the block to phase ``name``
     of the context's live call span.  No-op between calls and with
-    tracing off (``ctx.span`` is None).  Only used where ``ctx`` is the
-    context *being served* — work done to a victim accrues to the
-    requester's phase, never to the victim's span.
+    tracing off (``ctx.span`` is None); the launch attempt, the hottest
+    path, builds one only when ``ctx.span`` is set.  Only used where
+    ``ctx`` is the context *being served* — work done to a victim
+    accrues to the requester's phase, never to the victim's span.
 
     A hand-rolled context manager (not ``@contextmanager``): this sits on
     every launch/copy path, and the generator machinery costs more than
@@ -444,8 +445,12 @@ class MemoryManager:
         device = ctx.vgpu.device
         # Barrier: pending asynchronous write-backs must land before the
         # dirty flags below are read (and before the kernel can re-dirty
-        # the entries being written back).
-        with _span_phase(ctx, "writeback_drain"):
+        # the entries being written back).  A traced call enters the
+        # phase even when nothing is pending.
+        if ctx.span is not None:
+            with _span_phase(ctx, "writeback_drain"):
+                yield from self._drain_writebacks(ctx)
+        elif self._pending_writebacks.get(ctx):
             yield from self._drain_writebacks(ctx)
         if ctx.cache_vgpu is not None:
             # Locality retention (§4.4): revive the residency cache if
@@ -455,8 +460,7 @@ class MemoryManager:
 
         kernel = launch.kernel
         arg_vptrs = launch.arg_pointers
-        ptes = self._resolve_launch_entries(ctx, arg_vptrs)
-        working_set = sum(p.size for p in ptes)
+        ptes, working_set, resident = self._resolve_launch_entries(ctx, arg_vptrs)
         if working_set > self._usable_bytes(device):
             # The working set cannot fit *this* device.  If some other
             # healthy GPU could hold it, rebind there (dynamic binding);
@@ -488,46 +492,43 @@ class MemoryManager:
             # Device-memory quota (repro.qos): a launch that would push
             # its tenant over quota evicts the tenant's *own* entries
             # first, before _ensure_resident may pressure other tenants.
+            # It evicts nothing the launch references, so ``resident``
+            # still holds afterwards.
             with _span_phase(ctx, "eviction_stall"):
                 yield from self._enforce_tenant_quota(ctx, ptes)
-        # Steady-state guard: each helper below is a strict no-op when its
-        # precondition holds (it would yield nothing and mutate nothing),
+        # Steady-state guard: with every entry resident _ensure_resident
+        # is a strict no-op (it would yield nothing and mutate nothing),
         # so skipping it changes neither timestamps nor event order — it
-        # only avoids spinning up generator frames on the hottest path.
-        if not all(p.is_allocated for p in ptes):
+        # only avoids spinning up a generator frame on the hottest path.
+        if not resident:
             yield from self._ensure_resident(ctx, ptes)
-        with _span_phase(ctx, "fault_in"):
-            if any(p.to_copy_2dev for p in ptes):
-                yield from self._perform_deferred_transfers(ctx, ptes)
-            if self.nested:
-                yield from self._patch_nested_parents(ctx, ptes)
-            if self.config.overlap_transfers:
-                # Kernels bypass the copy stream; make every staged
-                # transfer visible before execution (the one sync point
-                # of the pipelined launch path).
-                yield from ctx.vgpu.synchronize()
+        if ctx.span is None:
+            yield from self._fault_in(ctx, ptes)
+        else:
+            with _span_phase(ctx, "fault_in"):
+                yield from self._fault_in(ctx, ptes)
 
-        read_only = set(launch.read_only or ())
-        device_ptrs = tuple(p.device_ptr for p in ptes)
-        dev_read_only = tuple(
-            p.device_ptr for p in ptes if p.virtual_ptr in read_only
-        )
+        # The driver reads no read-only hint, so the translated record
+        # carries none; the hint acts below, on the entries' dirty flags.
         translated = KernelLaunch(
             kernel=kernel,
             grid=launch.grid,
             block=launch.block,
-            arg_pointers=device_ptrs,
-            read_only=dev_read_only if dev_read_only else None,
+            arg_pointers=tuple([p.device_ptr for p in ptes]),
             control_plane=control_plane,
         )
         t0 = self.env.now
-        with _span_phase(ctx, "exec"):
+        if ctx.span is None:
             yield from ctx.vgpu.launch(translated)
+        else:
+            with _span_phase(ctx, "exec"):
+                yield from ctx.vgpu.launch(translated)
         duration = self.env.now - t0
         if self.cost_model is not None:
             self.cost_model.observe_kernel(kernel.flops)
 
         now = self.env.now
+        read_only = launch.read_only or ()
         for pte in ptes:
             if pte.virtual_ptr in read_only:
                 pte.kernel_read(now)
@@ -551,25 +552,46 @@ class MemoryManager:
 
     def _resolve_launch_entries(
         self, ctx: Context, arg_vptrs: Sequence[int]
-    ) -> List[PageTableEntry]:
-        """Translate launch arguments, expanding nested structures."""
+    ) -> Tuple[List[PageTableEntry], int, bool]:
+        """Translate launch arguments, expanding nested structures.
+
+        Returns the entries, their total size (the working set) and
+        whether every one is device-resident, all in this one pass."""
         ptes: List[PageTableEntry] = []
         seen = set()
+        working_set = 0
+        resident = True
         for vptr in arg_vptrs:
             try:
                 pte = self.page_table.lookup(ctx, vptr)
             except RuntimeApiError:
                 self.stats.bad_calls_detected += 1
                 raise
-            closure = [pte]
             reg = self.nested.get(vptr)
-            if reg is not None:
-                closure = reg.closure()
-            for p in closure:
+            for p in (pte,) if reg is None else reg.closure():
                 if p.virtual_ptr not in seen:
                     seen.add(p.virtual_ptr)
                     ptes.append(p)
-        return ptes
+                    working_set += p.size
+                    if not p.is_allocated:
+                        resident = False
+        return ptes, working_set, resident
+
+    def _fault_in(self, ctx: Context, ptes: List[PageTableEntry]) -> Generator:
+        """Make the resident entries current: the deferred bulk
+        transfers, nested-pointer patches and, in overlap mode, the
+        copy-stream sync."""
+        for pte in ptes:
+            if pte.to_copy_2dev:
+                yield from self._perform_deferred_transfers(ctx, ptes)
+                break
+        if self.nested:
+            yield from self._patch_nested_parents(ctx, ptes)
+        if self.config.overlap_transfers:
+            # Kernels bypass the copy stream; make every staged transfer
+            # visible before execution (the one sync point of the
+            # pipelined launch path).
+            yield from ctx.vgpu.synchronize()
 
     def _ensure_resident(self, ctx: Context, ptes: List[PageTableEntry]) -> Generator:
         """Allocate device memory for every entry, swapping as needed."""
@@ -577,28 +599,36 @@ class MemoryManager:
         for pte in ptes:
             while not pte.is_allocated:
                 try:
-                    with _span_phase(ctx, "fault_in"):
+                    if ctx.span is None:
                         address = yield from ctx.vgpu.malloc(pte.size)
+                    else:
+                        with _span_phase(ctx, "fault_in"):
+                            address = yield from ctx.vgpu.malloc(pte.size)
                 except CudaRuntimeError as exc:
                     if exc.code != CudaError.cudaErrorMemoryAllocation:
                         raise
                     # Making room on the device — including the victims'
                     # write-backs — is the requester's eviction stall.
-                    with _span_phase(ctx, "eviction_stall"):
-                        evicted = False
-                        if self.config.enable_intra_swap:
-                            evicted = yield from self._intra_swap_one(
-                                ctx, launch_set
-                            )
-                        if not evicted:
-                            unallocated = [
-                                p.size for p in ptes if not p.is_allocated
-                            ]
-                            yield from self._inter_swap(
-                                ctx, sum(unallocated), max(unallocated)
-                            )
+                    if ctx.span is None:
+                        yield from self._make_room(ctx, ptes, launch_set)
+                    else:
+                        with _span_phase(ctx, "eviction_stall"):
+                            yield from self._make_room(ctx, ptes, launch_set)
                     continue
                 pte.allocate_device(address, ctx.vgpu.device.device_id)
+
+    def _make_room(
+        self, ctx: Context, ptes: List[PageTableEntry], launch_set: set
+    ) -> Generator:
+        """Free device memory for the launch's unallocated entries: one
+        of the context's own entries outside the launch if intra-swap
+        finds one, else another application's (raises NeedRetry when
+        neither can)."""
+        if self.config.enable_intra_swap:
+            if (yield from self._intra_swap_one(ctx, launch_set)):
+                return
+        unallocated = [p.size for p in ptes if not p.is_allocated]
+        yield from self._inter_swap(ctx, sum(unallocated), max(unallocated))
 
     def _perform_deferred_transfers(
         self, ctx: Context, ptes: List[PageTableEntry]

@@ -125,6 +125,7 @@ class PageTableEntry:
         "_swap_bm",
         "device_id",
         "_table",
+        "_owner",
     )
 
     def __init__(
@@ -170,6 +171,10 @@ class PageTableEntry:
         #: the table's residency epoch, which invalidates graph-replay
         #: translations and the TransferCostModel's per-epoch caches.
         self._table: Optional["PageTable"] = None
+        #: Owning context while the entry is in a table (None when
+        #: standalone or removed): translation checks it, and residency
+        #: transitions keep that context's resident-byte total.
+        self._owner: Any = None
 
     # -- state machine (Figure 4) --------------------------------------
     @property
@@ -204,6 +209,12 @@ class PageTableEntry:
         if table is not None:
             table.epoch += 1
 
+    def _count_resident(self, delta: int) -> None:
+        """The entry gained (``+size``) or lost (``-size``) its device
+        allocation: keep the owner's resident-byte total."""
+        if self._owner is not None:
+            self._table._resident[self._owner] += delta
+
     def check_invariants(self) -> None:
         if self.is_allocated and self.device_ptr is None:
             raise AssertionError(f"allocated PTE without device pointer: {self!r}")
@@ -227,6 +238,8 @@ class PageTableEntry:
         self, device_ptr: int, device_id: Optional[int] = None
     ) -> None:
         self._bump()
+        if not self.is_allocated:
+            self._count_resident(self.size)
         self.is_allocated = True
         self.device_ptr = device_ptr
         self.device_id = device_id
@@ -236,6 +249,8 @@ class PageTableEntry:
         """Device memory freed (swap-out); swap copy is authoritative."""
         assert not self.to_copy_2swap, "must write back before releasing"
         self._bump()
+        if self.is_allocated:
+            self._count_resident(-self.size)
         self.is_allocated = False
         self.device_ptr = None
         self.device_id = None
@@ -397,6 +412,8 @@ class PageTableEntry:
         """The device copy is lost (device failure): swap-resident data
         becomes authoritative, without any device operation."""
         self._bump()
+        if self.is_allocated:
+            self._count_resident(-self.size)
         self.is_allocated = False
         self.device_ptr = None
         self.device_id = None
@@ -430,6 +447,14 @@ class PageTable:
 
     Mirrors the paper's ``map<Context*, list<PageTableEntry*>*>`` plus an
     index by virtual address for O(1) translation.
+
+    Per context it also keeps two byte totals, so that reading either is
+    O(1): all its entries (:meth:`total_bytes`, kept by
+    :meth:`create_entry`, :meth:`remove_entry` and :meth:`drop_context`)
+    and its device-resident entries (:meth:`allocated_bytes`, the paper's
+    ``MemUsage``, kept by the same three and by each entry's
+    ``allocate_device``, ``release_device`` and ``drop_device_state``).
+    Placement's memory check and swap-victim eligibility read them.
     """
 
     def __init__(self):
@@ -440,6 +465,9 @@ class PageTable:
         #: invalidates both.
         self.epoch = 0
         self._by_context: Dict[Any, List[PageTableEntry]] = {}
+        #: context -> bytes of all its entries / of its resident entries
+        self._total: Dict[Any, int] = {}
+        self._resident: Dict[Any, int] = {}
         self._by_vptr: Dict[int, PageTableEntry] = {}
         self._vptr_cursor = VIRTUAL_BASE
         #: Upper bound of the virtual address space (Table 1: "A virtual
@@ -465,15 +493,18 @@ class PageTable:
         vptr = self.assign_virtual_address(size)
         pte = PageTableEntry(vptr, size, entry_type, params)
         pte._table = self
+        pte._owner = ctx
         self.epoch += 1
         self._by_context.setdefault(ctx, []).append(pte)
+        self._total[ctx] = self._total.get(ctx, 0) + size
+        self._resident.setdefault(ctx, 0)
         self._by_vptr[vptr] = pte
         return pte
 
     def lookup(self, ctx: Any, vptr: int) -> PageTableEntry:
         """Translate a virtual pointer, enforcing per-context isolation."""
         pte = self._by_vptr.get(vptr)
-        if pte is None or pte not in self._by_context.get(ctx, ()):
+        if pte is None or pte._owner is not ctx:
             raise RuntimeApiError(
                 RuntimeErrorCode.NO_VALID_PTE, f"0x{vptr:x} for {ctx!r}"
             )
@@ -486,13 +517,20 @@ class PageTable:
         self.epoch += 1
         self._by_context.get(ctx, []).remove(pte)
         del self._by_vptr[pte.virtual_ptr]
+        self._total[ctx] -= pte.size
+        if pte.is_allocated:
+            self._resident[ctx] -= pte.size
+        pte._owner = None
 
     def drop_context(self, ctx: Any) -> List[PageTableEntry]:
         """Remove and return every PTE of ``ctx`` (application exit)."""
         self.epoch += 1
         entries = self._by_context.pop(ctx, [])
+        self._total.pop(ctx, None)
+        self._resident.pop(ctx, None)
         for pte in entries:
             self._by_vptr.pop(pte.virtual_ptr, None)
+            pte._owner = None
         return entries
 
     def contexts(self) -> List[Any]:
@@ -500,7 +538,8 @@ class PageTable:
 
     def allocated_bytes(self, ctx: Any) -> int:
         """Device-resident bytes of ``ctx`` (the paper's ``MemUsage``)."""
-        return sum(p.size for p in self._by_context.get(ctx, ()) if p.is_allocated)
+        return self._resident.get(ctx, 0)
 
     def total_bytes(self, ctx: Any) -> int:
-        return sum(p.size for p in self._by_context.get(ctx, ()))
+        """Bytes of every entry of ``ctx``, resident or not."""
+        return self._total.get(ctx, 0)

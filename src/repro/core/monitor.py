@@ -25,7 +25,7 @@ def node_report(runtime: NodeRuntime) -> Dict[str, object]:
         "gpus": len(devices),
         "gpu_names": [d.name for d in devices],
         "vgpus_total": runtime.scheduler.total_vgpus,
-        "vgpus_active": sum(1 for v in runtime.scheduler.vgpus if v.active),
+        "vgpus_active": sum(runtime.scheduler.active_per_device().values()),
         "waiting": runtime.scheduler.waiting_count,
         "pending_connections": runtime.connections.pending_count,
         "load_per_vgpu": runtime.load_per_vgpu(),

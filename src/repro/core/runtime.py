@@ -87,7 +87,7 @@ class NodeRuntime:
         self.metrics.gauge("vgpus_total", "usable vGPUs",
                            fn=lambda: self.scheduler.total_vgpus)
         self.metrics.gauge("vgpus_active", "vGPUs serving a context",
-                           fn=lambda: sum(1 for v in self.scheduler.vgpus if v.active))
+                           fn=lambda: sum(self.scheduler.active_per_device().values()))
         self.metrics.gauge("waiting_contexts", "contexts queued for a vGPU",
                            fn=lambda: self.scheduler.waiting_count)
         self.metrics.gauge("pending_connections", "accepted, un-dispatched connections",
@@ -209,9 +209,8 @@ class NodeRuntime:
                     yield from self.memory.unbind(ctx, "device downgrade")
             finally:
                 ctx.lock.release()
-        for vgpu in self.scheduler.vgpus:
-            if vgpu.device is device:
-                vgpu.retired = True
+        for vgpu in self.scheduler.vgpus_on(device):
+            vgpu.retire()
         self.driver.remove_device(device)
         self._failed_devices.add(device.device_id)
 

@@ -22,7 +22,7 @@ from repro.core.config import RuntimeConfig
 from repro.core.context import Context, ContextState
 from repro.core.policies import PolicyContext
 from repro.core.stats import RuntimeStats
-from repro.core.vgpu import VirtualGPU
+from repro.core.vgpu import PoolCounts, VirtualGPU
 from repro.obs import (
     BindingDecision,
     MetricsRegistry,
@@ -63,6 +63,10 @@ class Scheduler:
             buckets=QUEUE_WAIT_BUCKETS_S,
         )
         self.vgpus: List[VirtualGPU] = []
+        #: The pool in spawn order per device, for per-device walks.
+        self._vgpus_on: Dict[GPUDevice, List[VirtualGPU]] = {}
+        #: Usable and bound-per-device vGPU counts, kept by the vGPUs.
+        self.counts = PoolCounts()
         #: waiting contexts, with the event each blocks on
         self._waiting: List[Context] = []
         self._waiting_events: Dict[Context, Event] = {}
@@ -101,7 +105,10 @@ class Scheduler:
             vgpu = VirtualGPU(self.env, self.driver, device, index)
             vgpu.obs = self.obs
             yield from vgpu.start()
+            vgpu.counts = self.counts
+            self.counts.total += 1
             self.vgpus.append(vgpu)
+            self._vgpus_on.setdefault(device, []).append(vgpu)
 
     def add_device(self, device: GPUDevice) -> Generator:
         """Dynamic GPU upgrade: spawn vGPUs and serve waiting contexts."""
@@ -115,11 +122,10 @@ class Scheduler:
         them through recovery).
         """
         orphans: List[Context] = []
-        for vgpu in self.vgpus:
-            if vgpu.device is device:
-                vgpu.retired = True
-                if vgpu.bound_context is not None:
-                    orphans.append(vgpu.bound_context)
+        for vgpu in self.vgpus_on(device):
+            vgpu.retire()
+            if vgpu.bound_context is not None:
+                orphans.append(vgpu.bound_context)
         # Contexts queued for a binding would otherwise sleep forever on
         # their grant event: the retirement shrank (or emptied) the vGPU
         # pool they were waiting on.  Re-run a grant round if any healthy
@@ -149,17 +155,30 @@ class Scheduler:
     # ------------------------------------------------------------------
     @property
     def total_vgpus(self) -> int:
-        return sum(1 for v in self.vgpus if not v.retired)
+        """vGPUs spawned and not retired."""
+        return self.counts.total
 
     def idle_vgpus(self) -> List[VirtualGPU]:
-        return [v for v in self.vgpus if v.idle and not v.reserved]
+        """Grantable vGPUs in pool order (unbound, in service, not held
+        for a migration); the device test stays a read, since a device
+        can fail before the runtime retires its vGPUs."""
+        return [
+            v
+            for v in self.vgpus
+            if v.bound_context is None
+            and not v.retired
+            and not v.reserved
+            and not v.device.failed
+        ]
 
     def active_per_device(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for v in self.vgpus:
-            if v.active:
-                counts[v.device.device_id] = counts.get(v.device.device_id, 0) + 1
-        return counts
+        """Device id -> bound vGPUs (devices with none are absent).  The
+        live count, not a copy: read it, do not change it."""
+        return self.counts.active
+
+    def vgpus_on(self, device: GPUDevice) -> List[VirtualGPU]:
+        """The device's vGPUs in pool order."""
+        return self._vgpus_on.get(device, [])
 
     def bound_contexts(self) -> List[Context]:
         return [v.bound_context for v in self.vgpus if v.bound_context is not None]
@@ -167,8 +186,8 @@ class Scheduler:
     def bound_contexts_on(self, device: GPUDevice) -> List[Context]:
         return [
             v.bound_context
-            for v in self.vgpus
-            if v.device is device and v.bound_context is not None
+            for v in self._vgpus_on.get(device, ())
+            if v.bound_context is not None
         ]
 
     @property

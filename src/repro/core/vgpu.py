@@ -12,7 +12,7 @@ the runtime operate beyond the bare runtime's ~8-context limit.
 from __future__ import annotations
 
 import itertools
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Dict, Generator, Optional, TYPE_CHECKING
 
 from repro.sim import Environment, Event
 from repro.simcuda.context import CudaContext
@@ -26,9 +26,25 @@ from repro.obs.events import Bind, Unbind
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import Context
 
-__all__ = ["VirtualGPU"]
+__all__ = ["PoolCounts", "VirtualGPU"]
 
 _vgpu_seq = itertools.count(1)
+
+
+class PoolCounts:
+    """The state of a vGPU pool that placement reads, kept as counts.
+
+    The pool's vGPUs update it where the state changes: ``total`` when
+    the scheduler adds a vGPU and when :meth:`VirtualGPU.retire` runs,
+    ``active`` (device id -> bound vGPUs, devices with none left out) in
+    :meth:`VirtualGPU.bind` and :meth:`VirtualGPU.unbind`.
+    """
+
+    __slots__ = ("total", "active")
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.active: Dict[int, int] = {}
 
 
 class VirtualGPU:
@@ -59,6 +75,9 @@ class VirtualGPU:
         #: every bind/unbind — scheduler grant, migration, recovery — is
         #: observed at this single choke point.
         self.obs = None
+        #: The owning pool's counts, injected by the scheduler when it
+        #: adds this vGPU; the same choke point keeps them current.
+        self.counts: Optional[PoolCounts] = None
 
     # ------------------------------------------------------------------
     def start(self) -> Generator:
@@ -70,19 +89,23 @@ class VirtualGPU:
 
     def shutdown(self) -> Generator:
         """Destroy the CUDA context (device removal / node shutdown)."""
-        self.retired = True
+        self.retire()
         if self.cuda_context is not None:
             yield from self.driver.destroy_context(self.cuda_context)
             self.cuda_context = None
+
+    def retire(self) -> None:
+        """Take the vGPU out of service for good (its device failed or
+        left the node); a bound context stays bound until it unbinds."""
+        if not self.retired:
+            self.retired = True
+            if self.counts is not None:
+                self.counts.total -= 1
 
     # ------------------------------------------------------------------
     @property
     def idle(self) -> bool:
         return self.bound_context is None and not self.retired and not self.device.failed
-
-    @property
-    def active(self) -> bool:
-        return self.bound_context is not None
 
     def bind(self, ctx: "Context") -> None:
         if self.bound_context is not None:
@@ -92,6 +115,10 @@ class VirtualGPU:
         self.bound_context = ctx
         self._bound_at = self.env.now
         ctx.vgpu = self
+        if self.counts is not None:
+            active = self.counts.active
+            device_id = self.device.device_id
+            active[device_id] = active.get(device_id, 0) + 1
         # Time-slicing (repro.qos): the quantum covers one binding, so it
         # restarts here — the single choke point every bind path crosses
         # (scheduler grant, migration, recovery).
@@ -111,6 +138,13 @@ class VirtualGPU:
             self.total_bound_seconds += self.env.now - self._bound_at
             self._bound_at = None
         ctx.vgpu = None
+        if self.counts is not None:
+            active = self.counts.active
+            device_id = self.device.device_id
+            if active[device_id] == 1:
+                del active[device_id]
+            else:
+                active[device_id] -= 1
 
     # ------------------------------------------------------------------
     # device operations, issued within this vGPU's CUDA context

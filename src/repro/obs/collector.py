@@ -84,12 +84,14 @@ class ObsCollector:
         if self._atexit_registered:
             atexit.unregister(self._atexit_flush)
             self._atexit_registered = False
+        # Both event exports read one merged, sorted list.
+        events = self.events if self.trace_path or self.events_path else []
         if self.trace_path:
-            self.write_trace(self.trace_path)
+            write_chrome_trace(self.trace_path, events)
         if self.metrics_path:
             self.write_metrics(self.metrics_path)
         if self.events_path:
-            self.write_events(self.events_path)
+            write_json_lines(self.events_path, events)
 
     def _atexit_flush(self) -> None:
         # Interpreter teardown: never let a flush failure mask the

@@ -352,10 +352,18 @@ EVENT_TYPES: Tuple[type, ...] = (
 
 
 def event_to_dict(event: Any) -> Dict[str, Any]:
-    """A JSON-ready dict with the event's ``kind`` folded in."""
-    d = dataclasses.asdict(event)
+    """A JSON-ready dict of the event's fields in declaration order,
+    with its ``kind`` folded in.  Shallow: events are frozen and hold
+    only immutable values, so the dict shares them instead of copying."""
+    d = {name: getattr(event, name) for name in _FIELD_NAMES[type(event)]}
     d["kind"] = event.kind
     return d
+
+
+#: Per event kind, its field names in declaration order.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {
+    kind: tuple(f.name for f in dataclasses.fields(kind)) for kind in EVENT_TYPES
+}
 
 
 #: Per event kind, the fields :meth:`Tracer.record` can take from a

@@ -20,10 +20,9 @@ Quadro2000    4        48      1.25      1 GB    slow
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-from typing import Optional
-
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.sim import Container, Environment, Resource
 from repro.simcuda.allocator import DeviceAllocator
@@ -87,9 +86,11 @@ class GPUSpec:
         """Peak single-precision GFLOPS (2 FLOPs/cycle, fused multiply-add)."""
         return self.core_count * self.clock_ghz * 2.0
 
-    @property
+    @functools.cached_property
     def effective_gflops(self) -> float:
-        """Sustained throughput used by the timing model."""
+        """Sustained throughput used by the timing model, placement, the
+        cost model and migration; computed once per spec (a spec is
+        frozen, and ``dataclasses.replace`` builds a new one)."""
         return self.peak_gflops * self.efficiency
 
     def relative_speed(self, other: "GPUSpec") -> float:

@@ -285,8 +285,9 @@ class CudaDriver:
         the bare CUDA runtime offers no virtual addressing.
         """
         self._check_context(ctx)
+        allocations = ctx.allocations
         for ptr in launch.arg_pointers:
-            if not ctx.owns_pointer(ptr):
+            if ptr not in allocations:
                 raise CudaRuntimeError(
                     CudaError.cudaErrorLaunchFailure,
                     f"kernel {launch.kernel.name!r} dereferences invalid pointer 0x{ptr:x}",
@@ -357,4 +358,7 @@ class CudaDriver:
     def _check_context(self, ctx: CudaContext) -> None:
         if ctx.destroyed:
             raise CudaRuntimeError(CudaError.cudaErrorInvalidValue, "context destroyed")
-        self._check_alive(ctx.device)
+        if ctx.device.failed:
+            # Tested here first: every memory and launch step runs this
+            # check, and a healthy device should cost no further call.
+            self._check_alive(ctx.device)
