@@ -243,11 +243,6 @@ class Scheduler:
         """
         if ctx.bound:
             return
-        if not any(not d.failed for d in self.driver.devices):
-            raise CudaRuntimeError(
-                CudaError.cudaErrorDevicesUnavailable,
-                f"no healthy device to bind {ctx.owner}",
-            )
         idle = self._satisfying_idle(ctx, self.idle_vgpus())
         if idle and not self._waiting and not self._share_capped(ctx):
             self._queue_wait.observe(0.0)
@@ -255,6 +250,13 @@ class Scheduler:
                 self.queue_wait_hook(ctx, 0.0)
             self._bind(ctx, self._choose_vgpu(ctx, idle))
             return
+        # An idle vGPU sits on a healthy device, so only a context that
+        # must queue needs the device scan.
+        if not any(not d.failed for d in self.driver.devices):
+            raise CudaRuntimeError(
+                CudaError.cudaErrorDevicesUnavailable,
+                f"no healthy device to bind {ctx.owner}",
+            )
         ctx.state = ContextState.WAITING
         ev = Event(self.env)
         self._waiting_events[ctx] = ev

@@ -43,7 +43,8 @@ class DeviceAllocator:
         self.capacity = int(capacity)
         #: Sorted list of (address, size) free blocks.
         self._free: List[Tuple[int, int]] = [(self.BASE_ADDRESS, self.capacity)]
-        #: address -> size for live allocations.
+        #: address -> size for live allocations: the device's one record
+        #: of what is allocated where.
         self._live: Dict[int, int] = {}
         #: Running total of free bytes (kept in sync with ``_free``).
         self._free_total = self.capacity
@@ -87,13 +88,6 @@ class DeviceAllocator:
             return False
         return self._round_up(size) <= self.largest_free_block
 
-    def _find_block(self, need: int) -> Optional[int]:
-        """Index into ``_free`` of the lowest-address block that fits."""
-        for i, (_addr, blk) in enumerate(self._free):
-            if blk >= need:
-                return i
-        return None
-
     def allocate(self, size: int) -> int:
         """Place a block; returns its device address.
 
@@ -107,13 +101,14 @@ class DeviceAllocator:
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
         need = self._round_up(size)
-        idx = self._find_block(need)
-        if idx is None:
-            raise OutOfMemory(
-                f"cannot place {need} bytes: free={self.free_bytes}, "
-                f"largest block={self.largest_free_block}"
-            )
-        addr, blk = self._free[idx]
+        # First fit finds a block exactly when the largest one is big
+        # enough, so a request that cannot be placed costs no scan.
+        largest = self._sizes[-1] if self._sizes else 0
+        if need > largest:
+            raise OutOfMemory(f"cannot place {need} bytes: largest free block {largest}")
+        for idx, (addr, blk) in enumerate(self._free):
+            if blk >= need:
+                break
         self._remove_size(blk)
         if blk == need:
             self._free.pop(idx)
@@ -136,20 +131,17 @@ class DeviceAllocator:
         self._insert_free(address, size)
         return size
 
-    def owns(self, address: int) -> bool:
-        """True if ``address`` is the start of a live allocation."""
-        return address in self._live
-
-    def size_of(self, address: int) -> int:
-        """Size of the live allocation at ``address``."""
-        return self._live[address]
-
-    def reset(self) -> None:
-        """Drop all allocations (device reset)."""
-        self._free = [(self.BASE_ADDRESS, self.capacity)]
-        self._live.clear()
-        self._free_total = self.capacity
-        self._sizes = [self.capacity]
+    def block_containing(self, address: int) -> Optional[Tuple[int, int]]:
+        """``(base, size)`` of the live allocation holding ``address``,
+        or None.  A base is one dict read; an interior address (a chunked
+        entry's run past offset 0) scans the live allocations."""
+        size = self._live.get(address)
+        if size is not None:
+            return address, size
+        for base, size in self._live.items():
+            if base <= address < base + size:
+                return base, size
+        return None
 
     # ------------------------------------------------------------------
     def _add_size(self, size: int) -> None:

@@ -10,7 +10,7 @@ number of contexts it creates (one per vGPU) to stay below that limit.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Optional, Set, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simcuda.device import GPUDevice
@@ -23,32 +23,25 @@ _context_ids = itertools.count(1)
 class CudaContext:
     """A live CUDA context on one device.
 
-    Tracks the allocations made through it so the driver can validate
-    pointer ownership (isolation between contexts) and release everything
-    at destruction.
+    Records the bases of the allocations made through it, so the driver
+    can validate pointer ownership (isolation between contexts) and
+    release everything at destruction.  Sizes live in the device's
+    allocator, the one record of what is allocated where.
     """
 
     def __init__(self, device: "GPUDevice", owner: Optional[str] = None):
         self.context_id = next(_context_ids)
         self.device = device
         self.owner = owner
-        #: device address -> size of live allocations made via this context
-        self.allocations: Dict[int, int] = {}
+        #: base addresses of live allocations made via this context
+        self.bases: Set[int] = set()
         #: address of the per-context reservation block (None once destroyed)
         self.reservation_address: Optional[int] = None
         self.destroyed = False
-
-    @property
-    def allocated_bytes(self) -> int:
-        """User allocations (excludes the context reservation)."""
-        return sum(self.allocations.values())
-
-    def owns_pointer(self, address: int) -> bool:
-        return address in self.allocations
 
     def __repr__(self) -> str:
         state = "destroyed" if self.destroyed else "live"
         return (
             f"<CudaContext #{self.context_id} on {self.device.name} {state} "
-            f"allocs={len(self.allocations)} owner={self.owner!r}>"
+            f"allocs={len(self.bases)} owner={self.owner!r}>"
         )

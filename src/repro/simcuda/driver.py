@@ -12,6 +12,14 @@ and contend on each device's execution/copy engines exactly like CUDA 3.x:
   running kernel;
 - a device failure surfaces as ``cudaErrorDevicesUnavailable`` on every
   subsequent (and in-flight) operation.
+
+Pointers are checked against the device's allocator, the one record of
+what is allocated where (a context keeps only the bases it allocated).
+A copy (H2D, D2H, peer) may start inside one of the context's
+allocations, as a chunked page-table entry's runs do; an address in no
+allocation or in another context's is ``cudaErrorInvalidDevicePointer``,
+and a copy past the allocation's end is ``cudaErrorInvalidValue``.
+``free`` and kernel pointer arguments take an allocation's base only.
 """
 
 from __future__ import annotations
@@ -123,14 +131,12 @@ class CudaDriver:
         """Destroy a context, releasing every allocation it made."""
         if ctx.destroyed:
             return
-        for address in list(ctx.allocations):
-            if ctx.device.allocator.owns(address):
-                ctx.device.allocator.free(address)
-        ctx.allocations.clear()
-        if ctx.reservation_address is not None and ctx.device.allocator.owns(
-            ctx.reservation_address
-        ):
-            ctx.device.allocator.free(ctx.reservation_address)
+        allocator = ctx.device.allocator
+        for address in ctx.bases:
+            allocator.free(address)
+        ctx.bases.clear()
+        if ctx.reservation_address is not None:
+            allocator.free(ctx.reservation_address)
         ctx.reservation_address = None
         ctx.destroyed = True
         live = self._contexts.get(ctx.device.device_id)
@@ -152,23 +158,23 @@ class CudaDriver:
             address = ctx.device.allocator.allocate(size)
         except OutOfMemory as exc:
             raise CudaRuntimeError(CudaError.cudaErrorMemoryAllocation, str(exc)) from exc
-        ctx.allocations[address] = ctx.device.allocator.size_of(address)
+        ctx.bases.add(address)
         return address
 
     def free(self, ctx: CudaContext, address: int) -> Generator:
         """cudaFree."""
         self._check_context(ctx)
-        if not ctx.owns_pointer(address):
+        if address not in ctx.bases:
             raise CudaRuntimeError(
                 CudaError.cudaErrorInvalidDevicePointer, f"0x{address:x} not owned by context"
             )
         yield self.env.timeout(timing.FREE_OVERHEAD_SECONDS)
         ctx.device.allocator.free(address)
-        del ctx.allocations[address]
+        ctx.bases.remove(address)
 
     def memcpy_h2d(self, ctx: CudaContext, address: int, nbytes: int) -> Generator:
-        """Host→device transfer of ``nbytes`` into the allocation at
-        ``address``."""
+        """Host→device transfer of ``nbytes`` to ``address``, a base or
+        an interior pointer of one of the context's allocations."""
         yield from self._memcpy(ctx, address, nbytes, "h2d")
 
     def memcpy_d2h(self, ctx: CudaContext, address: int, nbytes: int) -> Generator:
@@ -179,17 +185,7 @@ class CudaDriver:
         self._check_context(ctx)
         if nbytes < 0:
             raise CudaRuntimeError(CudaError.cudaErrorInvalidValue, f"nbytes={nbytes}")
-        if not ctx.owns_pointer(address):
-            raise CudaRuntimeError(
-                CudaError.cudaErrorInvalidDevicePointer,
-                f"memcpy_{kind} to 0x{address:x} not owned by context",
-            )
-        if nbytes > ctx.allocations[address]:
-            raise CudaRuntimeError(
-                CudaError.cudaErrorInvalidValue,
-                f"memcpy_{kind} of {nbytes} bytes exceeds allocation "
-                f"({ctx.allocations[address]} bytes)",
-            )
+        self._check_span(ctx, address, nbytes, kind)
         device = ctx.device
         with device.copy_engine.request() as req:
             yield req
@@ -229,16 +225,8 @@ class CudaDriver:
             raise CudaRuntimeError(
                 CudaError.cudaErrorInvalidValue, "peer copy within one device"
             )
-        for ctx, address in ((src_ctx, src_address), (dst_ctx, dst_address)):
-            if not ctx.owns_pointer(address):
-                raise CudaRuntimeError(
-                    CudaError.cudaErrorInvalidDevicePointer,
-                    f"peer copy pointer 0x{address:x} not owned",
-                )
-        if nbytes > min(src_ctx.allocations[src_address], dst_ctx.allocations[dst_address]):
-            raise CudaRuntimeError(
-                CudaError.cudaErrorInvalidValue, "peer copy exceeds allocation"
-            )
+        self._check_span(src_ctx, src_address, nbytes, "peer")
+        self._check_span(dst_ctx, dst_address, nbytes, "peer")
         bandwidth = min(src_ctx.device.spec.pcie_gbps, dst_ctx.device.spec.pcie_gbps)
         src_req = src_ctx.device.copy_engine.request()
         dst_req = dst_ctx.device.copy_engine.request()
@@ -281,13 +269,13 @@ class CudaDriver:
     def launch(self, ctx: CudaContext, launch: KernelLaunch) -> Generator:
         """cudaLaunch: execute a kernel FCFS on the context's device.
 
-        Every pointer argument must be a device pointer owned by ``ctx`` —
-        the bare CUDA runtime offers no virtual addressing.
+        Every pointer argument must be the base of an allocation owned
+        by ``ctx`` — the bare CUDA runtime offers no virtual addressing.
         """
         self._check_context(ctx)
-        allocations = ctx.allocations
+        bases = ctx.bases
         for ptr in launch.arg_pointers:
-            if ptr not in allocations:
+            if ptr not in bases:
                 raise CudaRuntimeError(
                     CudaError.cudaErrorLaunchFailure,
                     f"kernel {launch.kernel.name!r} dereferences invalid pointer 0x{ptr:x}",
@@ -349,6 +337,23 @@ class CudaDriver:
             device.sm_slots.put(granted)
 
     # ------------------------------------------------------------------
+    def _check_span(self, ctx: CudaContext, address: int, nbytes: int, kind: str) -> None:
+        """A copy of ``nbytes`` at ``address`` must lie inside one of the
+        context's allocations; ``address`` may be past its base."""
+        block = ctx.device.allocator.block_containing(address)
+        if block is None or block[0] not in ctx.bases:
+            raise CudaRuntimeError(
+                CudaError.cudaErrorInvalidDevicePointer,
+                f"memcpy_{kind} at 0x{address:x} not owned by context",
+            )
+        base, size = block
+        if address - base + nbytes > size:
+            raise CudaRuntimeError(
+                CudaError.cudaErrorInvalidValue,
+                f"memcpy_{kind} of {nbytes} bytes at offset {address - base} exceeds "
+                f"allocation ({size} bytes)",
+            )
+
     def _check_alive(self, device: GPUDevice) -> None:
         if device.failed:
             raise CudaRuntimeError(

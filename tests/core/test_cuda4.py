@@ -263,3 +263,60 @@ def test_memcpy_peer_validates_arguments():
 
     p = env.process(probe())
     env.run(until=p)
+
+
+def test_p2p_migration_of_chunked_entry_copies_runs_past_offset_zero():
+    """A chunked entry whose first chunk was overwritten from the host
+    has one device-current run starting at 16 MiB; the peer copy moves
+    exactly that run, at ``device_ptr + 16 MiB`` on both devices."""
+    h = Harness(
+        specs=[QUADRO_2000, TESLA_C2050],
+        config=RuntimeConfig(
+            vgpus_per_device=1,
+            migration_enabled=True,
+            cuda4_semantics=True,
+            swap_chunk_bytes=16 * MIB,
+        ),
+    )
+    peer_copies = []
+    memcpy_peer = h.driver.memcpy_peer
+
+    def recording_peer(src_ctx, src_address, dst_ctx, dst_address, nbytes):
+        src_base = src_ctx.device.allocator.block_containing(src_address)[0]
+        dst_base = dst_ctx.device.allocator.block_containing(dst_address)[0]
+        peer_copies.append((src_address - src_base, dst_address - dst_base, nbytes))
+        yield from memcpy_peer(src_ctx, src_address, dst_ctx, dst_address, nbytes)
+
+    h.driver.memcpy_peer = recording_peer
+    finished = {}
+
+    def blocker():
+        # Holds the fast C2050 until the long job is in its CPU phase.
+        fe = h.frontend("blocker")
+        yield from fe.open()
+        a = yield from fe.cuda_malloc(4 * MIB)
+        yield from fe.launch_kernel(kernel(3.0, "blocker-k"), [a])
+        yield from fe.cuda_thread_exit()
+
+    def long_job():
+        yield h.env.timeout(0.3)
+        fe = h.frontend("long")
+        yield from fe.open()
+        k = kernel(0.2, "long-k")
+        a = yield from fe.cuda_malloc(64 * MIB)
+        yield from fe.cuda_memcpy_h2d(a, 64 * MIB)
+        yield from fe.launch_kernel(k, [a])  # every chunk device-dirty
+        yield from fe.cuda_memcpy_h2d(a, 16 * MIB)  # chunk 0 host-current
+        yield h.env.timeout(5.0)  # the blocker exits: migrate now
+        yield from fe.launch_kernel(k, [a])
+        yield from fe.cuda_memcpy_d2h(a, 64 * MIB)
+        yield from fe.cuda_thread_exit()
+        finished["long"] = h.env.now
+
+    h.spawn(blocker())
+    h.spawn(long_job())
+    h.run()
+    assert "long" in finished
+    assert h.stats.migrations_p2p == 1
+    assert peer_copies == [(16 * MIB, 16 * MIB, 48 * MIB)]
+    assert h.stats.p2p_bytes == 48 * MIB

@@ -22,7 +22,7 @@ def test_alignment():
     a = DeviceAllocator(1 * MIB)
     p = a.allocate(1)
     assert p % DeviceAllocator.ALIGNMENT == 0
-    assert a.size_of(p) == DeviceAllocator.ALIGNMENT
+    assert a.block_containing(p) == (p, DeviceAllocator.ALIGNMENT)
 
 
 def test_free_returns_bytes_and_coalesces():
@@ -84,22 +84,21 @@ def test_zero_and_negative_sizes_rejected():
     assert not a.can_allocate(0)
 
 
-def test_reset_restores_full_capacity():
+def test_block_containing_resolves_base_and_interior_addresses():
     a = DeviceAllocator(1 * MIB)
-    for _ in range(5):
-        a.allocate(10 * KIB)
-    a.reset()
-    assert a.free_bytes == 1 * MIB
-    assert a.allocation_count == 0
-
-
-def test_owns():
-    a = DeviceAllocator(1 * MIB)
-    p = a.allocate(100)
-    assert a.owns(p)
-    assert not a.owns(p + 1)
+    p = a.allocate(100 * KIB)
+    q = a.allocate(50 * KIB)
+    assert a.block_containing(p) == (p, 100 * KIB)
+    assert a.block_containing(p + 1) == (p, 100 * KIB)
+    assert a.block_containing(p + 100 * KIB - 1) == (p, 100 * KIB)
+    # One past the end is the next allocation's base.
+    assert a.block_containing(p + 100 * KIB) == (q, 50 * KIB)
+    # Below the address space, and inside the free tail.
+    assert a.block_containing(DeviceAllocator.BASE_ADDRESS - 1) is None
+    assert a.block_containing(q + 50 * KIB) is None
     a.free(p)
-    assert not a.owns(p)
+    assert a.block_containing(p) is None
+    assert a.block_containing(p + 1) is None
 
 
 def test_capacity_must_be_positive():
@@ -130,12 +129,17 @@ def test_allocator_invariants(ops):
     live = []
     for kind, size in ops:
         if kind == "alloc":
+            # First fit over the block list: the lowest-address block
+            # that holds the aligned request, if any.
+            need = a._round_up(size)
+            first = next((addr for addr, blk in a._free if blk >= need), None)
             try:
                 p = a.allocate(size)
             except OutOfMemory:
                 # OOM must only happen when no block fits.
-                assert a.largest_free_block < a._round_up(size)
+                assert first is None
                 continue
+            assert p == first
             live.append(p)
         elif live:
             idx = size % len(live)
@@ -144,9 +148,14 @@ def test_allocator_invariants(ops):
         # Invariant 1: conservation of bytes.
         assert a.used_bytes + a.free_bytes == a.capacity
         # Invariant 2: live allocations do not overlap.
-        spans = sorted((addr, addr + a.size_of(addr)) for addr in live)
+        spans = sorted(
+            (addr, addr + a.block_containing(addr)[1]) for addr in live
+        )
         for (s1, e1), (s2, _e2) in zip(spans, spans[1:]):
             assert e1 <= s2
+        # Invariant 2b: an allocation's last byte resolves to it.
+        for start, end in spans:
+            assert a.block_containing(end - 1) == (start, end - start)
         # Invariant 3: free list is sorted, non-overlapping, coalesced.
         free = a._free
         for (a1, n1), (a2, _n2) in zip(free, free[1:]):
@@ -214,27 +223,12 @@ def test_exact_fit_removes_block_entirely():
     _bookkeeping_consistent(a)
 
 
-def test_reset_after_partial_frees():
-    a = DeviceAllocator(1 * MIB)
-    ptrs = [a.allocate(32 * KIB) for _ in range(8)]
-    for p in ptrs[::2]:
-        a.free(p)
-    a.reset()
-    assert a.free_bytes == a.capacity
-    assert a.largest_free_block == a.capacity
-    assert a.allocation_count == 0
-    assert a._free == [(DeviceAllocator.BASE_ADDRESS, a.capacity)]
-    _bookkeeping_consistent(a)
-    # The allocator is fully usable after the reset.
-    assert a.allocate(a.capacity) == DeviceAllocator.BASE_ADDRESS
-
-
 def test_alignment_rounding_accounts_rounded_size():
     """free_bytes must drop by the ALIGNMENT-rounded size, not the
     requested size, and oddly-sized frees must restore it exactly."""
     a = DeviceAllocator(1 * MIB)
     p = a.allocate(DeviceAllocator.ALIGNMENT + 1)
-    assert a.size_of(p) == 2 * DeviceAllocator.ALIGNMENT
+    assert a.block_containing(p) == (p, 2 * DeviceAllocator.ALIGNMENT)
     assert a.free_bytes == a.capacity - 2 * DeviceAllocator.ALIGNMENT
     assert a.free(p) == 2 * DeviceAllocator.ALIGNMENT
     assert a.free_bytes == a.capacity

@@ -104,10 +104,11 @@ def test_malloc_free_roundtrip():
     env, driver = make_driver()
     ctx = run(env, driver.create_context(driver.devices[0]))
     addr = run(env, driver.malloc(ctx, 10 * MIB))
-    assert ctx.owns_pointer(addr)
-    assert ctx.allocated_bytes >= 10 * MIB
+    assert addr in ctx.bases
+    assert driver.devices[0].allocator.block_containing(addr) == (addr, 10 * MIB)
     run(env, driver.free(ctx, addr))
-    assert not ctx.owns_pointer(addr)
+    assert addr not in ctx.bases
+    assert driver.devices[0].allocator.block_containing(addr) is None
 
 
 def test_malloc_oom_returns_cuda_error():
@@ -172,6 +173,125 @@ def test_memcpy_to_unowned_pointer_rejected():
     ctx = run(env, driver.create_context(driver.devices[0]))
     with pytest.raises(CudaRuntimeError) as e:
         run(env, driver.memcpy_h2d(ctx, 0xBAD, MIB))
+    assert e.value.code == CudaError.cudaErrorInvalidDevicePointer
+
+
+# ---------------------------------------------------------------------------
+# pointer rules: copies take interior pointers, free and launch take bases
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["h2d", "d2h"])
+def test_memcpy_at_interior_offset(kind):
+    """A chunked page-table entry copies each run at ``base + offset``."""
+    env, driver = make_driver()
+    dev = driver.devices[0]
+    ctx = run(env, driver.create_context(dev))
+    base = run(env, driver.malloc(ctx, 8 * MIB))
+    copy = driver.memcpy_h2d if kind == "h2d" else driver.memcpy_d2h
+    t0 = env.now
+    run(env, copy(ctx, base + 3 * MIB, 5 * MIB))  # ends exactly at the end
+    assert env.now - t0 == pytest.approx(timing.copy_seconds(TESLA_C2050, 5 * MIB))
+    assert dev.bytes_copied == 5 * MIB
+
+
+@pytest.mark.parametrize("kind", ["h2d", "d2h"])
+def test_memcpy_overrun_from_interior_offset_rejected(kind):
+    env, driver = make_driver()
+    ctx = run(env, driver.create_context(driver.devices[0]))
+    base = run(env, driver.malloc(ctx, 8 * MIB))
+    copy = driver.memcpy_h2d if kind == "h2d" else driver.memcpy_d2h
+    with pytest.raises(CudaRuntimeError) as e:
+        run(env, copy(ctx, base + 3 * MIB, 5 * MIB + 1))
+    assert e.value.code == CudaError.cudaErrorInvalidValue
+    assert driver.devices[0].bytes_copied == 0
+
+
+def test_memcpy_to_other_contexts_interior_pointer_rejected():
+    env, driver = make_driver()
+    dev = driver.devices[0]
+    mine = run(env, driver.create_context(dev))
+    theirs = run(env, driver.create_context(dev))
+    run(env, driver.malloc(mine, MIB))
+    foreign = run(env, driver.malloc(theirs, 8 * MIB))
+    with pytest.raises(CudaRuntimeError) as e:
+        run(env, driver.memcpy_d2h(mine, foreign + MIB, MIB))
+    assert e.value.code == CudaError.cudaErrorInvalidDevicePointer
+
+
+def test_memcpy_into_free_block_rejected():
+    """An address inside a freed allocation, or past every allocation,
+    resolves to no block."""
+    env, driver = make_driver()
+    ctx = run(env, driver.create_context(driver.devices[0]))
+    freed = run(env, driver.malloc(ctx, 8 * MIB))
+    tail = run(env, driver.malloc(ctx, MIB))
+    run(env, driver.free(ctx, freed))
+    for address in (freed, freed + MIB, tail + 2 * MIB):
+        with pytest.raises(CudaRuntimeError) as e:
+            run(env, driver.memcpy_h2d(ctx, address, 1))
+        assert e.value.code == CudaError.cudaErrorInvalidDevicePointer
+
+
+def test_memcpy_into_context_reservation_rejected():
+    """The per-context reservation is live in the allocator but is not
+    an allocation of the context."""
+    env, driver = make_driver()
+    ctx = run(env, driver.create_context(driver.devices[0]))
+    with pytest.raises(CudaRuntimeError) as e:
+        run(env, driver.memcpy_h2d(ctx, ctx.reservation_address + MIB, 1))
+    assert e.value.code == CudaError.cudaErrorInvalidDevicePointer
+
+
+def test_free_interior_pointer_rejected():
+    env, driver = make_driver()
+    dev = driver.devices[0]
+    ctx = run(env, driver.create_context(dev))
+    base = run(env, driver.malloc(ctx, 8 * MIB))
+    with pytest.raises(CudaRuntimeError) as e:
+        run(env, driver.free(ctx, base + MIB))
+    assert e.value.code == CudaError.cudaErrorInvalidDevicePointer
+    assert dev.allocator.block_containing(base) == (base, 8 * MIB)
+
+
+def test_launch_with_interior_pointer_fails():
+    env, driver = make_driver()
+    dev = driver.devices[0]
+    ctx = run(env, driver.create_context(dev))
+    base = run(env, driver.malloc(ctx, 8 * MIB))
+    k = KernelDescriptor(name="k", flops=1e9)
+    with pytest.raises(CudaRuntimeError) as e:
+        run(env, driver.launch(ctx, KernelLaunch.simple(k, [base + MIB])))
+    assert e.value.code == CudaError.cudaErrorLaunchFailure
+    assert dev.kernels_executed == 0
+
+
+def _peer_pair():
+    env, driver = make_driver([TESLA_C2050, TESLA_C2050])
+    src_dev, dst_dev = driver.devices
+    src = run(env, driver.create_context(src_dev))
+    dst = run(env, driver.create_context(dst_dev))
+    return env, driver, src, dst
+
+
+def test_memcpy_peer_at_interior_offsets():
+    env, driver, src, dst = _peer_pair()
+    a = run(env, driver.malloc(src, 8 * MIB))
+    b = run(env, driver.malloc(dst, 8 * MIB))
+    run(env, driver.memcpy_peer(src, a + 6 * MIB, dst, b + 6 * MIB, 2 * MIB))
+    assert src.device.bytes_copied == dst.device.bytes_copied == 2 * MIB
+
+
+def test_memcpy_peer_overrun_and_foreign_pointer_rejected():
+    env, driver, src, dst = _peer_pair()
+    a = run(env, driver.malloc(src, 8 * MIB))
+    b = run(env, driver.malloc(dst, 4 * MIB))
+    with pytest.raises(CudaRuntimeError) as e:
+        run(env, driver.memcpy_peer(src, a + 2 * MIB, dst, b + 2 * MIB, 3 * MIB))
+    assert e.value.code == CudaError.cudaErrorInvalidValue
+    other = run(env, driver.create_context(src.device))
+    foreign = run(env, driver.malloc(other, 8 * MIB))
+    with pytest.raises(CudaRuntimeError) as e:
+        run(env, driver.memcpy_peer(src, foreign + MIB, dst, b + MIB, MIB))
     assert e.value.code == CudaError.cudaErrorInvalidDevicePointer
 
 

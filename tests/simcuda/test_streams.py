@@ -154,3 +154,33 @@ def test_unobserved_failure_surfaces_at_synchronize_not_as_a_crash():
     p = env.process(app())
     env.run(until=p)
     assert p.value is True
+
+
+def test_copy_stream_accepts_interior_offsets_and_rejects_overruns():
+    """The overlap path stages a chunked entry's runs at ``base + offset``
+    on a stream; an overrun fails its op and poisons the stream."""
+    from repro.simcuda.errors import CudaError, CudaRuntimeError
+
+    env, driver = setup()
+    dev = driver.devices[0]
+
+    def app():
+        ctx = yield from driver.create_context(dev)
+        a = yield from driver.malloc(ctx, 8 * MIB)
+        s = Stream(driver, ctx)
+        h2d = s.memcpy_h2d_async(a + 2 * MIB, 6 * MIB)
+        d2h = s.memcpy_d2h_async(a + 7 * MIB, MIB)
+        yield h2d
+        yield d2h
+        assert dev.bytes_copied == 7 * MIB
+        bad = s.memcpy_d2h_async(a + 7 * MIB, MIB + 1)
+        try:
+            yield bad
+        except CudaRuntimeError as exc:
+            return exc.code
+        raise AssertionError("an overrun must fail its op")
+
+    p = env.process(app())
+    env.run(until=p)
+    assert p.value == CudaError.cudaErrorInvalidValue
+    assert dev.bytes_copied == 7 * MIB
