@@ -349,6 +349,7 @@ class Process(Event):
         self._target: Optional[Event] = None
         #: The one bound-method object used for all callback registration,
         #: so detaching compares identically and allocates nothing.
+        #: Dropped at termination: it is the process's reference to itself.
         self._resume_cb = self._resume
         Initialize(env, self)
 
@@ -451,10 +452,14 @@ class Process(Event):
                 return
         except StopIteration as exc:
             self._target = None
+            self._resume_cb = None
             self.succeed(getattr(exc, "value", None))
         except BaseException as exc:  # noqa: BLE001 - propagate as failure
             self._target = None
-            self.fail(exc)
+            self._resume_cb = None
+            # The traceback's first entry is this frame, whose ``self``
+            # would tie the stored failure back to this process.
+            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
         finally:
             env._active_process = None
 
@@ -467,7 +472,9 @@ class AnyOf(Event):
     detaches from its still-pending constituents; a constituent nobody
     else consumes cancels itself — so the losing branch of an
     ``any_of([timeout, cond.wait()])`` leaves both the heap and the
-    condition's waiter queue instead of lingering as a ghost.
+    condition's waiter queue instead of lingering as a ghost.  It drops
+    its bound-method references to itself then too, so reference
+    counting frees it once its waiter moves on.
     """
 
     __slots__ = ("_events", "_cb")
@@ -479,14 +486,14 @@ class AnyOf(Event):
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self._events = list(events)
-        self._cb = self._on_event
-        self._on_cancel = self._detach_pending
         for ev in self._events:
             if ev.env is not env:
                 raise SimulationError("events from different environments")
         if not self._events:
             self.succeed({})
             return
+        self._cb = self._on_event
+        self._on_cancel = self._detach_pending
         for ev in self._events:
             if ev.processed:
                 self._on_event(ev)
@@ -496,10 +503,13 @@ class AnyOf(Event):
                 ev.callbacks.append(self._cb)
 
     def _detach_pending(self, _event: Optional[Event] = None) -> None:
-        """Stop consuming the constituents that have not fired yet."""
+        """Stop consuming the constituents that have not fired yet, then
+        drop the composite's references to itself so that reference
+        counting frees it once its consumer lets go."""
         for ev in self._events:
             if ev.callbacks is not None and not ev.triggered:
                 ev._detach(self._cb)
+        self._cb = self._on_cancel = None
 
     def _on_event(self, event: Event) -> None:
         # A constituent that was already triggered when this composite
@@ -633,10 +643,16 @@ class Environment:
         until that simulated time), or an :class:`Event` (run until it
         triggers, returning its value).
 
-        The garbage collector is paused for the duration of the loop:
-        the kernel's object graph is reference-counted (callbacks are
-        detached as events resolve), and generational GC passes over the
-        live heap are pure overhead on the hot path.
+        The cyclic garbage collector is paused for the duration of the
+        loop, so its passes over the live heap cost nothing here.  That
+        is safe because reference counting frees every kernel object
+        once it is done: an :class:`AnyOf` drops its references to
+        itself when it resolves or is cancelled, and a :class:`Process`
+        when it terminates.  Only processes still blocked when the run
+        ends, and the events they wait on, are left for the collector.
+        ``tests/sim/test_refcount.py`` enforces the rule per kernel path
+        and ``tests/core/test_cyclic_garbage.py`` across the golden
+        sweep's feature configs.
         """
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
