@@ -423,7 +423,8 @@ class MemoryManager:
         as a set (order and repeats do not matter).  The record itself
         is appended to ``ctx.replay_journal`` — the journal names the
         caller's record, it does not copy it, so records must stay
-        immutable (``KernelLaunch`` is frozen).
+        immutable (``KernelLaunch`` is frozen).  A launch equal to the
+        journal's last record appends that record again instead.
 
         ``control_plane=False`` marks a launch issued as part of an
         instantiated graph replay: the driver's per-launch control-plane
@@ -534,7 +535,12 @@ class MemoryManager:
                 pte.kernel_read(now)
             else:
                 pte.kernel_write(now)
-        ctx.replay_journal.append(launch)
+        journal = ctx.replay_journal
+        if journal and journal[-1] == launch:
+            # A repeat of the last launch: journal that record again, so
+            # a run of identical launches holds one object, not one each.
+            launch = journal[-1]
+        journal.append(launch)
         ctx.last_launch_vptrs = arg_vptrs
         self.stats.kernels_launched += 1
         ctx.kernels_launched += 1

@@ -382,21 +382,42 @@ _CTX_FIELDS: Dict[type, Tuple[str, ...]] = {
 _PHASE_INDEX: Dict[str, int] = {name: i for i, name in enumerate(PHASES)}
 
 
+#: Declared field types whose values are stored as codes into the
+#: tracer's intern table.
+_CODED_TYPES = frozenset({"str", "Optional[str]", "bool"})
+#: Declared field types stored in an ``array('q')``.
+_INT_TYPES = frozenset({"int", "Optional[int]"})
+#: An int column's entry for None (the smallest int64), and the end of
+#: the int64 range: a value outside ``(_NONE, _INT_END)`` goes to ``odd``.
+_NONE = -(2**63)
+_INT_END = 2**63
+
+
 class _KindLog:
     """One event kind's rows, held as columns.
 
-    A ``float`` field is an ``array('d')``; ``phases`` is three arrays:
-    each row's end offset, then per phase its index in ``PHASES`` and
-    its seconds; every other field is a list of references.  A value
-    its column would not give back unchanged (an int in a float field,
-    a ``phases`` that is not a tuple of ``(PHASES name, float)`` pairs)
-    is kept as given in ``odd``, keyed by ``(field, row)``, over a
-    placeholder in the column.
+    Each field's column depends on its declared type:
+
+    - ``float``: an ``array('d')``;
+    - ``str``, ``Optional[str]`` and ``bool``: an ``array('H')`` of codes
+      into the tracer's intern table (``'I'`` once the table outgrows
+      16-bit codes);
+    - ``int`` and ``Optional[int]``: an ``array('q')``, ``_NONE`` for None;
+    - ``phases``: three arrays: each row's end offset, then per phase
+      its index in ``PHASES`` and its seconds;
+    - anything else (``BindingDecision.scores``): a list of references.
+
+    A value its column would not give back unchanged (an int in a float
+    field, a bool or an int outside int64 or ``_NONE`` itself in an int
+    field, a non-str in a str field, a ``phases`` that is not a tuple of
+    ``(PHASES name, float)`` pairs) is kept as given in ``odd``, keyed
+    by ``(field, row)``, over a placeholder in the column.
     """
 
     __slots__ = (
         "kind", "index", "rows", "names", "required", "columns", "floats",
-        "refs", "phase_ends", "phase_ids", "phase_seconds", "odd",
+        "coded", "ints", "refs", "phase_ends", "phase_ids", "phase_seconds",
+        "odd",
     )
 
     def __init__(self, kind: type, index: int):
@@ -411,23 +432,40 @@ class _KindLog:
         #: Field name → column, in the dataclass's field order (None
         #: for ``phases``, which lives in the three phase arrays).
         self.columns: Dict[str, Any] = {}
-        floats, refs = [], []
+        floats, ints, refs = [], [], []
+        #: A list, not a tuple: promotion to 32-bit codes swaps its
+        #: entries in place, so an :meth:`Tracer.emit` loop over it
+        #: picks the new arrays up mid-row.
+        self.coded: List[Tuple[str, Any, array]] = []
         self.phase_ends = self.phase_ids = self.phase_seconds = None
         for f in fields:
             if f.name == "phases":
-                self.phase_ends = array("L")
+                self.phase_ends = array("I")
                 self.phase_ids = array("B")
                 self.phase_seconds = array("d")
                 self.columns[f.name] = None
-            elif f.type in ("float", float):
-                self.columns[f.name] = column = array("d")
-                floats.append((f.name, f.default, column))
+                continue
+            if f.type in ("float", float):
+                column, group = array("d"), floats
+            elif f.type in _CODED_TYPES:
+                column, group = array("H"), self.coded
+            elif f.type in _INT_TYPES:
+                column, group = array("q"), ints
             else:
-                self.columns[f.name] = column = []
-                refs.append((f.name, f.default, column))
+                column, group = [], refs
+            self.columns[f.name] = column
+            group.append((f.name, f.default, column))
         self.floats = tuple(floats)
+        self.ints = tuple(ints)
         self.refs = tuple(refs)
         self.odd: Dict[Tuple[str, int], Any] = {}
+
+    def widen_codes(self) -> None:
+        """Move every code column to 32-bit codes."""
+        coded = self.coded
+        for i, (name, default, column) in enumerate(coded):
+            column = self.columns[name] = array("I", column)
+            coded[i] = (name, default, column)
 
     def _phases(self) -> List[Any]:
         ids, seconds = self.phase_ids, self.phase_seconds
@@ -437,12 +475,18 @@ class _KindLog:
             begin = end
         return out
 
-    def objects(self) -> List[Any]:
-        """Every row as a fresh event object, in emission order."""
-        values = {
-            name: self._phases() if column is None else list(column)
-            for name, column in self.columns.items()
-        }
+    def objects(self, table: List[Any]) -> List[Any]:
+        """Every row as a fresh event object, in emission order;
+        ``table`` is the tracer's intern table."""
+        values: Dict[str, Any] = dict.fromkeys(self.columns)
+        for name, _, column in self.floats + self.refs:
+            values[name] = list(column)
+        for name, _, column in self.coded:
+            values[name] = list(map(table.__getitem__, column))
+        for name, _, column in self.ints:
+            values[name] = [None if v == _NONE else v for v in column]
+        if self.phase_ends is not None:
+            values["phases"] = self._phases()
         for (name, row), value in self.odd.items():
             values[name][row] = value
         kind = self.kind
@@ -458,14 +502,19 @@ class Tracer:
 
     Events are stored as columns, one :class:`_KindLog` per kind plus a
     one-byte kind index per event that keeps emission order across
-    kinds; no event object is kept.  :attr:`events` and
-    :meth:`events_of` build fresh objects equal to the ones emitted, on
-    every read.  Subscribers (live consumers such as a streaming
+    kinds; no event object is kept.  Each distinct str, bool or None is
+    interned once per tracer: ``_values`` lists them, ``_codes`` maps
+    each to its index, and the code columns hold the indexes.
+    :attr:`events` and :meth:`events_of` build fresh objects equal to the
+    ones emitted, on every read.  Subscribers (live consumers such as a streaming
     exporter) are called synchronously with an object built for them,
     only while one is registered.
     """
 
-    __slots__ = ("env", "enabled", "node", "subscribers", "_logs", "_log_of", "_order")
+    __slots__ = (
+        "env", "enabled", "node", "subscribers", "_logs", "_log_of", "_order",
+        "_values", "_codes",
+    )
 
     def __init__(self, env, enabled: bool = False, node: str = ""):
         self.env = env
@@ -495,9 +544,28 @@ class Tracer:
         get = fields.get
         for name, default, column in log.floats:
             value = get(name, default)
-            if value.__class__ is not float:
+            if type(value) is not float:
                 log.odd[name, row] = value
                 value = 0.0
+            column.append(value)
+        codes = self._codes
+        for name, default, column in log.coded:
+            value = get(name, default)
+            if type(value) is not str and value is not None and type(value) is not bool:
+                log.odd[name, row] = value
+                value = None
+            try:
+                code = codes[value]
+            except KeyError:
+                code = self._intern(value)
+                column = log.columns[name]
+            column.append(code)
+        for name, default, column in log.ints:
+            value = get(name, default)
+            if type(value) is not int or not _NONE < value < _INT_END:
+                if value is not None:
+                    log.odd[name, row] = value
+                value = _NONE
             column.append(value)
         for name, default, column in log.refs:
             column.append(get(name, default))
@@ -506,11 +574,11 @@ class Tracer:
             phases = get("phases", ())
             ids, seconds = log.phase_ids, log.phase_seconds
             begin = len(seconds)
-            kept = phases.__class__ is tuple
+            kept = type(phases) is tuple
             if kept:
                 for name, value in phases:
                     index = _PHASE_INDEX.get(name)
-                    if index is None or value.__class__ is not float:
+                    if index is None or type(value) is not float:
                         kept = False
                         break
                     ids.append(index)
@@ -526,9 +594,21 @@ class Tracer:
 
     def _open(self, kind: type) -> _KindLog:
         log = _KindLog(kind, len(self._logs))
+        if len(self._values) > 0x10000:
+            log.widen_codes()
         self._logs.append(log)
         self._log_of[kind] = log
         return log
+
+    def _intern(self, value: Any) -> int:
+        """Add ``value`` to the intern table and return its code; the
+        first code past 16 bits moves every code column to 32 bits."""
+        code = self._codes[value] = len(self._values)
+        self._values.append(value)
+        if code == 0x10000:
+            for log in self._logs:
+                log.widen_codes()
+        return code
 
     def record(self, kind: type, ctx: Any = None, **fields: Any) -> None:
         """Emit one ``kind`` event stamped with the clock and this node;
@@ -563,7 +643,12 @@ class Tracer:
         self.emit(kind, fields)
 
     def phase_breakdown(self, ctx, method, span, error: Optional[str] = None) -> None:
-        """Record the call's phase decomposition from its finished span."""
+        """Record the call's phase decomposition from its finished span.
+
+        It fills every field :meth:`record` would (the device and vGPU
+        from the span, the owner and tenant from ``ctx``) and emits them
+        directly: one event per call is the tracer's hottest path.
+        """
         if not self.enabled or span is None:
             return
         phases = span.finish()
@@ -571,21 +656,23 @@ class Tracer:
         # anything else (not as getattr's default, which is evaluated on
         # every call).
         name = getattr(method, "value", None)
-        self.record(
-            PhaseBreakdown,
-            ctx,
-            method=str(method) if name is None else name,
-            trace_id=span.trace_id,
-            span_id=span.span_id,
-            begin_at=span.begin_at,
-            wall=span.wall,
-            served_at=span.served_at,
-            served_s=span.served_s,
-            phases=tuple(sorted(phases.items())),
-            error=error,
-            device_id=span.device_id,
-            vgpu=span.vgpu,
-        )
+        self.emit(PhaseBreakdown, {
+            "at": self.env.now,
+            "context": ctx.owner,
+            "method": str(method) if name is None else name,
+            "trace_id": span.trace_id,
+            "span_id": span.span_id,
+            "begin_at": span.begin_at,
+            "wall": span.wall,
+            "served_at": span.served_at,
+            "served_s": span.served_s,
+            "phases": tuple(sorted(phases.items())),
+            "tenant": getattr(getattr(ctx, "tenant", None), "name", ""),
+            "error": error,
+            "device_id": span.device_id,
+            "vgpu": span.vgpu,
+            "node": self.node,
+        })
 
     # ------------------------------------------------------------------
     @property
@@ -600,13 +687,15 @@ class Tracer:
     def _read(self, logs: List[_KindLog]) -> List[Any]:
         streams: List[Any] = [None] * len(self._logs)
         for log in logs:
-            streams[log.index] = iter(log.objects()).__next__
+            streams[log.index] = iter(log.objects(self._values)).__next__
         return [streams[i]() for i in self._order if streams[i] is not None]
 
     def clear(self) -> None:
         self._logs: List[_KindLog] = []
         self._log_of: Dict[type, _KindLog] = {}
         self._order = array("B")
+        self._values: List[Any] = []
+        self._codes: Dict[Any, int] = {}
 
     def __len__(self) -> int:
         return len(self._order)

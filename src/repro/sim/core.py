@@ -634,7 +634,13 @@ class Environment:
         for callback in callbacks:
             callback(event)
         if not event._ok and not event.defused:
-            raise event._value
+            try:
+                raise event._value
+            finally:
+                # The traceback holds this frame: drop the failed event,
+                # which holds the exception, and the callbacks, which may
+                # name a process, so the exception is in no cycle.
+                event = callbacks = callback = None
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -660,6 +666,7 @@ class Environment:
         try:
             return self._run(until)
         finally:
+            until = None  # a failed ``until`` holds the exception; see step
             if gc_was_enabled:
                 gc.enable()
 
@@ -684,22 +691,28 @@ class Environment:
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event.defused:
-                    raise event._value
+                    try:
+                        raise event._value
+                    finally:
+                        event = callbacks = callback = None  # as in step
             return None
 
         if isinstance(until, Event):
-            while until.callbacks is not None:
-                if until._cancelled:
-                    raise SimulationError(
-                        f"{until!r} was cancelled and will never trigger"
-                    )
-                if not queue:
-                    raise SimulationError("event never triggered; queue exhausted")
-                self.step()
-            if not until.ok:
-                until.defused = True
-                raise until.value
-            return until.value
+            try:
+                while until.callbacks is not None:
+                    if until._cancelled:
+                        raise SimulationError(
+                            f"{until!r} was cancelled and will never trigger"
+                        )
+                    if not queue:
+                        raise SimulationError("event never triggered; queue exhausted")
+                    self.step()
+                if not until.ok:
+                    until.defused = True
+                    raise until.value
+                return until.value
+            finally:
+                until = None  # as in run
 
         # numeric horizon
         horizon = float(until)
@@ -734,4 +747,7 @@ class Environment:
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event.defused:
-                raise event._value
+                try:
+                    raise event._value
+                finally:
+                    event = callbacks = callback = None  # as in step

@@ -5,6 +5,7 @@ import pytest
 from repro.core import RuntimeConfig
 from repro.core.checkpoint import restore_context, snapshot_context
 from repro.core.context import Context
+from repro.core.dispatcher import Dispatcher
 from repro.core.fault import FailureInjector, HotplugEvent
 from repro.simcuda import KernelDescriptor, TESLA_C1060, TESLA_C2050
 
@@ -61,9 +62,18 @@ def test_app_survives_device_failure_with_second_gpu():
     assert ctx.kernels_launched >= 6
 
 
-def test_replay_reexecutes_unjournaled_kernels():
+def test_replay_reexecutes_unjournaled_kernels(monkeypatch):
     """Kernels whose effects were only on the failed device are replayed
-    from the journal."""
+    from the journal, every journaled launch once, though repeats of one
+    launch share a record."""
+    journals = []
+    replay_journal = Dispatcher.replay_journal
+
+    def spy(self, ctx):
+        journals.append(list(ctx.replay_journal))
+        return (yield from replay_journal(self, ctx))
+
+    monkeypatch.setattr(Dispatcher, "replay_journal", spy)
     h = Harness(specs=[TESLA_C2050, TESLA_C1060])
     results = {}
     h.spawn(iterative_app(h, "a", results, kernels=4, kernel_s=0.5, cpu_s=0.1))
@@ -73,7 +83,9 @@ def test_replay_reexecutes_unjournaled_kernels():
                                              device_index=0)]).start()
     h.run()
     assert results
-    assert h.stats.replayed_kernels >= 1
+    (journal,) = journals
+    assert len(journal) >= 2 and len({id(r) for r in journal}) == 1
+    assert h.stats.replayed_kernels == len(journal)
 
 
 def test_failure_without_spare_device_errors_out():

@@ -116,3 +116,33 @@ def test_restart_reads_read_only_as_a_set(form):
     env.run(until=env.process(resume()))
     assert driver.devices[0].kernels_executed == 1
     assert _device_dirty(runtime.memory, ctx, (a, b, c)) == [False, False, True]
+
+
+def test_repeated_launches_share_one_journal_record():
+    """2,000 identical launches, with the buffer device-dirty throughout,
+    journal 2,000 entries that are one record.  Only the last record is
+    compared: an equal launch after a different one is a record of its
+    own."""
+    h = Harness()
+    box = {}
+
+    def app():
+        fe = h.frontend("app")
+        yield from fe.open()
+        a = yield from fe.cuda_malloc(MIB)
+        b = yield from fe.cuda_malloc(MIB)
+        for _ in range(2000):
+            yield from fe.launch_kernel(KERNEL, [a])
+        ctx = h.runtime.dispatcher.contexts[0]
+        box["repeats"] = list(ctx.replay_journal)
+        yield from fe.launch_kernel(KERNEL, [b])
+        yield from fe.launch_kernel(KERNEL, [a])
+        box["journal"] = list(ctx.replay_journal)
+
+    h.spawn(app())
+    h.run()
+    repeats, journal = box["repeats"], box["journal"]
+    assert len(repeats) == 2000 and len({id(r) for r in repeats}) == 1
+    assert len(journal) == 2002 and len({id(r) for r in journal}) == 3
+    assert journal[-1] == journal[0] and journal[-1] is not journal[0]
+

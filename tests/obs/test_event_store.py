@@ -4,8 +4,11 @@ Two traced runs have their JSON-lines stream and Chrome trace pinned by
 SHA-256, so a change to how events are held cannot move a byte of what
 the exporters write.  A round trip over every kind in ``EVENT_TYPES``
 checks each field's value *and type*: an int in a float field must come
-back an int, or the JSON changes.  Two memory checks keep the store
-small and the dispatcher free of finished contexts.
+back an int, or the JSON changes.  Further round trips cover each
+column kind's edge values (the int column's None entry, bools, ints
+past int64, non-str values in str fields) and the intern table's switch
+to 32-bit codes.  Two memory checks keep the store small and the
+dispatcher free of finished contexts.
 """
 
 import dataclasses
@@ -26,6 +29,7 @@ from repro.experiments.harness import run_node_batch
 from repro.obs import (
     EVENT_TYPES,
     PHASES,
+    Migration,
     ObsCollector,
     PhaseBreakdown,
     QueueDepthChanged,
@@ -191,6 +195,99 @@ def test_every_kind_round_trips_with_its_types():
     assert json.dumps(chrome_trace(events)) == json.dumps(chrome_trace(expected))
 
 
+class _Label(str):
+    """A str subclass: equal to its plain-str value, but not the same type."""
+
+
+def test_column_kinds_round_trip_every_value():
+    """Each column gives back what was emitted, types included; only
+    values the column cannot hold unchanged are kept aside, one field
+    per row of ``aside``."""
+    tracer = Tracer(Environment(), enabled=True, node="n0")
+    kept = [
+        (QueueDepthChanged, dict(queue="q", depth=-5)),
+        (QueueDepthChanged, dict(queue="q", depth=-(2**63) + 1)),
+        (QueueDepthChanged, dict(queue="q", depth=2**63 - 1)),
+        (SwapOut, dict(context="c", nbytes=0, device_id=None, vgpu=None, tenant="")),
+        (Migration, dict(context="c", src_device=3, p2p=True)),
+        (PhaseBreakdown, dict(context="c", method="m", error="e", span_id=None)),
+    ]
+    aside = [
+        # The int column's entry for None, as a value of its own.
+        (QueueDepthChanged, dict(queue="q", depth=-(2**63))),
+        (QueueDepthChanged, dict(queue="q", depth=True)),
+        (QueueDepthChanged, dict(queue="q", depth=2**63)),
+        (QueueDepthChanged, dict(queue="q", depth=-(2**63) - 1)),
+        (QueueDepthChanged, dict(queue="q", depth=2.0)),
+        (SwapOut, dict(context=7, nbytes=1)),
+        (SwapOut, dict(context="c", nbytes=1, vgpu=["vGPU0.0"])),
+        (SwapOut, dict(context=_Label("c"), nbytes=1)),
+        # 1 and 1.0 equal True, which the table holds by now.
+        (SwapOut, dict(context="c", nbytes=1, vgpu=1)),
+        (Migration, dict(context="c", p2p=1.0)),
+    ]
+    expected = []
+    for kind, fields in kept + aside:
+        tracer.record(kind, **fields)
+        expected.append(_expected(kind, tracer, fields))
+    events = tracer.events
+    assert events == expected
+    for got, want in zip(events, expected):
+        for f in dataclasses.fields(want):
+            assert type(getattr(got, f.name)) is type(getattr(want, f.name)), f.name
+    assert json_lines(events) == json_lines(expected)
+    assert sum(len(log.odd) for log in tracer._logs) == len(aside)
+
+
+def test_intern_table_widens_codes_past_16_bits():
+    """Past 65,536 distinct values every code column holds 32-bit codes,
+    in logs opened before the switch and after it; a row that crosses
+    it keeps every field."""
+    tracer = Tracer(Environment(), enabled=True, node="n0")
+    expected = []
+
+    def record(kind, **fields):
+        tracer.record(kind, **fields)
+        expected.append(_expected(kind, tracer, fields))
+
+    record(QueueDepthChanged, queue="q", depth=0)
+    i = 0
+    while len(tracer._values) < 0x10000:
+        record(SwapOut, context=f"c{i}", nbytes=i, tenant="t")
+        i += 1
+    assert all(
+        column.typecode == "H" for log in tracer._logs for _, _, column in log.coded
+    )
+    # The first 17-bit code is handed out in ``context``; ``vgpu`` then
+    # finds it and ``tenant`` an old one, both after the switch.
+    record(SwapOut, context="wide", nbytes=1, vgpu="wide", tenant="t")
+    record(QueueDepthChanged, queue="wide", depth=1)
+    record(PhaseBreakdown, context="wide", method="after", vgpu="wide")
+    assert len(tracer._values) > 0x10000
+    assert all(
+        column.typecode == "I" for log in tracer._logs for _, _, column in log.coded
+    )
+    assert all(
+        log.columns[name] is column for log in tracer._logs for name, _, column in log.coded
+    )
+    assert tracer.events == expected
+
+
+def test_each_tracer_has_its_own_intern_table():
+    env = Environment()
+    a, b = Tracer(env, enabled=True, node="a"), Tracer(env, enabled=True, node="b")
+    a.record(SwapOut, context="only-a", nbytes=1)
+    b.record(SwapOut, context="only-b", nbytes=1)
+    assert "only-b" not in a._codes and "only-a" not in b._codes
+    assert [e.context for e in a.events] == ["only-a"]
+    assert [e.context for e in b.events] == ["only-b"]
+    a.clear()
+    assert a._values == [] and a._codes == {}
+    assert [e.context for e in b.events] == ["only-b"]
+    a.record(SwapOut, context="again", nbytes=2)
+    assert [(e.context, e.node) for e in a.events] == [("again", "a")]
+
+
 def test_events_of_keeps_emission_order_across_kinds():
     tracer = Tracer(Environment(), enabled=True)
     for depth in range(4):
@@ -221,18 +318,17 @@ def test_record_rejects_unknown_and_missing_fields():
 # Memory
 # ---------------------------------------------------------------------------
 
-#: Bytes per event the tracers freed on ``clear`` after ``_replay`` when
-#: each event was one frozen dataclass object (CPython 3.11.7, run
-#: alone): the object, its ``phases`` tuples, and the floats and ints
-#: only it referenced.
-OBJECT_STORE_BYTES_PER_EVENT = 365
+#: Bytes per event the tracers free on ``clear`` after ``_replay``
+#: (CPython 3.11.7): 116 B run alone, 115 B after the other tests in
+#: this file, plus 9% headroom.  One frozen dataclass object per event
+#: (the object, its ``phases`` tuples, and the floats and ints only it
+#: referenced) took 365 B, columns of references 159 B.
+STORE_BYTES_PER_EVENT = 127
 
 
 def test_tracer_holds_at_most_half_the_object_store_per_event():
     """Bytes the tracers free on ``clear`` after a small traced replay
-    (1,314 events), per event, under tracemalloc.  CPython 3.11.7, before
-    → after: 365 → 159 B run alone, 267 → 152 B after the other tests
-    in this file (free lists and interned values differ)."""
+    (1,314 events), per event, under tracemalloc."""
     collector = ObsCollector()
     tracemalloc.start()
     try:
@@ -248,7 +344,7 @@ def test_tracer_holds_at_most_half_the_object_store_per_event():
         tracemalloc.stop()
     assert recorded > 1000
     per_event = freed / recorded
-    assert per_event <= OBJECT_STORE_BYTES_PER_EVENT / 2, f"{per_event:.0f} B per event"
+    assert per_event <= STORE_BYTES_PER_EVENT, f"{per_event:.0f} B per event"
 
 
 def test_finished_contexts_are_not_retained(monkeypatch):

@@ -153,3 +153,50 @@ def test_finished_kernel_objects_leave_no_cyclic_garbage(case):
     assert cyclic_garbage(run) == {}
     assert outcome == [expected]
 
+
+
+def _crash(env):
+    yield env.timeout(1)
+    raise ValueError("undefused")
+
+
+# Each driver starts the crashing process without keeping it in a local:
+# a caller's frame that names the failed process is on the traceback too,
+# which would tie them in a cycle of the caller's making.
+def _run_to_exhaustion(env):
+    env.process(_crash(env))
+    env.run()
+
+
+def _run_to_time(env):
+    env.process(_crash(env))
+    env.run(until=5)
+
+
+def _run_to_process(env):
+    env.run(until=env.process(_crash(env)))
+
+
+def _step(env):
+    env.process(_crash(env))
+    while True:
+        env.step()
+
+
+@pytest.mark.parametrize(
+    "drive", [_run_to_exhaustion, _run_to_time, _run_to_process, _step]
+)
+def test_crashed_run_leaves_no_cyclic_garbage(drive):
+    """A run that re-raises a process's failure keeps no reference to
+    the failed event in its frame, which the exception's traceback
+    holds, so the two form no cycle."""
+    caught = []
+
+    def run():
+        try:
+            drive(Environment())
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    assert cyclic_garbage(run) == {}
+    assert caught == ["undefused"]
