@@ -31,16 +31,9 @@ class Cluster:
         self,
         name: str,
         gpu_specs: List[GPUSpec],
-        cpu_threads: int = 16,
         runtime_config: Optional[RuntimeConfig] = None,
     ) -> ComputeNode:
-        node = ComputeNode(
-            self.env,
-            name,
-            gpu_specs,
-            cpu_threads=cpu_threads,
-            runtime_config=runtime_config,
-        )
+        node = ComputeNode(self.env, name, gpu_specs, runtime_config=runtime_config)
         self.nodes.append(node)
         return node
 

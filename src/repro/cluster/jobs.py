@@ -22,7 +22,7 @@ __all__ = ["Job", "JobOutcome"]
 _job_seq = itertools.count(1)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class JobOutcome:
     """What the experiment harness records per job."""
 
@@ -31,6 +31,9 @@ class JobOutcome:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     error: Optional[BaseException] = None
+    #: the job's workload label and the node it ran on
+    tag: str = ""
+    node: str = ""
 
     @property
     def turnaround(self) -> Optional[float]:
@@ -69,7 +72,8 @@ class Job:
 
     def execute(self, node: "ComputeNode", submitted_at: float) -> Generator:
         """Run the job on ``node``; records the outcome."""
-        outcome = JobOutcome(name=self.name, submitted_at=submitted_at)
+        outcome = JobOutcome(name=self.name, submitted_at=submitted_at,
+                             tag=self.tag, node=node.name)
         self.outcome = outcome
         outcome.started_at = node.env.now
         try:

@@ -1,4 +1,9 @@
-"""Batch runners and result records.
+"""The experiment runner, its entry points and their result records.
+
+Every experiment boots a cluster, submits jobs and drains through
+:func:`run_jobs`; an entry point is a submission rule plus a view of
+the per-job outcomes (``replay_trace`` is the fourth, in
+:mod:`repro.workloads.trace_replay`).
 
 The paper's metric: "the overall execution time for a batch of
 concurrent jobs (the time elapsed between the first job starts and the
@@ -11,19 +16,25 @@ memory management, swapping) is inside them, exactly as in the paper.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.jobs import Job
+from repro.cluster.jobs import Job, JobOutcome
 from repro.cluster.node import ComputeNode
 from repro.cluster.torque import Torque, TorqueMode
 from repro.core.config import RuntimeConfig
-from repro.core.stats import RuntimeStats
 from repro.obs import ObsCollector
 from repro.sim import Environment
 from repro.simcuda.device import GPUSpec
 
-__all__ = ["BatchResult", "run_arrival_process", "run_cluster_batch", "run_node_batch"]
+__all__ = [
+    "BatchResult",
+    "Run",
+    "run_arrival_process",
+    "run_cluster_batch",
+    "run_jobs",
+    "run_node_batch",
+]
 
 #: Let vGPU contexts finish booting before the batch starts; the paper's
 #: measurements likewise exclude daemon start-up.
@@ -76,12 +87,79 @@ class BatchResult:
         return self.stats.get("offloads_out", 0)
 
 
-def _merge_stats(stats_list: List[RuntimeStats]) -> Dict[str, int]:
-    merged: Dict[str, int] = {}
-    for stats in stats_list:
-        for key, value in stats.as_dict().items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
+@dataclasses.dataclass
+class Run:
+    """One pass of :func:`run_jobs`: the cluster and its jobs' outcomes."""
+
+    env: Environment
+    cluster: Cluster
+    #: when the boot grace ended and the submission rule ran
+    t0: float
+    #: one record per job, in the order the jobs finished (a TORQUE
+    #: batch reports its jobs in submission order instead)
+    outcomes: List[JobOutcome] = dataclasses.field(default_factory=list)
+    #: every node runtime's ``RuntimeStats``, summed (empty when bare)
+    stats: Dict[str, int] = dataclasses.field(default_factory=dict)
+
+    def submit(self, node: ComputeNode, *jobs: Job) -> None:
+        """Start ``jobs`` on ``node`` now, in order.  Each outcome joins
+        :attr:`outcomes` when its job finishes; a job that raises records
+        the error there instead of ending the run."""
+        now = self.env.now
+        for job in jobs:
+            self.env.process(self._execute(job, node, now), name=f"job-{job.name}")
+
+    def _execute(self, job: Job, node: ComputeNode, submitted_at: float) -> Generator:
+        try:
+            yield from job.execute(node, submitted_at)
+        except Exception:  # noqa: BLE001 - kept in job.outcome.error
+            pass
+        self.outcomes.append(job.outcome)
+
+
+def run_jobs(
+    node_specs: Sequence[Sequence[GPUSpec]],
+    config: Optional[RuntimeConfig],
+    submit: Callable[[Run], None],
+    collector: Optional[ObsCollector] = None,
+    profiler=None,
+) -> Run:
+    """Boot a cluster, let ``submit`` start its jobs, and drain it.
+
+    ``node_specs`` lists each node's GPUs (nodes ``node0``, ``node1``,
+    …).  ``config=None`` runs every node on the bare CUDA runtime;
+    otherwise each node boots the paper's runtime with ``config``, peered
+    when ``config.offload_enabled``.  A ``collector`` enables tracing on
+    every runtime and keeps the run's events/metrics; a ``profiler``
+    (:class:`~repro.sim.SimProfiler`) watches the whole run.
+    ``submit(run)`` is called once, :data:`BOOT_GRACE_SECONDS` after the
+    boot starts, and starts jobs through :meth:`Run.submit`.
+    """
+    env = Environment()
+    if profiler is not None:
+        profiler.attach(env)
+    cluster = Cluster(env)
+    for i, gpu_specs in enumerate(node_specs):
+        cluster.add_node(f"node{i}", gpu_specs, runtime_config=config)
+    if config is not None and config.offload_enabled:
+        cluster.peer_runtimes()
+    if collector is not None:
+        for node in cluster.nodes:
+            if node.runtime is not None:
+                collector.attach(node.runtime)
+    env.process(cluster.start())
+    env.run(until=BOOT_GRACE_SECONDS)
+
+    run = Run(env, cluster, t0=env.now)
+    submit(run)
+    env.run()
+    if profiler is not None:
+        profiler.detach()
+    for node in cluster.nodes:
+        if node.runtime is not None:
+            for key, value in node.runtime.stats.as_dict().items():
+                run.stats[key] = run.stats.get(key, 0) + value
+    return run
 
 
 def run_node_batch(
@@ -89,72 +167,20 @@ def run_node_batch(
     gpu_specs: List[GPUSpec],
     config: Optional[RuntimeConfig],
     label: str = "",
-    cpu_threads: int = 16,
     collector: Optional[ObsCollector] = None,
     profiler=None,
 ) -> BatchResult:
-    """Run ``jobs`` concurrently on a single node.
+    """Run ``jobs`` concurrently on a single node, all submitted at t0.
 
     ``config=None`` runs on the bare CUDA runtime (the baseline);
     otherwise the node boots the paper's runtime with ``config``.
-    Passing an :class:`ObsCollector` enables tracing on the node's
-    runtime and leaves the collector holding the run's events/metrics.
-    Passing a :class:`~repro.sim.SimProfiler` attaches it to the
-    environment for the whole run (simulator self-profiling: event
-    count, events/sec).
+    ``collector`` and ``profiler`` are as for :func:`run_jobs`.
     """
-    env = Environment()
-    if profiler is not None:
-        profiler.attach(env)
-    node = ComputeNode(env, "node0", gpu_specs, cpu_threads=cpu_threads,
-                       runtime_config=config)
-    if collector is not None and node.runtime is not None:
-        collector.attach(node.runtime)
-    env.process(node.start())
-    env.run(until=BOOT_GRACE_SECONDS)
 
-    t0 = env.now
-    busy0 = {d.name: d.busy_seconds for d in node.driver.devices}
-    finish_times: List[float] = []
-    tag_times: Dict[str, List[float]] = {}
-    errors: List[BaseException] = []
+    def submit(run: Run) -> None:
+        run.submit(run.cluster.nodes[0], *jobs)
 
-    def run_job(job: Job):
-        try:
-            yield from job.execute(node, submitted_at=t0)
-        except BaseException as exc:  # noqa: BLE001 - recorded per job
-            errors.append(exc)
-        finish_times.append(env.now)
-        tag_times.setdefault(job.tag, []).append(env.now - t0)
-
-    for job in jobs:
-        env.process(run_job(job), name=f"job-{job.name}")
-    env.run()
-    if profiler is not None:
-        profiler.detach()
-
-    job_times = [t - t0 for t in finish_times]
-    elapsed = max(job_times) if job_times else 0.0
-    utilization = {
-        d.name: min(1.0, (d.busy_seconds - busy0.get(d.name, 0.0)) / elapsed)
-        if elapsed > 0
-        else 0.0
-        for d in node.driver.devices
-    }
-    stats = node.runtime.stats.as_dict() if node.runtime else {}
-    return BatchResult(
-        label=label,
-        total_time=elapsed,
-        avg_time=sum(job_times) / len(job_times) if job_times else 0.0,
-        job_times=job_times,
-        stats=stats,
-        errors=len(errors),
-        tag_times=tag_times,
-        gpu_utilization=utilization,
-        copy_overlap={
-            d.name: d.copy_exec_overlap_seconds for d in node.driver.devices
-        },
-    )
+    return _node_result(label, run_jobs([gpu_specs], config, submit, collector, profiler))
 
 
 def run_arrival_process(
@@ -165,7 +191,6 @@ def run_arrival_process(
     arrival_rate_per_s: float,
     horizon_s: float,
     label: str = "",
-    cpu_threads: int = 16,
     collector: Optional[ObsCollector] = None,
 ) -> BatchResult:
     """Open-loop experiment: jobs arrive as a Poisson process.
@@ -179,68 +204,56 @@ def run_arrival_process(
     """
     from repro.workloads.generator import make_job
 
-    env = Environment()
-    node = ComputeNode(env, "node0", gpu_specs, cpu_threads=cpu_threads,
-                       runtime_config=config)
-    if collector is not None and node.runtime is not None:
-        collector.attach(node.runtime)
-    env.process(node.start())
-    env.run(until=BOOT_GRACE_SECONDS)
+    def submit(run: Run) -> None:
+        env, node = run.env, run.cluster.nodes[0]
 
-    t0 = env.now
-    response_times: List[float] = []
+        def arrivals():
+            index = 0
+            while env.now - run.t0 < horizon_s:
+                gap = float(rng.exponential(1.0 / arrival_rate_per_s))
+                yield env.timeout(gap)
+                if env.now - run.t0 >= horizon_s:
+                    break
+                spec = specs[int(rng.integers(0, len(specs)))]
+                job = make_job(
+                    spec,
+                    name=f"{spec.tag}@{env.now:.2f}",
+                    use_runtime=config is not None,
+                    static_device=index if config is None else None,
+                )
+                index += 1
+                run.submit(node, job)
+
+        env.process(arrivals(), name="arrival-process")
+
+    run = run_jobs([gpu_specs], config, submit, collector)
+    return _node_result(label, run, elapsed=run.env.now - run.t0)
+
+
+def _node_result(label: str, run: Run, elapsed: Optional[float] = None) -> BatchResult:
+    """The single-node view: per-job times (submission → completion, in
+    finish order) by tag, and each device's busy share of ``elapsed``
+    (by default, until the last job finished).  No kernel runs before
+    t0, so all of a device's busy time falls in the run."""
+    job_times = [o.finished_at - o.submitted_at for o in run.outcomes]
+    if elapsed is None:
+        elapsed = max(job_times, default=0.0)
     tag_times: Dict[str, List[float]] = {}
-    errors: List[BaseException] = []
-    busy0 = {d.name: d.busy_seconds for d in node.driver.devices}
-
-    def run_job(job: Job, arrived: float):
-        try:
-            yield from job.execute(node, submitted_at=arrived)
-        except BaseException as exc:  # noqa: BLE001 - recorded per job
-            errors.append(exc)
-        response_times.append(env.now - arrived)
-        tag_times.setdefault(job.tag, []).append(env.now - arrived)
-
-    def arrivals():
-        index = 0
-        while env.now - t0 < horizon_s:
-            gap = float(rng.exponential(1.0 / arrival_rate_per_s))
-            yield env.timeout(gap)
-            if env.now - t0 >= horizon_s:
-                break
-            spec = specs[int(rng.integers(0, len(specs)))]
-            job = make_job(
-                spec,
-                name=f"{spec.tag}@{env.now:.2f}",
-                use_runtime=config is not None,
-                static_device=index if config is None else None,
-            )
-            index += 1
-            env.process(run_job(job, env.now), name=f"arrival-{job.name}")
-
-    env.process(arrivals(), name="arrival-process")
-    env.run()
-
-    makespan = env.now - t0
-    utilization = {
-        d.name: min(1.0, (d.busy_seconds - busy0.get(d.name, 0.0)) / makespan)
-        if makespan > 0
-        else 0.0
-        for d in node.driver.devices
-    }
-    stats = node.runtime.stats.as_dict() if node.runtime else {}
+    errors = 0
+    for outcome, t in zip(run.outcomes, job_times):
+        tag_times.setdefault(outcome.tag, []).append(t)
+        errors += outcome.error is not None
+    devices = run.cluster.nodes[0].driver.devices
     return BatchResult(
         label=label,
-        total_time=makespan,
-        avg_time=sum(response_times) / len(response_times) if response_times else 0.0,
-        job_times=response_times,
-        stats=stats,
-        errors=len(errors),
+        total_time=elapsed,
+        avg_time=sum(job_times) / len(job_times) if job_times else 0.0,
+        job_times=job_times,
+        stats=run.stats,
+        errors=errors,
         tag_times=tag_times,
-        gpu_utilization=utilization,
-        copy_overlap={
-            d.name: d.copy_exec_overlap_seconds for d in node.driver.devices
-        },
+        gpu_utilization={d.name: d.utilization(elapsed) for d in devices},
+        copy_overlap={d.name: d.copy_exec_overlap_seconds for d in devices},
     )
 
 
@@ -250,7 +263,6 @@ def run_cluster_batch(
     config: Optional[RuntimeConfig],
     mode: TorqueMode = TorqueMode.OBLIVIOUS,
     label: str = "",
-    cpu_threads: int = 16,
     collector: Optional[ObsCollector] = None,
 ) -> BatchResult:
     """Run ``jobs`` through TORQUE on a multi-node cluster.
@@ -259,32 +271,22 @@ def run_cluster_batch(
     ``offload_enabled`` is set, the node runtimes are peered for
     inter-node offloading.
     """
-    env = Environment()
-    cluster = Cluster(env)
-    for i, specs in enumerate(node_specs):
-        cluster.add_node(f"node{i}", specs, cpu_threads=cpu_threads,
-                         runtime_config=config)
-    if config is not None and config.offload_enabled:
-        cluster.peer_runtimes()
-    if collector is not None:
-        for cluster_node in cluster.nodes:
-            if cluster_node.runtime is not None:
-                collector.attach(cluster_node.runtime)
-    env.process(cluster.start())
-    env.run(until=BOOT_GRACE_SECONDS)
 
-    torque = Torque(env, cluster.nodes, mode=mode)
-    p = env.process(torque.run_batch(jobs))
-    env.run(until=p)
-    env.run()  # drain any trailing bookkeeping events
+    def submit(run: Run) -> None:
+        torque = Torque(run.env, run.cluster.nodes, mode=mode)
 
-    stats = _merge_stats([n.runtime.stats for n in cluster.nodes if n.runtime])
-    job_times = [o.turnaround for o in torque.outcomes if o.turnaround is not None]
+        def batch():
+            run.outcomes.extend((yield from torque.run_batch(jobs)))
+
+        run.env.process(batch(), name="torque-batch")
+
+    run = run_jobs(node_specs, config, submit, collector)
+    job_times = [o.turnaround for o in run.outcomes]
     return BatchResult(
         label=label,
-        total_time=torque.total_execution_time,
-        avg_time=torque.average_turnaround,
+        total_time=max(job_times, default=0.0),
+        avg_time=sum(job_times) / len(job_times) if job_times else 0.0,
         job_times=job_times,
-        stats=stats,
-        errors=sum(1 for o in torque.outcomes if not o.ok),
+        stats=run.stats,
+        errors=sum(1 for o in run.outcomes if not o.ok),
     )

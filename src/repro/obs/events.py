@@ -532,8 +532,12 @@ class Tracer:
         log = self._log_of.get(kind)
         if log is None:
             log = self._open(kind)
-        keys = fields.keys()
-        if not (keys <= log.names and keys >= log.required):
+        # Every key known; a row naming all of the kind's fields has
+        # every required one, so only a shorter row is checked for them.
+        if not log.names.issuperset(fields) or (
+            len(fields) < len(log.names) and not fields.keys() >= log.required
+        ):
+            keys = fields.keys()
             raise TypeError(
                 f"{kind.__name__}: unknown fields {sorted(keys - log.names)}, "
                 f"missing fields {sorted(log.required - keys)}"

@@ -47,16 +47,15 @@ import math
 import os
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.jobs import Job, JobOutcome
 from repro.cluster.node import ComputeNode
 from repro.cluster.vmcloud import CloudManager
 from repro.core.config import RuntimeConfig
 from repro.core.estimator import RuntimeEstimator
 from repro.core.frontend import Frontend
+from repro.experiments.harness import Run, run_jobs
 from repro.obs import ObsCollector
 from repro.obs.report import nearest_rank_percentile as percentile
-from repro.sim import Environment
 from repro.simcuda.device import DEVICE_SPECS, device_spec
 from repro.simcuda.fatbin import FatBinary
 from repro.simcuda.kernels import KernelDescriptor
@@ -458,34 +457,125 @@ def _node_type_plan(trace: Sequence[TraceJob], nodes: int) -> List[str]:
     return plan
 
 
+def _rank(node: ComputeNode, tj: TraceJob, rank_id: int,
+          cpu_fraction: float) -> Generator:
+    """One rank of ``tj``: a frontend connection demanding its GPU
+    seconds over its share of the job's memory."""
+    per_rank_bytes = max(MIB, tj.mem_bytes // tj.num_gpus)
+    kernel_calls = max(2, min(8, int(tj.duration * 4)))
+    flops_total = tj.duration * device_spec(tj.gpu_type).effective_gflops * 1e9
+    kernel = KernelDescriptor(
+        name=f"{tj.job_id}-kernel", flops=flops_total / kernel_calls
+    )
+    fatbin = FatBinary()
+    fatbin.register_function(kernel)
+    runtime = node.runtime
+    frontend = Frontend(
+        node.env,
+        runtime.listener,
+        name=f"{tj.job_id}/r{rank_id}",
+        tenant=tj.user,
+        batch_max_calls=runtime.config.batch_max_calls,
+    )
+    yield from frontend.open()
+    handle = yield from frontend.register_fat_binary(fatbin)
+    yield from frontend.register_function(handle, kernel)
+    buf = yield from frontend.cuda_malloc(per_rank_bytes)
+    yield from frontend.cuda_memcpy_h2d(buf, per_rank_bytes)
+    cpu_gap = (
+        cpu_fraction * tj.duration / kernel_calls if cpu_fraction > 0 else 0.0
+    )
+    for _ in range(kernel_calls):
+        yield from frontend.launch_kernel(kernel, [buf])
+        if cpu_gap > 0:
+            yield from node.cpu_phase(cpu_gap)
+    yield from frontend.cuda_memcpy_d2h(buf, per_rank_bytes)
+    yield from frontend.cuda_free(buf)
+    yield from frontend.cuda_thread_exit()
+
+
+def _trace_job(index: int, tj: TraceJob, cpu_fraction: float,
+               estimator: RuntimeEstimator) -> Job:
+    """``tj`` as a cluster job: ``num_gpus`` ranks run concurrently on
+    its node, and a job that completes feeds ``estimator``.  The job is
+    named by ``index``, its position in the replayed trace, so that its
+    outcome leads back to ``tj`` even where job ids repeat."""
+
+    def guarded(node: ComputeNode, rank_id: int, failures: List) -> Generator:
+        # Rank failures (quota/swap pressure) must surface as the
+        # *job's* outcome, not as an unhandled process crash that
+        # aborts the whole replay.
+        try:
+            yield from _rank(node, tj, rank_id, cpu_fraction)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by body
+            failures.append(exc)
+
+    def body(node: ComputeNode) -> Generator:
+        if tj.num_gpus <= 1:
+            yield from _rank(node, tj, 0, cpu_fraction)
+        else:
+            failures: List = []
+            ranks = [
+                node.env.process(
+                    guarded(node, r, failures), name=f"{tj.job_id}/r{r}"
+                )
+                for r in range(tj.num_gpus)
+            ]
+            for p in ranks:
+                yield p
+            if failures:
+                raise failures[0]
+        # The head node's history: measured GPU demand per user — what
+        # sjf_est predicts the *next* job from.
+        estimator.observe(tj.user, tj.duration, group=tj.group)
+
+    return Job(str(index), body, tag=tj.gpu_type)
+
+
+def _record(outcome: JobOutcome, tj: TraceJob, t0: float) -> Dict:
+    jct = outcome.turnaround
+    return {
+        "job_id": tj.job_id,
+        "user": tj.user,
+        "group": tj.group,
+        "gpu_type": tj.gpu_type,
+        "num_gpus": tj.num_gpus,
+        "node": outcome.node,
+        "submitted": outcome.submitted_at - t0,
+        "finished": outcome.finished_at - t0,
+        "jct": jct,
+        "duration": tj.duration,
+        "queue_delay": max(jct - tj.duration, 0.0),
+        "slowdown": jct / tj.duration,
+        "ok": outcome.error is None,
+    }
+
+
 def replay_trace(
     trace: Sequence[TraceJob],
     nodes: int = 8,
     gpus_per_node: int = 2,
     policy: str = "fcfs",
     config: Optional[RuntimeConfig] = None,
-    node_gpu_types: Optional[Sequence[str]] = None,
-    cpu_threads: int = 16,
     cpu_fraction: float = 0.0,
     label: str = "",
     collector: Optional[ObsCollector] = None,
     estimator: Optional[RuntimeEstimator] = None,
-    boot_grace_s: float = 5.0,
     profiler=None,
 ) -> TraceReplayResult:
     """Open-loop replay of ``trace`` against a fresh simulated cluster.
 
     Builds ``nodes`` compute nodes (GPU types proportional to the
-    trace's demand mix unless ``node_gpu_types`` pins them, each with
-    ``gpus_per_node`` devices), registers every trace user as a tenant
-    (with its group) on every node, then submits each job at its
-    ``submit_time`` to the least-loaded node of its ``gpu_type`` —
-    falling back to the overall least-loaded node when no node carries
-    the type.  Multi-GPU jobs run ``num_gpus`` ranks concurrently on
-    their node, each a frontend connection demanding ``duration`` GPU
-    seconds (calibrated to the requested card, so a V100 job landing on
-    a slower card honestly runs longer) over ``mem_bytes/num_gpus`` of
-    device memory.
+    trace's demand mix, each with ``gpus_per_node`` devices) through
+    :func:`~repro.experiments.harness.run_jobs`, registers every trace
+    user as a tenant (with its group) on every node, then submits each
+    job at its ``submit_time`` to the least-loaded node of its
+    ``gpu_type`` — falling back to the overall least-loaded node when no
+    node carries the type.  Multi-GPU jobs run ``num_gpus`` ranks
+    concurrently on their node, each a frontend connection demanding
+    ``duration`` GPU seconds (calibrated to the requested card, so a
+    V100 job landing on a slower card honestly runs longer) over
+    ``mem_bytes/num_gpus`` of device memory.
 
     Every completion reports the job's measured GPU demand to the shared
     cluster-wide :class:`RuntimeEstimator` (created fresh unless passed
@@ -506,174 +596,61 @@ def replay_trace(
     base = config or RuntimeConfig(
         host_swap_capacity_bytes=REPLAY_SWAP_CAPACITY_BYTES
     )
-    run_config = dataclasses.replace(base, policy=policy)
-
-    env = Environment()
-    if profiler is not None:
-        profiler.attach(env)
-    cluster = Cluster(env)
-    plan = list(node_gpu_types) if node_gpu_types is not None else _node_type_plan(
-        trace, nodes
-    )
-    if len(plan) != nodes:
-        raise ValueError(f"node_gpu_types lists {len(plan)} types for {nodes} nodes")
-    for i, gpu_type in enumerate(plan):
-        cluster.add_node(
-            f"node{i}",
-            [device_spec(gpu_type)] * gpus_per_node,
-            cpu_threads=cpu_threads,
-            runtime_config=run_config,
-        )
-    if run_config.offload_enabled:
-        cluster.peer_runtimes()
-    manager = CloudManager(env, cluster.nodes)
-    node_type = {n.name: t.strip().upper() for n, t in zip(cluster.nodes, plan)}
-
+    plan = _node_type_plan(trace, nodes)
     shared_estimator = estimator or RuntimeEstimator()
-    users: Dict[str, str] = {}
-    for job in trace:
-        users.setdefault(job.user, job.group)
-    for node in cluster.nodes:
-        runtime = node.runtime
-        runtime.scheduler.policy_context.estimator = shared_estimator
-        for user, group in users.items():
-            runtime.qos.get_or_create(user, group=group)
-        if collector is not None:
-            collector.attach(runtime)
 
-    env.process(cluster.start())
-    env.run(until=boot_grace_s)
-    t0 = env.now
-
-    records: List[Dict] = []
-    errors: List[BaseException] = []
-
-    def _rank(node: ComputeNode, tj: TraceJob, rank_id: int) -> Generator:
-        per_rank_bytes = max(MIB, tj.mem_bytes // tj.num_gpus)
-        kernel_calls = max(2, min(8, int(tj.duration * 4)))
-        flops_total = tj.duration * device_spec(tj.gpu_type).effective_gflops * 1e9
-        kernel = KernelDescriptor(
-            name=f"{tj.job_id}-kernel", flops=flops_total / kernel_calls
-        )
-        fatbin = FatBinary()
-        fatbin.register_function(kernel)
-        runtime = node.runtime
-        frontend = Frontend(
-            env,
-            runtime.listener,
-            name=f"{tj.job_id}/r{rank_id}",
-            tenant=tj.user,
-            batch_max_calls=runtime.config.batch_max_calls,
-        )
-        yield from frontend.open()
-        handle = yield from frontend.register_fat_binary(fatbin)
-        yield from frontend.register_function(handle, kernel)
-        buf = yield from frontend.cuda_malloc(per_rank_bytes)
-        yield from frontend.cuda_memcpy_h2d(buf, per_rank_bytes)
-        cpu_gap = (
-            cpu_fraction * tj.duration / kernel_calls if cpu_fraction > 0 else 0.0
-        )
-        for _ in range(kernel_calls):
-            yield from frontend.launch_kernel(kernel, [buf])
-            if cpu_gap > 0:
-                yield from node.cpu_phase(cpu_gap)
-        yield from frontend.cuda_memcpy_d2h(buf, per_rank_bytes)
-        yield from frontend.cuda_free(buf)
-        yield from frontend.cuda_thread_exit()
-
-    def _body(tj: TraceJob):
-        def guarded(node: ComputeNode, rank_id: int, failures: List) -> Generator:
-            # Rank failures (quota/swap pressure) must surface as the
-            # *job's* outcome, not as an unhandled process crash that
-            # aborts the whole replay.
-            try:
-                yield from _rank(node, tj, rank_id)
-            except BaseException as exc:  # noqa: BLE001 - re-raised by body
-                failures.append(exc)
-
-        def body(node: ComputeNode) -> Generator:
-            if tj.num_gpus <= 1:
-                yield from _rank(node, tj, 0)
-            else:
-                failures: List = []
-                ranks = [
-                    env.process(
-                        guarded(node, r, failures), name=f"{tj.job_id}/r{r}"
-                    )
-                    for r in range(tj.num_gpus)
-                ]
-                for p in ranks:
-                    yield p
-                if failures:
-                    raise failures[0]
-
-        return body
-
-    def _place(tj: TraceJob) -> ComputeNode:
-        wanted = tj.gpu_type.strip().upper()
-        candidates = [n for n in cluster.nodes if node_type[n.name] == wanted]
-        if not candidates:
-            candidates = cluster.nodes
-        return min(candidates, key=lambda n: (n.runtime.load_per_vgpu(), n.name))
-
-    def _run(job: Job, tj: TraceJob, node: ComputeNode) -> Generator:
-        submitted = env.now
-        try:
-            yield from job.execute(node, submitted_at=submitted)
-        except BaseException as exc:  # noqa: BLE001 - recorded per job
-            errors.append(exc)
-        outcome: JobOutcome = job.outcome
-        finished = env.now
-        jct = finished - submitted
-        ok = outcome.error is None
-        if ok:
-            # The head node's history: measured GPU demand per user —
-            # what sjf_est predicts the *next* job from.
-            shared_estimator.observe(tj.user, tj.duration, group=tj.group)
-        records.append(
-            {
-                "job_id": tj.job_id,
-                "user": tj.user,
-                "group": tj.group,
-                "gpu_type": tj.gpu_type,
-                "num_gpus": tj.num_gpus,
-                "node": node.name,
-                "submitted": submitted - t0,
-                "finished": finished - t0,
-                "jct": jct,
-                "duration": tj.duration,
-                "queue_delay": max(jct - tj.duration, 0.0),
-                "slowdown": jct / tj.duration,
-                "ok": ok,
-            }
-        )
-
-    def _arrivals() -> Generator:
+    def submit(run: Run) -> None:
+        env, cluster_nodes = run.env, run.cluster.nodes
+        node_type = {n.name: t.strip().upper() for n, t in zip(cluster_nodes, plan)}
+        users: Dict[str, str] = {}
         for tj in trace:
-            due = t0 + tj.submit_time
-            if due > env.now:
-                yield env.timeout(due - env.now)
-            node = _place(tj)
-            job = Job(tj.job_id, _body(tj), tag=tj.gpu_type)
-            env.process(_run(job, tj, node), name=f"trace-{tj.job_id}")
+            users.setdefault(tj.user, tj.group)
+        for node in cluster_nodes:
+            runtime = node.runtime
+            runtime.scheduler.policy_context.estimator = shared_estimator
+            for user, group in users.items():
+                runtime.qos.get_or_create(user, group=group)
 
-    env.process(_arrivals(), name="trace-arrivals")
-    env.run()
-    if profiler is not None:
-        profiler.detach()
+        def place(tj: TraceJob) -> ComputeNode:
+            wanted = tj.gpu_type.strip().upper()
+            candidates = [n for n in cluster_nodes if node_type[n.name] == wanted]
+            if not candidates:
+                candidates = cluster_nodes
+            return min(candidates, key=lambda n: (n.runtime.load_per_vgpu(), n.name))
 
-    stats: Dict[str, int] = {}
-    for node in cluster.nodes:
-        for key, value in node.runtime.stats.as_dict().items():
-            stats[key] = stats.get(key, 0) + value
-    result = TraceReplayResult(
+        def arrivals() -> Generator:
+            for index, tj in enumerate(trace):
+                due = run.t0 + tj.submit_time
+                if due > env.now:
+                    yield env.timeout(due - env.now)
+                node = place(tj)
+                run.submit(node, _trace_job(index, tj, cpu_fraction, shared_estimator))
+
+        env.process(arrivals(), name="trace-arrivals")
+
+    run = run_jobs(
+        [[device_spec(gpu_type)] * gpus_per_node for gpu_type in plan],
+        dataclasses.replace(base, policy=policy),
+        submit,
+        collector,
+        profiler,
+    )
+    # Each outcome is dropped as its record is made, so the replay never
+    # holds both for every job.
+    outcomes = run.outcomes
+    outcomes.reverse()
+    records = []
+    while outcomes:
+        outcome = outcomes.pop()
+        records.append(_record(outcome, trace[int(outcome.name)], run.t0))
+    records.sort(key=lambda r: r["job_id"])
+    return TraceReplayResult(
         label=label or policy,
         policy=policy,
-        nodes=len(cluster.nodes),
-        gpus=cluster.total_gpus,
-        records=sorted(records, key=lambda r: r["job_id"]),
-        stats=stats,
-        node_reports=manager.node_reports(),
-        errors=len(errors),
+        nodes=len(run.cluster.nodes),
+        gpus=run.cluster.total_gpus,
+        records=records,
+        stats=run.stats,
+        node_reports=CloudManager(run.env, run.cluster.nodes).node_reports(),
+        errors=sum(1 for r in records if not r["ok"]),
     )
-    return result

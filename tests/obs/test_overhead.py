@@ -70,12 +70,15 @@ PINNED_JOB_TIMES = [
 #: Python function calls (``sys.setprofile`` "call" events, generator
 #: resumptions included) in one untraced pass of the default mix, with
 #: the garbage collector off and no SimProfiler attached.  Recorded on
-#: CPython 3.11; 2,240 intercepted calls, so about 133 per call.
-PINNED_CALLS = 298_809
-#: A pass may make at most ``PINNED_CALLS / MIN_SPEEDUP`` calls.
-MIN_SPEEDUP = 0.7
-#: Traced calls / untraced calls per pass (recorded at 1.324: 298,809
-#: untraced, 395,754 traced).
+#: CPython 3.11.7 in this test's order (a first pass in a fresh
+#: interpreter makes 4 more); 2,240 intercepted calls, so about 134 per
+#: call.
+PINNED_CALLS = 299_861
+#: A pass may make at most ``PINNED_CALLS / MIN_SPEEDUP`` calls: 2%
+#: over the pin, where CPython 3.10-3.13 differ by under 1%.
+MIN_SPEEDUP = 0.98
+#: Traced calls / untraced calls per pass (recorded at 1.316: 299,861
+#: untraced, 394,604 traced).
 MAX_TRACING_OVERHEAD = 1.4
 
 
