@@ -67,7 +67,10 @@ class Torque:
 
     # ------------------------------------------------------------------
     def run_batch(self, jobs: List[Job]) -> Generator:
-        """Submit a batch and wait for every job; returns the outcomes."""
+        """Submit a batch and wait for every job; returns the outcomes.
+
+        A job that raises fails alone: its error is kept in its outcome
+        and the rest of the batch runs on."""
         submitted_at = self.env.now
         if self.mode is TorqueMode.OBLIVIOUS:
             procs = [
@@ -121,7 +124,10 @@ class Torque:
         return min(self.nodes, key=load)
 
     def _run_job(self, job: Job, node: ComputeNode, submitted_at: float) -> Generator:
-        yield from job.execute(node, submitted_at)
+        try:
+            yield from job.execute(node, submitted_at)
+        except Exception:  # noqa: BLE001 - kept in job.outcome.error
+            pass
 
     def _run_native(self, jobs: List[Job], submitted_at: float) -> Generator:
         """GPU-aware serialization: hold jobs at the head node until a
@@ -147,6 +153,8 @@ class Torque:
     def _run_native_job(self, job: Job, node: ComputeNode, submitted_at: float) -> Generator:
         try:
             yield from job.execute(node, submitted_at)
+        except Exception:  # noqa: BLE001 - kept in job.outcome.error
+            pass
         finally:
             self._free_slots[node.name] += 1
             self._slot_freed.put(node.name)

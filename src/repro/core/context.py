@@ -67,6 +67,12 @@ class Context:
         #: overwhelmingly iterate on the same buffers).  Survives journal
         #: clearing, so prefetch keeps working across checkpoints.
         self.last_launch_vptrs: tuple = ()
+        #: The last ``cudaLaunch``'s record, reused by a repeat of it.
+        self.last_launch: Optional[KernelLaunch] = None
+        #: The last launch's translation, ``(record, translation epoch,
+        #: device, entries, device-pointer record)``: reused while the
+        #: page table's translation epoch stands.
+        self.launch_translation: Optional[tuple] = None
         #: Estimated total GPU seconds (optional profiling hint used by
         #: the SJF policy).
         self.estimated_gpu_seconds: Optional[float] = None

@@ -86,15 +86,33 @@ def _configuration(args: dict) -> tuple:
     return tuple(args.get("grid", (1, 1, 1))), tuple(args.get("block", (256, 1, 1)))
 
 
-def _launch_record(args: dict, grid, block) -> KernelLaunch:
+def _launch_record(
+    args: dict, grid, block, last: Optional[KernelLaunch] = None
+) -> KernelLaunch:
     """A ``cudaLaunch`` call's arguments as a launch record with
-    *virtual* pointers, under the configuration that preceded it."""
+    *virtual* pointers, under the configuration that preceded it.
+
+    ``last`` (the context's previous record) is returned itself when the
+    call repeats it field for field, so a run of identical launches
+    shares one immutable record."""
+    kernel = args["kernel"]
+    arg_pointers = tuple(args.get("args", ()))
+    read_only = tuple(args.get("read_only", ())) or None
+    if (
+        last is not None
+        and last.kernel is kernel
+        and last.arg_pointers == arg_pointers
+        and last.read_only == read_only
+        and last.grid == grid
+        and last.block == block
+    ):
+        return last
     return KernelLaunch(
-        kernel=args["kernel"],
+        kernel=kernel,
         grid=grid,
         block=block,
-        arg_pointers=tuple(args.get("args", ())),
-        read_only=tuple(args.get("read_only", ())) or None,
+        arg_pointers=arg_pointers,
+        read_only=read_only,
     )
 
 
@@ -184,6 +202,11 @@ class Dispatcher:
         obs = self.obs
         recv = sock.recv
         migration = self.runtime.migration
+        # The feature switches are fixed for the runtime's life: the
+        # per-call hooks below run only where their feature is on.
+        quantum = self.config.vgpu_quantum_s
+        migrate = self.config.migration_enabled
+        prefetch = self.config.prefetch_enabled
         ctx = self.open_context(sock.peer_name)
         ctx.enter_cpu_phase(env.now)
         lock_acquire = ctx.lock.acquire
@@ -215,12 +238,7 @@ class Dispatcher:
                     span.pop()
                 t0 = env.now
                 try:
-                    # ``_dispatch`` charges the round-trip overhead inside
-                    # the recovery loop: a call served again after a
-                    # rebind pays it again.
-                    result, error = yield from self._execute_call(
-                        ctx, self._dispatch, req
-                    )
+                    result, error = yield from self._dispatch(ctx, req)
                     resp = self._finish_call(ctx, req, t0, result, error)
                 finally:
                     if span is not None:
@@ -236,7 +254,7 @@ class Dispatcher:
                 exited = req.method == CallType.EXIT
             if exited:
                 return
-            if self._quantum_exhausted(ctx):
+            if quantum is not None and self._quantum_exhausted(ctx, quantum):
                 # Preemptive time-slicing (repro.qos): the context burned
                 # its vGPU quantum while others queue — unbind it at this
                 # call boundary (delayed binding makes that safe, §4.4)
@@ -244,8 +262,10 @@ class Dispatcher:
                 yield from self._preempt(ctx)
             # The application is back in a CPU phase: a faster idle GPU
             # may now claim it (dynamic binding, §5.3.4).
-            migration.maybe_migrate(ctx)
-            self._maybe_prefetch(ctx)
+            if migrate:
+                migration.maybe_migrate(ctx)
+            if prefetch:
+                self._maybe_prefetch(ctx)
 
     def open_context(self, owner: str) -> Context:
         """A new context for a served connection, live until ``_exit``."""
@@ -267,17 +287,22 @@ class Dispatcher:
                 result = yield from body(ctx, *args)
                 ctx.rebind_attempts = 0
                 return result, None
-            except CudaRuntimeError as exc:
-                if (
-                    exc.code == CudaError.cudaErrorDevicesUnavailable
-                    and ctx.rebind_attempts
-                    < self.config.max_failed_rebind_attempts
-                ):
-                    self._mark_failed(ctx, exc)
-                    continue
-                return None, exc
-            except RuntimeApiError as exc:
-                return None, exc
+            except (CudaRuntimeError, RuntimeApiError) as exc:
+                if not self._fail_for_rebind(ctx, exc):
+                    return None, exc
+
+    def _fail_for_rebind(self, ctx: Context, exc: Exception) -> bool:
+        """Whether a call that raised ``exc`` runs again: it met a dead
+        device and the context has rebinds left, so the context is marked
+        failed (recovery runs before the retry)."""
+        if (
+            isinstance(exc, CudaRuntimeError)
+            and exc.code == CudaError.cudaErrorDevicesUnavailable
+            and ctx.rebind_attempts < self.config.max_failed_rebind_attempts
+        ):
+            self._mark_failed(ctx, exc)
+            return True
+        return False
 
     def _finish_call(
         self, ctx: Context, req: Request, t0: float, result, error
@@ -593,11 +618,9 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # preemptive time-slicing (repro.qos)
     # ------------------------------------------------------------------
-    def _quantum_exhausted(self, ctx: Context) -> bool:
-        quantum = self.config.vgpu_quantum_s
+    def _quantum_exhausted(self, ctx: Context, quantum: float) -> bool:
         return (
-            quantum is not None
-            and ctx.bound
+            ctx.bound
             and ctx.state is ContextState.ASSIGNED
             and not ctx.excluded_from_sharing
             and ctx.quantum_used_s >= quantum
@@ -644,12 +667,9 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def _maybe_prefetch(self, ctx: Context) -> None:
         """After responding to a call, stage the predicted next-launch
-        working set while the application computes on the CPU."""
-        if (
-            not self.config.prefetch_enabled
-            or not ctx.bound
-            or not ctx.last_launch_vptrs
-        ):
+        working set while the application computes on the CPU (called
+        only with ``prefetch_enabled``)."""
+        if not ctx.bound or not ctx.last_launch_vptrs:
             return
         self.env.process(
             self._prefetch(ctx, ctx.last_launch_vptrs),
@@ -683,9 +703,26 @@ class Dispatcher:
     # call dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, ctx: Context, req: Request) -> Generator:
-        """Returns (value, response_payload_bytes)."""
-        yield self.env.timeout(DISPATCHER_OVERHEAD_S)
-        return (yield from self._dispatch_body(ctx, req))
+        """Serve one plain call under :meth:`_execute_call`'s
+        device-failure rule; returns ``(result, error)``, ``result``
+        being ``(value, response_payload_bytes)``.
+
+        The round-trip overhead is charged inside the recovery loop: a
+        call served again after a rebind pays it again.  The loop is
+        ``_execute_call``'s, written out so that every resumption of the
+        hottest call path crosses one generator frame fewer.
+        """
+        while True:
+            try:
+                if ctx.state is ContextState.FAILED:
+                    yield from self._recover(ctx)
+                yield self.env.timeout(DISPATCHER_OVERHEAD_S)
+                result = yield from self._dispatch_body(ctx, req)
+                ctx.rebind_attempts = 0
+                return result, None
+            except (CudaRuntimeError, RuntimeApiError) as exc:
+                if not self._fail_for_rebind(ctx, exc):
+                    return None, exc
 
     def _dispatch_body(self, ctx: Context, req: Request) -> Generator:
         """Serve one call, *after* the per-round-trip dispatcher overhead
@@ -761,11 +798,11 @@ class Dispatcher:
                 )
             # Keep the configuration until the launch succeeds: the call
             # may be retried wholesale after a device failure.
+            launch = ctx.last_launch = _launch_record(
+                args, *ctx.pending_config, ctx.last_launch
+            )
             duration, _ = yield from self._launch(
-                ctx,
-                _launch_record(args, *ctx.pending_config),
-                self.config.swap_retry_backoff_s,
-                "swap retry",
+                ctx, launch, self.config.swap_retry_backoff_s, "swap retry"
             )
             ctx.pending_config = None
             threshold = self.config.checkpoint_kernel_seconds

@@ -103,22 +103,28 @@ class Frontend:
         return self.batch_max_calls >= 2
 
     def _call(self, method: CallType, payload_bytes: int = 0, **args) -> Generator:
+        """The generator that issues one call: the RPC client's own on
+        the per-call path (no wrapper frame), the batching journal's
+        otherwise."""
         if self._rpc is None:
             raise RuntimeError("frontend not connected; call open() first")
-        if self._batching:
-            if method in BATCHABLE_CALLS:
-                self._enqueue(method, payload_bytes, args)
-                if len(self._batch) >= self.batch_max_calls:
-                    yield from self._flush_batch()
-                return None
-            if self._batch:
-                # Flush barrier: ship the pending batch with this call as
-                # its tail and return this call's own result.
-                self._enqueue(method, payload_bytes, args)
-                responses = yield from self._flush_batch()
-                return responses[-1].unwrap()
-        result = yield from self._rpc.call(method, payload_bytes=payload_bytes, **args)
-        return result
+        if self.batch_max_calls >= 2:
+            return self._batched_call(method, payload_bytes, args)
+        return self._rpc.call(method, payload_bytes, **args)
+
+    def _batched_call(self, method: CallType, payload_bytes: int, args: dict) -> Generator:
+        if method in BATCHABLE_CALLS:
+            self._enqueue(method, payload_bytes, args)
+            if len(self._batch) >= self.batch_max_calls:
+                yield from self._flush_batch()
+            return None
+        if self._batch:
+            # Flush barrier: ship the pending batch with this call as its
+            # tail and return this call's own result.
+            self._enqueue(method, payload_bytes, args)
+            responses = yield from self._flush_batch()
+            return responses[-1].unwrap()
+        return (yield from self._rpc.call(method, payload_bytes, **args))
 
     def _enqueue(self, method: CallType, payload_bytes: int, args: dict) -> None:
         """Journal a call into the pending batch (no wire traffic yet).

@@ -315,6 +315,8 @@ class MemoryManager:
         reg = NestedStructure(parent, members, list(pointer_offsets))
         self.nested[parent_vptr] = reg
         parent.nested = reg
+        # A launch naming the parent now reaches its members too.
+        self.page_table.translation_epoch += 1
 
     # ------------------------------------------------------------------
     # Table 1: Copy_HD
@@ -461,25 +463,42 @@ class MemoryManager:
 
         kernel = launch.kernel
         arg_vptrs = launch.arg_pointers
-        ptes, working_set, resident = self._resolve_launch_entries(ctx, arg_vptrs)
-        if working_set > self._usable_bytes(device):
-            # The working set cannot fit *this* device.  If some other
-            # healthy GPU could hold it, rebind there (dynamic binding);
-            # only when no device on the node can is it the application's
-            # error ("the memory footprint of each application fits the
-            # most capable GPU" is the paper's §6 assumption).
-            if any(
-                working_set <= self._usable_bytes(d)
-                for d in self.devices_fn()
-                if not d.failed and d is not device
-            ):
-                self.stats.swap_retries += 1
-                raise NeedRetry(working_set)
-            raise RuntimeApiError(
-                RuntimeErrorCode.KERNEL_FOOTPRINT_TOO_LARGE,
-                f"kernel {kernel.name!r} needs {working_set} bytes; "
-                f"no device offers that much",
-            )
+        cached = ctx.launch_translation
+        if (
+            cached is not None
+            and cached[0] is launch
+            and cached[1] == self.page_table.translation_epoch
+            and cached[2] is device
+            and cached[4].control_plane == control_plane
+        ):
+            # The context's last launch again, and no translation in the
+            # table changed since it ran on this device: the same entries,
+            # which passed the size check below, all still resident at the
+            # same device pointers.
+            ptes, translated = cached[3], cached[4]
+            resident = True
+        else:
+            translated = None
+            ptes, working_set, resident = self._resolve_launch_entries(ctx, arg_vptrs)
+            if working_set > self._usable_bytes(device):
+                # The working set cannot fit *this* device.  If some other
+                # healthy GPU could hold it, rebind there (dynamic
+                # binding); only when no device on the node can is it the
+                # application's error ("the memory footprint of each
+                # application fits the most capable GPU" is the paper's §6
+                # assumption).
+                if any(
+                    working_set <= self._usable_bytes(d)
+                    for d in self.devices_fn()
+                    if not d.failed and d is not device
+                ):
+                    self.stats.swap_retries += 1
+                    raise NeedRetry(working_set)
+                raise RuntimeApiError(
+                    RuntimeErrorCode.KERNEL_FOOTPRINT_TOO_LARGE,
+                    f"kernel {kernel.name!r} needs {working_set} bytes; "
+                    f"no device offers that much",
+                )
 
         for pte in ptes:
             if pte.prefetched:
@@ -509,15 +528,20 @@ class MemoryManager:
             with _span_phase(ctx, "fault_in"):
                 yield from self._fault_in(ctx, ptes)
 
-        # The driver reads no read-only hint, so the translated record
-        # carries none; the hint acts below, on the entries' dirty flags.
-        translated = KernelLaunch(
-            kernel=kernel,
-            grid=launch.grid,
-            block=launch.block,
-            arg_pointers=tuple([p.device_ptr for p in ptes]),
-            control_plane=control_plane,
-        )
+        if translated is None:
+            # The driver reads no read-only hint, so the translated record
+            # carries none; the hint acts below, on the entries' dirty
+            # flags.
+            translated = KernelLaunch(
+                kernel=kernel,
+                grid=launch.grid,
+                block=launch.block,
+                arg_pointers=tuple([p.device_ptr for p in ptes]),
+                control_plane=control_plane,
+            )
+            ctx.launch_translation = (
+                launch, self.page_table.translation_epoch, device, ptes, translated
+            )
         t0 = self.env.now
         if ctx.span is None:
             yield from ctx.vgpu.launch(translated)
@@ -536,7 +560,7 @@ class MemoryManager:
             else:
                 pte.kernel_write(now)
         journal = ctx.replay_journal
-        if journal and journal[-1] == launch:
+        if journal and journal[-1] is not launch and journal[-1] == launch:
             # A repeat of the last launch: journal that record again, so
             # a run of identical launches holds one object, not one each.
             launch = journal[-1]
@@ -1290,6 +1314,7 @@ class MemoryManager:
                 pte.swap_ptr = None
             self.nested.pop(pte.virtual_ptr, None)
         ctx.cache_vgpu = None
+        ctx.launch_translation = None
         self.page_table.drop_context(ctx)
         if released_device_memory:
             self.memory_freed.notify_all()

@@ -209,6 +209,14 @@ class PageTableEntry:
         if table is not None:
             table.epoch += 1
 
+    def _move(self) -> None:
+        """A residency transition: the entry's device pointer changes, so
+        the table's translation epoch advances with its epoch."""
+        table = self._table
+        if table is not None:
+            table.epoch += 1
+            table.translation_epoch += 1
+
     def _count_resident(self, delta: int) -> None:
         """The entry gained (``+size``) or lost (``-size``) its device
         allocation: keep the owner's resident-byte total."""
@@ -237,7 +245,7 @@ class PageTableEntry:
     def allocate_device(
         self, device_ptr: int, device_id: Optional[int] = None
     ) -> None:
-        self._bump()
+        self._move()
         if not self.is_allocated:
             self._count_resident(self.size)
         self.is_allocated = True
@@ -248,7 +256,7 @@ class PageTableEntry:
     def release_device(self) -> None:
         """Device memory freed (swap-out); swap copy is authoritative."""
         assert not self.to_copy_2swap, "must write back before releasing"
-        self._bump()
+        self._move()
         if self.is_allocated:
             self._count_resident(-self.size)
         self.is_allocated = False
@@ -262,7 +270,7 @@ class PageTableEntry:
         """The device copy moved (peer-to-peer migration): same data and
         flags, new physical home."""
         assert self.is_allocated
-        self._bump()
+        self._move()
         self.device_ptr = device_ptr
         self.device_id = device_id
         self.check_invariants()
@@ -411,7 +419,7 @@ class PageTableEntry:
     def drop_device_state(self) -> None:
         """The device copy is lost (device failure): swap-resident data
         becomes authoritative, without any device operation."""
-        self._bump()
+        self._move()
         if self.is_allocated:
             self._count_resident(-self.size)
         self.is_allocated = False
@@ -464,6 +472,12 @@ class PageTable:
         #: whole-table aggregates by it; any change anywhere in the table
         #: invalidates both.
         self.epoch = 0
+        #: Translation epoch: advanced only when a virtual→device
+        #: translation may change — an entry gains, loses or moves its
+        #: device memory (a resident entry loses it before removal), or a
+        #: nested structure is registered.  The launch path reuses a
+        #: context's last translation while it stands.
+        self.translation_epoch = 0
         self._by_context: Dict[Any, List[PageTableEntry]] = {}
         #: context -> bytes of all its entries / of its resident entries
         self._total: Dict[Any, int] = {}

@@ -65,11 +65,9 @@ class MigrationManager:
             )
 
     def maybe_migrate(self, ctx: Context) -> None:
-        """Dispatcher hook: ``ctx`` just entered a CPU phase.  If a
-        sufficiently faster device has an idle vGPU and nobody is waiting
-        for it, move the job there."""
-        if not self.config.migration_enabled:
-            return
+        """Dispatcher hook, run only with ``migration_enabled``: ``ctx``
+        just entered a CPU phase.  If a sufficiently faster device has an
+        idle vGPU and nobody is waiting for it, move the job there."""
         if self.scheduler.waiting_count > 0:
             return
         if (

@@ -147,20 +147,21 @@ class VirtualGPU:
                 active[device_id] -= 1
 
     # ------------------------------------------------------------------
-    # device operations, issued within this vGPU's CUDA context
+    # device operations, issued within this vGPU's CUDA context.  Each
+    # returns the driver's generator itself (as ``Socket.send`` returns
+    # its channel's), so a caller's ``yield from`` runs no extra frame.
     # ------------------------------------------------------------------
     def malloc(self, size: int) -> Generator:
-        address = yield from self.driver.malloc(self.cuda_context, size)
-        return address
+        return self.driver.malloc(self.cuda_context, size)
 
     def free(self, address: int) -> Generator:
-        yield from self.driver.free(self.cuda_context, address)
+        return self.driver.free(self.cuda_context, address)
 
     def memcpy_h2d(self, address: int, nbytes: int) -> Generator:
-        yield from self.driver.memcpy_h2d(self.cuda_context, address, nbytes)
+        return self.driver.memcpy_h2d(self.cuda_context, address, nbytes)
 
     def memcpy_d2h(self, address: int, nbytes: int) -> Generator:
-        yield from self.driver.memcpy_d2h(self.cuda_context, address, nbytes)
+        return self.driver.memcpy_d2h(self.cuda_context, address, nbytes)
 
     def memcpy_h2d_async(self, address: int, nbytes: int) -> Event:
         """Enqueue an H2D on the copy stream; returns its completion event."""
@@ -176,7 +177,7 @@ class VirtualGPU:
             yield from self.copy_stream.synchronize()
 
     def launch(self, launch: KernelLaunch) -> Generator:
-        yield from self.driver.launch(self.cuda_context, launch)
+        return self.driver.launch(self.cuda_context, launch)
 
     def __repr__(self) -> str:
         who = self.bound_context.owner if self.bound_context else "idle"

@@ -19,8 +19,8 @@ import heapq
 from collections import deque
 from typing import Any, Generator
 
-from repro.sim import Environment, Store, Timeout, Waiter
-from repro.sim.core import NORMAL, PENDING
+from repro.sim import Environment, Timeout, Waiter
+from repro.sim.core import NORMAL, PENDING, complete_now
 
 __all__ = ["LinkSpec", "Channel", "AFUNIX_LINK", "TCP_GBE_LINK", "TCP_10GBE_LINK"]
 
@@ -75,7 +75,7 @@ class _Delivery(Timeout):
     """Message propagation: ONE scheduled event per message.
 
     A timeout carrying the payload, whose callback hands the message
-    straight to the inbox's first live getter — or queues it — at
+    straight to the channel's first waiting receiver — or queues it — at
     simulated time ``at``: ``latency_s`` after the transmission finished.
     Scheduled at an absolute time, so a posted message lands at exactly
     the float a sent one computes.
@@ -92,7 +92,7 @@ class _Delivery(Timeout):
         self.defused = False
         self._cancelled = False
         self._on_cancel = None
-        self._delay = at - env._now
+        self._delay = at - env.now
         self._pending_value = None
         self._channel = channel
         self._payload = payload
@@ -101,31 +101,31 @@ class _Delivery(Timeout):
 
 def _deliver_payload(event: "_Delivery") -> None:
     channel = event._channel
+    receivers = channel._receivers
+    if not receivers:
+        channel._messages.append(event._payload)
+        return
+    # A receiver that gave up waiting has already left the FIFO (its
+    # waiter's cancel hook removed it), so the head is live.
+    receiver = receivers.popleft()
     env = channel.env
-    inbox = channel._inbox
-    getters = inbox._getters
-    while getters:
-        getter = getters.popleft()
-        if getter._cancelled:  # purged lazily, like Store._settle
-            continue
-        if env.peek() > env._now:
-            # Nothing else is scheduled at this instant, so a grant event
-            # would be the very next pop: resume the receiver inside this
-            # callback instead of scheduling its wake-up — same
-            # timestamp, one heap event fewer per message.
-            getter._ok = True
-            getter._value = event._payload
-            callbacks, getter.callbacks = getter.callbacks, None
-            for callback in callbacks:
-                callback(getter)
-        else:
-            # Same-tick company (e.g. an URGENT process start already in
-            # the heap): it runs first, so wake the receiver through a
-            # real grant event.
-            getter.succeed(event._payload)
-        break
+    queue = env._queue
+    if not queue or queue[0][0] > env.now or env.peek() > env.now:
+        # Nothing else is scheduled at this instant, so a grant event
+        # would be the very next pop: resume the receiver inside this
+        # callback instead of scheduling its wake-up — same timestamp,
+        # one heap event fewer per message.  (As in ``Lock.acquire``, a
+        # heap head later than now needs no ``peek``.)
+        receiver._ok = True
+        receiver._value = event._payload
+        callbacks, receiver.callbacks = receiver.callbacks, None
+        for callback in callbacks:
+            callback(receiver)
     else:
-        inbox.items.append(event._payload)
+        # Same-tick company (e.g. an URGENT process start already in the
+        # heap): it runs first, so wake the receiver through a real grant
+        # event.
+        receiver.succeed(event._payload)
 
 
 class Channel:
@@ -134,7 +134,13 @@ class Channel:
     def __init__(self, env: Environment, link: LinkSpec):
         self.env = env
         self.link = link
-        self._inbox: Store = Store(env)
+        #: Delivered messages nobody has received yet, oldest first.
+        self._messages: deque = deque()
+        #: Receivers waiting for a message, oldest first.  A waiter whose
+        #: process gives up (interrupt, lost ``any_of``) cancels itself
+        #: and leaves the FIFO through ``_drop_receiver``.
+        self._receivers: deque = deque()
+        self._drop_receiver = self._receivers.remove
         #: Transmitter state: a plain busy flag plus a FIFO of waiting
         #: senders, woken one at a time — no heap event at all when
         #: nobody waits.
@@ -156,7 +162,7 @@ class Channel:
         if self.closed:
             raise ConnectionError(f"channel over {self.link.name} is closed")
         env = self.env
-        if env._now < self._tx_free_at:
+        if env.now < self._tx_free_at:
             raise RuntimeError(
                 f"send on channel over {self.link.name} while a posted "
                 "message is still transmitting"
@@ -176,7 +182,7 @@ class Channel:
             yield env.timeout(self.link.transmit_seconds(nbytes))
             self.messages_sent += 1
             self.bytes_sent += nbytes
-            _Delivery(self, payload, env._now + self.link.latency_s)
+            _Delivery(self, payload, env.now + self.link.latency_s)
         finally:
             self._tx_busy = False
             waiters = self._tx_waiters
@@ -198,7 +204,7 @@ class Channel:
         """
         if self.closed:
             raise ConnectionError(f"channel over {self.link.name} is closed")
-        now = self.env._now
+        now = self.env.now
         if self._tx_busy or now < self._tx_free_at:
             raise RuntimeError(f"post on busy channel over {self.link.name}")
         done = now + self.link.transmit_seconds(nbytes)
@@ -207,21 +213,33 @@ class Channel:
         self.bytes_sent += nbytes
         _Delivery(self, payload, done + self.link.latency_s)
 
-    def recv(self):
-        """Event yielding the next message (blocks while empty)."""
-        return self._inbox.get()
+    def recv(self) -> Waiter:
+        """Event yielding the next message (blocks while empty).
+
+        A queued message is granted as :meth:`Store.get` grants an item:
+        at once when nothing else is due at this instant, through the
+        heap otherwise, so the receiver never overtakes same-time events.
+        """
+        env = self.env
+        messages = self._messages
+        if messages:
+            if env.peek() > env.now:
+                return complete_now(Waiter(env), messages.popleft())
+            return Waiter(env).succeed(messages.popleft())
+        receiver = Waiter(env)
+        receiver._on_cancel = self._drop_receiver
+        self._receivers.append(receiver)
+        return receiver
 
     def try_recv(self) -> Any:
         """Non-blocking receive; returns None when empty."""
-        if self._inbox.items:
-            ev = self._inbox.get()
-            return ev.value
-        return None
+        messages = self._messages
+        return messages.popleft() if messages else None
 
     @property
     def pending(self) -> int:
         """Messages delivered but not yet received."""
-        return len(self._inbox.items)
+        return len(self._messages)
 
     def close(self) -> None:
         self.closed = True

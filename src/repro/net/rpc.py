@@ -127,17 +127,21 @@ class RpcClient:
     ) -> Generator:
         """Issue a call and wait for its response; returns the value,
         re-raising any server-side exception."""
-        req = Request(method=method, args=args, payload_bytes=payload_bytes)
-        req.trace_id = self.trace_id
-        req.span_id = req.request_id
-        req.sent_at = self.socket.env.now
-        self.socket.post(req, nbytes=req.wire_bytes)
-        resp = yield self.socket.recv()
-        if not isinstance(resp, Response) or resp.request_id != req.request_id:
+        socket = self.socket
+        request_id = next(_request_ids)
+        req = Request(
+            method, args, payload_bytes, request_id, self.trace_id, request_id,
+            socket.env.now,
+        )
+        socket.post(req, HEADER_BYTES + payload_bytes)
+        resp = yield socket.recv()
+        if not isinstance(resp, Response) or resp.request_id != request_id:
             raise ProtocolError(
-                f"out-of-order response: expected #{req.request_id}, got {resp!r}"
+                f"out-of-order response: expected #{request_id}, got {resp!r}"
             )
-        return resp.unwrap()
+        if resp.error is not None:
+            raise resp.error
+        return resp.value
 
     def call_batch(self, calls: List[Request]) -> Generator:
         """Ship ``calls`` as one :class:`BatchRequest`; returns the list

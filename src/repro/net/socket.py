@@ -27,7 +27,9 @@ class Socket:
         self.env = env
         self.socket_id = next(_socket_ids)
         self._tx = tx
-        self._rx = rx
+        #: ``recv()``: event for the next incoming message.  The receiving
+        #: channel's own method, so a receive runs no wrapper frame.
+        self.recv = rx.recv
         self.peer_name = peer_name
         self.closed = False
 
@@ -47,10 +49,6 @@ class Socket:
         if self.closed:
             raise ConnectionError("socket closed")
         self._tx.post(payload, nbytes)
-
-    def recv(self):
-        """Event for the next incoming message."""
-        return self._rx.recv()
 
     @property
     def bytes_sent(self) -> int:

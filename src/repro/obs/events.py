@@ -426,8 +426,13 @@ class _KindLog:
         self.rows = 0
         fields = dataclasses.fields(kind)
         self.names = frozenset(f.name for f in fields)
-        self.required = frozenset(
-            f.name for f in fields if f.default is dataclasses.MISSING
+        #: The fields without a default, except ``at``, which every row
+        #: carries (:meth:`Tracer.record` and
+        #: :meth:`Tracer.phase_breakdown` stamp it).
+        self.required = tuple(
+            f.name
+            for f in fields
+            if f.default is dataclasses.MISSING and f.name != "at"
         )
         #: Field name → column, in the dataclass's field order (None
         #: for ``phases``, which lives in the three phase arrays).
@@ -526,22 +531,22 @@ class Tracer:
     # ------------------------------------------------------------------
     def emit(self, kind: type, fields: Dict[str, Any]) -> None:
         """Append one ``kind`` event with these fields (no enabled
-        check: :meth:`record` guards before gathering them).  Fields
-        left out take the kind's defaults; an unknown field, or a
-        missing one without a default, raises ``TypeError``."""
+        check: :meth:`record` guards before gathering them).  ``fields``
+        holds ``at``, as both callers stamp it; fields left out take the
+        kind's defaults, and an unknown field, or a missing one without
+        a default, raises ``TypeError``."""
         log = self._log_of.get(kind)
         if log is None:
             log = self._open(kind)
         # Every key known; a row naming all of the kind's fields has
         # every required one, so only a shorter row is checked for them.
-        if not log.names.issuperset(fields) or (
-            len(fields) < len(log.names) and not fields.keys() >= log.required
-        ):
-            keys = fields.keys()
-            raise TypeError(
-                f"{kind.__name__}: unknown fields {sorted(keys - log.names)}, "
-                f"missing fields {sorted(log.required - keys)}"
-            )
+        names = log.names
+        if not names.issuperset(fields):
+            self._reject(log, fields)
+        if len(fields) < len(names):
+            for name in log.required:
+                if name not in fields:
+                    self._reject(log, fields)
         row = log.rows
         log.rows = row + 1
         self._order.append(log.index)
@@ -595,6 +600,15 @@ class Tracer:
             event = kind(**fields)
             for fn in self.subscribers:
                 fn(event)
+
+    @staticmethod
+    def _reject(log: _KindLog, fields: Dict[str, Any]) -> None:
+        keys = fields.keys()
+        missing = [name for name in ("at",) + log.required if name not in keys]
+        raise TypeError(
+            f"{log.kind.__name__}: unknown fields {sorted(keys - log.names)}, "
+            f"missing fields {sorted(missing)}"
+        )
 
     def _open(self, kind: type) -> _KindLog:
         log = _KindLog(kind, len(self._logs))

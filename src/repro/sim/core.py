@@ -37,6 +37,7 @@ Example
 
 from __future__ import annotations
 
+import functools
 import gc
 import heapq
 import itertools
@@ -167,7 +168,7 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        heapq.heappush(env._queue, (env._now, NORMAL, next(env._seq), self))
+        heapq.heappush(env._queue, (env.now, NORMAL, next(env._seq), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -181,7 +182,7 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        heapq.heappush(env._queue, (env._now, NORMAL, next(env._seq), self))
+        heapq.heappush(env._queue, (env.now, NORMAL, next(env._seq), self))
         return self
 
     # -- cancellation ----------------------------------------------------
@@ -305,7 +306,7 @@ class Timeout(Event):
         self._on_cancel = None
         self._delay = delay
         self._pending_value = value
-        heapq.heappush(env._queue, (env._now + delay, NORMAL, next(env._seq), self))
+        heapq.heappush(env._queue, (env.now + delay, NORMAL, next(env._seq), self))
 
     @property
     def delay(self) -> float:
@@ -325,7 +326,7 @@ class Initialize(Event):
         self.defused = False
         self._cancelled = False
         self._on_cancel = None
-        heapq.heappush(env._queue, (env._now, URGENT, next(env._seq), self))
+        heapq.heappush(env._queue, (env.now, URGENT, next(env._seq), self))
 
 
 class Process(Event):
@@ -376,7 +377,7 @@ class Process(Event):
         interrupt_event._value = Interrupt(cause)
         interrupt_event.defused = True
         interrupt_event.callbacks.append(self._resume_cb)
-        heapq.heappush(env._queue, (env._now, URGENT, next(env._seq), interrupt_event))
+        heapq.heappush(env._queue, (env.now, URGENT, next(env._seq), interrupt_event))
 
     def _resume(self, event: Event) -> None:
         """Resume the generator with the outcome of ``event``."""
@@ -441,7 +442,7 @@ class Process(Event):
                         head = queue[0]
                         if head[3] is target and head[0] <= env._greedy_limit:
                             heapq.heappop(queue)
-                            env._now = head[0]
+                            env.now = head[0]
                             target._ok = True
                             target._value = target._pending_value
                             target.callbacks = None
@@ -536,7 +537,9 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time.  A plain attribute: only the kernel
+        #: writes it; model code reads it.
+        self.now = float(initial_time)
         self._queue: List = []
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
@@ -552,13 +555,13 @@ class Environment:
         #: when set, the run loop reports every popped event to it.  The
         #: profiler observes wall-clock only and never touches sim time.
         self.profiler = None
+        #: ``timeout(delay, value=None)``: an event firing ``delay``
+        #: simulated seconds from now, made with no wrapper frame.  The
+        #: partial refers back to the environment, so the cyclic
+        #: collector frees an environment; its events need no collector.
+        self.timeout: Callable[..., Timeout] = functools.partial(Timeout, self)
 
-    # -- clock -----------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
+    # -- state -----------------------------------------------------------
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
@@ -568,10 +571,6 @@ class Environment:
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""
@@ -616,7 +615,7 @@ class Environment:
             if event._cancelled:
                 self._ncancelled -= 1
                 continue
-            self._now = when
+            self.now = when
             if event._value is PENDING:  # deferred (Timeout) value
                 event._ok = True
                 event._value = event._pending_value
@@ -680,7 +679,7 @@ class Environment:
                 if event._cancelled:
                     self._ncancelled -= 1
                     continue
-                self._now = when
+                self.now = when
                 if event._value is PENDING:
                     event._ok = True
                     event._value = event._pending_value
@@ -716,8 +715,8 @@ class Environment:
 
         # numeric horizon
         horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError(f"until={horizon} lies in the past (now={self._now})")
+        if horizon < self.now:
+            raise SimulationError(f"until={horizon} lies in the past (now={self.now})")
         # Greedy resumes must not advance the clock past the
         # requested stop time either.
         self._greedy_limit = horizon
@@ -725,7 +724,7 @@ class Environment:
             self._run_bounded(horizon)
         finally:
             self._greedy_limit = float("inf")
-        self._now = horizon
+        self.now = horizon
         return None
 
     def _run_bounded(self, horizon: float) -> None:
@@ -736,7 +735,7 @@ class Environment:
             if event._cancelled:
                 self._ncancelled -= 1
                 continue
-            self._now = when
+            self.now = when
             if event._value is PENDING:
                 event._ok = True
                 event._value = event._pending_value

@@ -72,7 +72,8 @@ class Resource:
         """Free a slot (or cancel a still-queued request). Idempotent."""
         if request in self.users:
             self.users.remove(request)
-            self._grant_next()
+            if self.queue:
+                self._grant_next()
         elif request in self.queue:
             self.queue.remove(request)
 
@@ -88,11 +89,14 @@ class Resource:
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(request)
             env = request.env
-            if env.peek() > env._now:
+            queue = env._queue
+            if not queue or queue[0][0] > env.now or env.peek() > env.now:
                 # The slot is granted synchronously either way (users
                 # already holds the request); with nothing else pending
                 # at this instant, the requester may continue without a
                 # heap round-trip and same-tick ordering stays exact.
+                # (As in ``Lock.acquire``, a later heap head needs no
+                # ``peek``.)
                 complete_now(request)
             else:
                 request.succeed()
@@ -149,7 +153,7 @@ class Container:
             not self._putters
             and not self._getters
             and self._level + amount <= self.capacity
-            and self.env.peek() > self.env._now
+            and self.env.peek() > self.env.now
         ):
             # No queue to disturb and the deposit fits: apply and go.
             self._level += amount
@@ -166,7 +170,7 @@ class Container:
             not self._getters
             and not self._putters
             and self._level >= amount
-            and self.env.peek() > self.env._now
+            and self.env.peek() > self.env.now
         ):
             self._level -= amount
             return complete_now(ContainerEvent(self, amount, self._getters))
@@ -228,7 +232,7 @@ class Store:
         return len(self.items)
 
     def put(self, item: Any) -> StorePut:
-        if len(self.items) < self.capacity and self.env.peek() > self.env._now:
+        if len(self.items) < self.capacity and self.env.peek() > self.env.now:
             # Space available: hand the item to the first live getter (or
             # shelve it) and let the putter continue synchronously.
             ev = complete_now(StorePut(self, item))
@@ -247,7 +251,7 @@ class Store:
         return ev
 
     def get(self) -> StoreGet:
-        if self.items and not self._putters and self.env.peek() > self.env._now:
+        if self.items and not self._putters and self.env.peek() > self.env.now:
             return complete_now(StoreGet(self), self.items.popleft())
         ev = StoreGet(self)
         self._getters.append(ev)

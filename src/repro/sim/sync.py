@@ -51,13 +51,16 @@ class Lock:
         if not self._locked:
             self._locked = True
             env = self.env
-            if env.peek() > env._now:
+            queue = env._queue
+            if not queue or queue[0][0] > env.now or env.peek() > env.now:
                 # Uncontended grant with nothing else pending at this
                 # instant: the grant event would be the very next pop
                 # anyway, so the acquirer may simply continue — no heap
                 # event.  (The peek() guard is the ordering rule: any
                 # event already scheduled at `now` — including an URGENT
-                # process start — runs before the resumption.)
+                # process start — runs before the resumption.  A heap
+                # head later than `now` settles it without the call;
+                # only a head at `now` may be a cancelled entry.)
                 return granted(env)
             ev = Event(env)
             ev.succeed()
@@ -153,7 +156,7 @@ class FifoQueue:
     def get(self) -> Event:
         if self._items:
             env = self.env
-            if env.peek() > env._now:
+            if env.peek() > env.now:
                 return complete_now(Event(env), self._items.popleft())
             ev = Event(env)
             ev.succeed(self._items.popleft())

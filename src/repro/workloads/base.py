@@ -190,7 +190,8 @@ class FrontendAdapter(DeviceAPI):
         yield from self.frontend.cuda_memcpy_d2h(ptr, nbytes)
 
     def launch(self, kernel, args, read_only):
-        yield from self.frontend.launch_kernel(kernel, args, read_only)
+        # The frontend's generator itself: no wrapper frame per launch.
+        return self.frontend.launch_kernel(kernel, args, read_only)
 
     def close(self):
         yield from self.frontend.cuda_thread_exit()

@@ -273,7 +273,7 @@ def _bitmap_entry(size, chunk_bytes):
     pte.configure_chunks(chunk_bytes)
     assert pte.chunked
     # A stand-in table so epoch bumps are observable on unit entries.
-    pte._table = SimpleNamespace(epoch=0)
+    pte._table = SimpleNamespace(epoch=0, translation_epoch=0)
     return pte
 
 
@@ -407,7 +407,7 @@ def _one_chunk_entry(size, chunk_bytes):
     pte = PageTableEntry(0x7000_0000_0000, size)
     pte.configure_chunks(chunk_bytes)
     assert not pte.chunked and pte._nchunks == 1
-    pte._table = SimpleNamespace(epoch=0)
+    pte._table = SimpleNamespace(epoch=0, translation_epoch=0)
     return pte
 
 

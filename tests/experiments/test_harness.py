@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import Job, TorqueMode
 from repro.core import RuntimeConfig
 from repro.experiments import figures, run_cluster_batch, run_node_batch
 from repro.experiments.figures import FigureResult
@@ -58,6 +59,30 @@ def test_run_cluster_batch_merges_node_stats():
     assert result.errors == 0
     assert result.stats["kernels_launched"] == 4
     assert result.stats["connections_accepted"] == 4
+
+
+def _raising_job():
+    def body(node):
+        yield node.env.timeout(0.5)
+        raise RuntimeError("boom")
+
+    return Job("boom", body)
+
+
+@pytest.mark.parametrize("mode", list(TorqueMode))
+def test_run_cluster_batch_counts_a_raising_job_as_an_error(mode):
+    """One job that raises fails alone: the batch finishes and reports it."""
+    native = mode is TorqueMode.NATIVE
+    config = None if native else RuntimeConfig(vgpus_per_device=2)
+    jobs = [_raising_job()] + small_jobs(1, use_runtime=not native)
+    result = run_cluster_batch(
+        jobs, [[TESLA_C2050], [TESLA_C2050]], config, mode=mode
+    )
+    assert result.errors == 1
+    assert len(result.job_times) == 2
+    assert str(jobs[0].outcome.error) == "boom"
+    assert jobs[0].outcome.finished_at is not None
+    assert jobs[1].outcome.ok
 
 
 def test_run_arrival_process_serves_and_drains():

@@ -22,8 +22,10 @@ from repro.experiments.harness import run_node_batch
 from repro.obs import ObsCollector
 from repro.sim import SimProfiler
 from repro.simcuda.device import TESLA_C2050
+from repro.simcuda.timing import CONTROL_PLANE_SECONDS
 from repro.workloads import make_job
 from repro.workloads.catalog import SHORT_RUNNING
+from repro.workloads.finegrained import AGENT_PIPELINE, GRAPH_TRAVERSAL_FINE
 
 from tests.core.conftest import Harness
 
@@ -71,14 +73,14 @@ PINNED_JOB_TIMES = [
 #: resumptions included) in one untraced pass of the default mix, with
 #: the garbage collector off and no SimProfiler attached.  Recorded on
 #: CPython 3.11.7 in this test's order (a first pass in a fresh
-#: interpreter makes 4 more); 2,240 intercepted calls, so about 134 per
+#: interpreter makes 4 more); 2,240 intercepted calls, so about 94 per
 #: call.
-PINNED_CALLS = 299_861
+PINNED_CALLS = 210_096
 #: A pass may make at most ``PINNED_CALLS / MIN_SPEEDUP`` calls: 2%
 #: over the pin, where CPython 3.10-3.13 differ by under 1%.
 MIN_SPEEDUP = 0.98
-#: Traced calls / untraced calls per pass (recorded at 1.316: 299,861
-#: untraced, 394,604 traced).
+#: Traced calls / untraced calls per pass (recorded at 1.317: 210,096
+#: untraced, 276,657 traced).
 MAX_TRACING_OVERHEAD = 1.4
 
 
@@ -93,12 +95,19 @@ def _default_mix(tracing):
 
 
 def _count_calls(tracing):
-    """Python function calls made by one pass of the default mix.
+    """Python function calls made by one pass of the default mix."""
+    jobs, config, collector = _default_mix(tracing)
+    return _calls_in(
+        lambda: run_node_batch(jobs, [TESLA_C2050], config, collector=collector)
+    )
 
-    The garbage collector runs first and stays off during the pass:
+
+def _calls_in(run):
+    """Python function calls made by ``run()``.
+
+    The garbage collector runs first and stays off during the run:
     finalizers it would run add calls to some passes and not others.
     """
-    jobs, config, collector = _default_mix(tracing)
     calls = 0
 
     def count(frame, event, arg):
@@ -110,7 +119,7 @@ def _count_calls(tracing):
     gc.disable()
     sys.setprofile(count)
     try:
-        run_node_batch(jobs, [TESLA_C2050], config, collector=collector)
+        run()
     finally:
         sys.setprofile(None)
         gc.enable()
@@ -148,6 +157,41 @@ def test_cli_default_mix_times_unchanged_by_tracing():
     assert overhead <= MAX_TRACING_OVERHEAD, (
         f"tracing costs {overhead:.3f}x in Python calls per pass "
         f"({calls_off} -> {calls_on}, bound {MAX_TRACING_OVERHEAD}x)"
+    )
+
+
+#: Python calls (counted as for ``PINNED_CALLS``) in one pass of a
+#: shrunken ``finegrained_rpc`` (perfbench): two GT-F and two AP-F jobs
+#: on one C2050 with 4 vGPUs and the control-plane charge.  Its 12,850
+#: calls served are tiny kernels and copies, so the pass is almost all
+#: per-call path (frontend, net, dispatcher, launch), which the default
+#: mix's long kernels dilute: about 80 Python calls per call served.
+#: Same budget rule: at most ``PINNED_FINEGRAINED_CALLS / MIN_SPEEDUP``.
+PINNED_FINEGRAINED_CALLS = 1_033_545
+#: The mix's simulated makespan, bit for bit.
+PINNED_FINEGRAINED_TOTAL_TIME = 0.35368338399965094
+
+
+def test_finegrained_mix_within_call_budget():
+    jobs = [
+        make_job(spec, name=f"{spec.tag}#{i}")
+        for i, spec in enumerate([GRAPH_TRAVERSAL_FINE, AGENT_PIPELINE] * 2)
+    ]
+    config = RuntimeConfig(
+        vgpus_per_device=4, launch_control_plane_s=CONTROL_PLANE_SECONDS
+    )
+    results = []
+    calls = _calls_in(
+        lambda: results.append(run_node_batch(jobs, [TESLA_C2050], config))
+    )
+    (result,) = results
+    assert result.errors == 0
+    assert result.stats["calls_served"] == 12_850
+    assert result.total_time == PINNED_FINEGRAINED_TOTAL_TIME
+    assert calls <= PINNED_FINEGRAINED_CALLS / MIN_SPEEDUP, (
+        f"Python calls per fine-grained pass: pinned {PINNED_FINEGRAINED_CALLS} -> "
+        f"measured {calls} ({calls / PINNED_FINEGRAINED_CALLS:.3f}x, "
+        f"budget {1 / MIN_SPEEDUP:.3f}x)"
     )
 
 
